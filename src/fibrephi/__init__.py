@@ -12,7 +12,7 @@ from .errors import (
     ResourceLimitError,
     SetupError,
 )
-from .orders import GREVLEX, LEX, Block, GrevLex, Lex, MonomialOrder, monomial_compare
+from .orders import GREVLEX, LEX, Block, GrevLex, Lex, MonomialOrder
 from .poly import Polynomial, PolynomialRing, transport
 from .parser import parse_polynomial, parse_polynomial_list
 from .groebner import (
@@ -20,12 +20,9 @@ from .groebner import (
     Ideal,
     elimination_ideal,
     ideal_intersection,
-    ideal_member,
-    is_unit_ideal,
     krull_dimension,
     normal_form,
     radical_member,
-    reduced_groebner,
     s_polynomial,
     saturation,
 )
@@ -43,7 +40,6 @@ from .geometry import (
     image_closure,
     make_setup,
     pure_dimension_check,
-    relative_leading_coefficients,
     sample_cell_points,
     split_components,
     stratify_by_fibre_dimension,
@@ -53,7 +49,7 @@ from .invariant import (
     ExtendedNat,
     MultiplicityQuery,
     PhiReport,
-    assemble_report,
+    analyze,
     certify_multiplicity_query,
     exactness_rules,
     multiplicity_bound,

@@ -1,4 +1,4 @@
-"""Batch interface: setup files, the analysis pipeline, JSON reports, corpus runs.
+"""Batch interface: setup files, JSON report documents, corpus runs.
 
 Setup files are line-oriented UTF-8 with ``#`` comments::
 
@@ -22,43 +22,21 @@ import argparse
 import hashlib
 import json
 import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from random import Random
 
 from . import __version__
-from .errors import (
-    DEFAULT_LIMITS,
-    FibrephiError,
-    InternalInconsistencyError,
-    Limits,
-    SetupError,
-)
+from .errors import DEFAULT_LIMITS, FibrephiError, Limits, SetupError
 from .geometry import (
     ProjectionSetup,
     Stratification,
     VerticalResult,
-    fibre_at_point,
     fibred_power,
     has_vertical_component,
     make_setup,
-    pure_dimension_check,
-    sample_cell_points,
     stratify_by_fibre_dimension,
 )
-from .invariant import (
-    ExtendedNat,
-    assemble_report,
-    certify_multiplicity_query,
-    exactness_rules,
-    multiplicity_bound,
-    no_vertical_certificate,
-    phi_by_fibred_powers,
-    phi_lower,
-    phi_upper,
-    summarize_power_verdicts,
-)
+from .invariant import ExtendedNat, PhiReport, analyze
 from .parser import parse_polynomial, parse_polynomial_list
 from .poly import PolynomialRing
 
@@ -119,12 +97,16 @@ def _parse_bool(value: str, where: str) -> bool:
 def load_setup(path: str | Path, limits: Limits = DEFAULT_LIMITS) -> SetupFile:
     """Parse and validate a setup file; derived dimensions are recomputed."""
     path = Path(path)
-    if not path.exists():
-        raise SetupError(f"no such file: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise SetupError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SetupError(f"{path}: not UTF-8 text ({exc})") from exc
     keys: dict[str, tuple[int, str]] = {}
     expect: dict[str, str] = {}
     in_expect = False
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line.strip():
             continue
@@ -179,34 +161,29 @@ def load_setup(path: str | Path, limits: Limits = DEFAULT_LIMITS) -> SetupFile:
     equals = _parse_bool(keys.get("target_equals_ambient", (0, "true"))[1], str(path))
     target = None
     if "target_ideal" in keys:
-        if equals:
-            raise SetupError(f"{path}: target_ideal given although target_equals_ambient is true")
         target = poly_list("target_ideal", keys["target_ideal"][1])
-    elif not equals:
-        raise SetupError(f"{path}: target_ideal required when target_equals_ambient is false")
-    source_text = need("source_ideal")
     sources = []
-    for chunk in source_text.split(","):
+    for chunk in need("source_ideal").split(","):
         try:
-            p = parse_polynomial(chunk, ring)
+            sources.append(parse_polynomial(chunk, ring))
         except FibrephiError as exc:
             raise SetupError(f"{path} (source_ideal): {exc}") from exc
-        if p.is_zero:
-            raise SetupError(f"{path}: zero generator in source_ideal")
-        sources.append(p)
     loc_irr = _parse_bool(keys.get("assert_target_locally_irreducible", (0, "false"))[1], str(path))
     pure_dim = _parse_bool(keys.get("assert_target_pure_dimensional", (0, "false"))[1], str(path))
 
-    setup = make_setup(
-        ring,
-        ambient_target_generators=ambient,
-        source_generators=sources,
-        target_generators=target,
-        target_equals_ambient=equals,
-        assert_target_locally_irreducible=loc_irr,
-        assert_target_pure_dimensional=pure_dim,
-        limits=limits,
-    )
+    try:
+        setup = make_setup(
+            ring,
+            ambient_target_generators=ambient,
+            source_generators=sources,
+            target_generators=target,
+            target_equals_ambient=equals,
+            assert_target_locally_irreducible=loc_irr,
+            assert_target_pure_dimensional=pure_dim,
+            limits=limits,
+        )
+    except SetupError as exc:
+        raise SetupError(f"{path}: {exc}") from exc
     return SetupFile(path=path, setup=setup, expect=expect)
 
 
@@ -233,21 +210,8 @@ class ReportDocument:
         return EXIT_INCONCLUSIVE if self.inconclusive else EXIT_OK
 
 
-@dataclass
-class AnalyzeOptions:
-    max_power: int = 0
-    seed: int = 0
-    include_timings: bool = False
-    oracle_points_per_cell: int = 5
-    limits: Limits = DEFAULT_LIMITS
-
-
 def _ext(value: ExtendedNat | None):
     return None if value is None else value.json_value()
-
-
-def _verdict_json(verdict: bool | None):
-    return verdict  # JSON true/false/null
 
 
 def _ideal_json(ideal) -> list[str]:
@@ -276,134 +240,33 @@ def _strata_json(strat: Stratification) -> list[dict]:
 
 def _vertical_json(v: VerticalResult) -> dict:
     return {
-        "verdict": _verdict_json(v.verdict),
+        "verdict": v.verdict,
         "witness": None if v.witness is None else str(v.witness),
         "detail": v.detail,
     }
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _run_oracle(
-    setup: ProjectionSetup,
-    strat: Stratification,
-    seed: int,
-    per_cell: int,
-    limits: Limits,
-) -> dict:
-    """Sample rational points on every cell and compare fibre dimensions."""
-    rng = Random(seed)
-    cells = points = skipped = mismatches = 0
-    for stratum in strat.strata:
-        for cell in stratum.cells:
-            cells += 1
-            found = sample_cell_points(cell, rng, want=per_cell, limits=limits)
-            if not found:
-                skipped += 1
-                continue
-            for pt in found:
-                points += 1
-                _, dim = fibre_at_point(setup, pt, limits)
-                if dim != cell.fibre_dim:
-                    mismatches += 1
-    if mismatches:
-        raise InternalInconsistencyError(
-            f"fibre oracle disagrees with the stratification on {mismatches} points"
-        )
-    return {"cells": cells, "points": points, "skipped": skipped, "mismatches": mismatches}
-
-
-def run_analyze(setup_file: SetupFile, options: AnalyzeOptions | None = None) -> ReportDocument:
-    """The full pipeline: stratify, verticality, bounds, exactness, powers."""
-    options = options or AnalyzeOptions()
-    limits = options.limits
-    setup = setup_file.setup
-    timings: dict[str, float] = {}
-    warnings: list[str] = []
-    notes: list[str] = []
-
-    def timed(name, fn):
-        start = time.perf_counter()
-        result = fn()
-        timings[name] = round(time.perf_counter() - start, 3)
-        return result
-
-    strat = timed("stratify", lambda: stratify_by_fibre_dimension(setup, limits))
-    purity = timed("purity", lambda: pure_dimension_check(setup.total_ideal, limits))
-    attested = setup.assert_target_locally_irreducible
-    if attested:
-        vertical = timed(
-            "vertical", lambda: has_vertical_component(setup.total_ideal, setup, limits=limits)
-        )
-        if vertical.verdict is None:
-            warnings.append("vertical-component test inconclusive at the configured depth")
-    else:
-        vertical = VerticalResult(None, None, "target irreducibility not attested")
-        warnings.append(
-            "vertical-component test skipped: assert_target_locally_irreducible is false"
-        )
-    if purity.pure is None:
-        warnings.append("purity of the source is unconfirmed (splitting cap)")
-
-    upper = lower = None
-    if purity.pure is True:
-        upper = phi_upper(strat, setup.m, setup.n, purity)
-        lower = phi_lower(strat, setup.N, setup.k, setup.r, no_vertical_certificate(vertical))
-        notes.append(
-            "the lower bound uses the presentation as given; fewer generators or a "
-            "smaller ambient target would strengthen it"
-        )
-    else:
-        warnings.append("bounds unavailable: non-pure source")
-
-    exact = tag = None
-    if upper is not None:
-        exact, tag = exactness_rules(setup, strat, upper, lower, vertical, purity)
-
-    power_verdicts: list[tuple[int, bool | None]] = []
-    power_summary = None
-    if options.max_power >= 1 and not attested:
-        warnings.append(
-            "fibred-power verification skipped: requires the locally-irreducible attestation"
-        )
-    elif options.max_power >= 1:
-        power_verdicts = timed(
-            "fibred_powers", lambda: phi_by_fibred_powers(setup, options.max_power, limits=limits)
-        )
-        power_exact, power_summary = summarize_power_verdicts(power_verdicts)
-        if power_exact is not None:
-            if exact is not None and exact != power_exact:
-                raise InternalInconsistencyError(
-                    f"fibred powers give phi = {power_exact} but rules gave {exact}"
-                )
-            if exact is None:
-                if upper is not None and upper < power_exact:
-                    raise InternalInconsistencyError("power-determined value above upper bound")
-                exact, tag = power_exact, "fibred-power-determined"
-
-    report = assemble_report(
-        setup, strat, purity, vertical, upper, lower, exact, tag,
-        power_verdicts, warnings, notes,
-    )
-
-    mquery = certify_multiplicity_query(setup, strat, purity, limits)
-    mbound = multiplicity_bound(mquery) if mquery is not None else None
-
-    oracle = timed(
-        "oracle",
-        lambda: _run_oracle(setup, strat, options.seed, options.oracle_points_per_cell, limits),
-    )
-
-    document = {
+def _header(command: str, setup_file: SetupFile) -> dict:
+    """The fields every document opens with: tool, version, command and input."""
+    return {
         "tool": "fibrephi",
         "version": __version__,
-        "command": "analyze",
+        "command": command,
         "input": str(setup_file.path),
-        "input_digest": _digest(setup_file.path),
-        "seed": options.seed,
-        "dims": setup.dims(),
+        "input_digest": hashlib.sha256(setup_file.path.read_bytes()).hexdigest(),
+    }
+
+
+def analysis_document(
+    setup_file: SetupFile, report: PhiReport, include_timings: bool = False
+) -> ReportDocument:
+    """The ``analyze`` document of ``report``; wall-clock timings only on request."""
+    purity = report.purity
+    strat = report.stratification
+    document = {
+        **_header("analyze", setup_file),
+        "seed": report.seed,
+        "dims": setup_file.setup.dims(),
         "attestations": dict(report.attestations),
         "purity": {
             "pure": purity.pure,
@@ -418,34 +281,23 @@ def run_analyze(setup_file: SetupFile, options: AnalyzeOptions | None = None) ->
         "phi_lower": _ext(report.phi_lower),
         "phi_exact": _ext(report.phi_exact),
         "exactness_tag": report.exactness_tag,
-        "fibred_powers": [
-            {"i": i, "verdict": _verdict_json(v)} for i, v in report.fibred_power_verdicts
-        ],
-        "fibred_power_summary": power_summary,
-        "multiplicity_bound": mbound,
-        "oracle": oracle,
+        "fibred_powers": [{"i": i, "verdict": v} for i, v in report.fibred_power_verdicts],
+        "fibred_power_summary": report.fibred_power_summary,
+        "multiplicity_bound": report.multiplicity_bound,
+        "oracle": dict(report.oracle),
         "warnings": list(report.warnings),
         "notes": list(report.notes),
     }
-    if options.include_timings:
-        document["timings"] = timings
-    inconclusive = (
-        purity.pure is None
-        or vertical.verdict is None
-        or any(v is None for _, v in power_verdicts)
-    )
-    return ReportDocument(document, inconclusive=inconclusive)
+    if include_timings:
+        document["timings"] = dict(report.timings)
+    return ReportDocument(document, inconclusive=report.inconclusive)
 
 
 def run_stratify(setup_file: SetupFile, limits: Limits = DEFAULT_LIMITS) -> ReportDocument:
     setup = setup_file.setup
     strat = stratify_by_fibre_dimension(setup, limits)
     document = {
-        "tool": "fibrephi",
-        "version": __version__,
-        "command": "stratify",
-        "input": str(setup_file.path),
-        "input_digest": _digest(setup_file.path),
+        **_header("stratify", setup_file),
         "dims": setup.dims(),
         "strata": _strata_json(strat),
         "fibre_dimensions": list(strat.fibre_dimensions),
@@ -461,11 +313,7 @@ def run_verify_power(
     power = fibred_power(setup, i)
     result = has_vertical_component(power.ideal, setup, limits=limits)
     document = {
-        "tool": "fibrephi",
-        "version": __version__,
-        "command": "verify-power",
-        "input": str(setup_file.path),
-        "input_digest": _digest(setup_file.path),
+        **_header("verify-power", setup_file),
         "power": i,
         "variables": list(power.ring.variables),
         "generators": [str(g) for g in power.ideal.generators],
@@ -544,13 +392,13 @@ def required_max_power(expect: dict[str, str]) -> int:
     return max(int(chunk.partition(":")[0]) for chunk in expect["fibred_powers"].split(","))
 
 
-def run_corpus(directory: str | Path, options: AnalyzeOptions | None = None) -> tuple[list[ReportDocument], int]:
+def run_corpus(directory: str | Path, seed: int = 0) -> tuple[list[ReportDocument], int]:
     """Analyze every ``*.setup`` fixture under ``directory`` and compare expectations.
 
-    Returns the per-file reports (sorted by path) and the overall exit code:
-    3 on any expectation mismatch, otherwise the worst per-file code.
+    Each fixture is analyzed up to the highest fibred power its expect block
+    names.  Returns the per-file reports (sorted by path) and the overall exit
+    code: 3 on any expectation mismatch, otherwise the worst per-file code.
     """
-    options = options or AnalyzeOptions()
     directory = Path(directory)
     paths = sorted(directory.glob("*.setup"))
     if not paths:
@@ -558,15 +406,9 @@ def run_corpus(directory: str | Path, options: AnalyzeOptions | None = None) -> 
     reports: list[ReportDocument] = []
     exit_code = EXIT_OK
     for path in paths:
-        setup_file = load_setup(path, options.limits)
-        per_file = AnalyzeOptions(
-            max_power=max(options.max_power, required_max_power(setup_file.expect)),
-            seed=options.seed,
-            include_timings=options.include_timings,
-            oracle_points_per_cell=options.oracle_points_per_cell,
-            limits=options.limits,
-        )
-        report = run_analyze(setup_file, per_file)
+        setup_file = load_setup(path)
+        max_power = required_max_power(setup_file.expect)
+        report = analysis_document(setup_file, analyze(setup_file.setup, max_power, seed))
         report.mismatches = compare_expectations(report.document, setup_file.expect)
         reports.append(report)
         exit_code = max(exit_code, report.exit_code)
@@ -578,39 +420,33 @@ def run_corpus(directory: str | Path, options: AnalyzeOptions | None = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def _print_analysis_summary(doc: dict, stream=None):
-    stream = stream or sys.stdout
+def _print_analysis_summary(doc: dict):
     dims = doc["dims"]
-    print(f"input: {doc['input']}", file=stream)
-    print(
-        f"dims: N={dims['N']} n={dims['n']} k={dims['k']} r={dims['r']} m={dims['m']}",
-        file=stream,
-    )
+    print(f"input: {doc['input']}")
+    print(f"dims: N={dims['N']} n={dims['n']} k={dims['k']} r={dims['r']} m={dims['m']}")
     purity = doc["purity"]
     print(
-        f"pure-dimensional: {purity['pure']} (dim {purity['dim']}, pieces {purity['piece_dims']})",
-        file=stream,
+        f"pure-dimensional: {purity['pure']} (dim {purity['dim']}, pieces {purity['piece_dims']})"
     )
     for s in doc["strata"]:
         ideal = ", ".join(s["image_ideal"]) or "0"
-        print(f"stratum j={s['j']}: image dim {s['image_dim']}, image ideal ({ideal})", file=stream)
+        print(f"stratum j={s['j']}: image dim {s['image_dim']}, image ideal ({ideal})")
     vertical = doc["vertical"]
     line = f"vertical component: {vertical['verdict']}"
     if vertical["witness"]:
         line += f" (witness {vertical['witness']})"
-    print(line, file=stream)
+    print(line)
     print(
         f"phi_upper = {doc['phi_upper']}  phi_lower = {doc['phi_lower']}  "
-        f"phi_exact = {doc['phi_exact']} [{doc['exactness_tag']}]",
-        file=stream,
+        f"phi_exact = {doc['phi_exact']} [{doc['exactness_tag']}]"
     )
     if doc["fibred_powers"]:
         verdicts = ", ".join(f"{e['i']}:{e['verdict']}" for e in doc["fibred_powers"])
-        print(f"fibred powers: {verdicts} => {doc['fibred_power_summary']}", file=stream)
+        print(f"fibred powers: {verdicts} => {doc['fibred_power_summary']}")
     if doc["multiplicity_bound"] is not None:
-        print(f"generic fibre cardinality bound: {doc['multiplicity_bound']}", file=stream)
+        print(f"generic fibre cardinality bound: {doc['multiplicity_bound']}")
     for w in doc["warnings"]:
-        print(f"warning: {w}", file=stream)
+        print(f"warning: {w}")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -643,37 +479,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            setup_file = load_setup(args.file)
-            options = AnalyzeOptions(
-                max_power=args.max_power, seed=args.seed, include_timings=args.timings
-            )
-            report = run_analyze(setup_file, options)
-            _print_analysis_summary(report.document)
-            if args.json_out:
-                Path(args.json_out).write_text(report.to_json(), encoding="utf-8")
-            return report.exit_code
-        if args.command == "stratify":
-            report = run_stratify(load_setup(args.file))
-            for s in report.document["strata"]:
-                ideal = ", ".join(s["image_ideal"]) or "0"
-                print(f"stratum j={s['j']}: image dim {s['image_dim']}, image ideal ({ideal})")
-            if args.json_out:
-                Path(args.json_out).write_text(report.to_json(), encoding="utf-8")
-            return report.exit_code
-        if args.command == "verify-power":
-            report = run_verify_power(load_setup(args.file), args.i)
-            vertical = report.document["vertical"]
-            print(f"power {args.i}: vertical = {vertical['verdict']}")
-            if vertical["witness"]:
-                print(f"witness: {vertical['witness']}")
-            if args.json_out:
-                Path(args.json_out).write_text(report.to_json(), encoding="utf-8")
-            return report.exit_code
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
+    try:
         if args.command == "corpus":
-            reports, exit_code = run_corpus(args.directory, AnalyzeOptions(seed=args.seed))
+            reports, exit_code = run_corpus(args.directory, args.seed)
             width = max(len(r.document["input"]) for r in reports)
             for r in reports:
                 status = "ok" if not r.mismatches else "MISMATCH"
@@ -683,10 +495,32 @@ def main(argv: list[str] | None = None) -> int:
                 for m in r.mismatches:
                     print(f"    {m}")
             return exit_code
-        raise AssertionError("unreachable")
+        setup_file = load_setup(args.file)
+        if args.command == "analyze":
+            result = analyze(setup_file.setup, args.max_power, args.seed)
+            report = analysis_document(setup_file, result, args.timings)
+            _print_analysis_summary(report.document)
+        elif args.command == "stratify":
+            report = run_stratify(setup_file)
+            for s in report.document["strata"]:
+                ideal = ", ".join(s["image_ideal"]) or "0"
+                print(f"stratum j={s['j']}: image dim {s['image_dim']}, image ideal ({ideal})")
+        else:
+            report = run_verify_power(setup_file, args.i)
+            vertical = report.document["vertical"]
+            print(f"power {args.i}: vertical = {vertical['verdict']}")
+            if vertical["witness"]:
+                print(f"witness: {vertical['witness']}")
     except FibrephiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    if args.json_out:
+        try:
+            Path(args.json_out).write_text(report.to_json(), encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.json_out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_ERROR
+    return report.exit_code
 
 
 if __name__ == "__main__":

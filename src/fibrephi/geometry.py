@@ -280,13 +280,6 @@ def relative_terms(
     return out
 
 
-def relative_leading_coefficients(
-    J: Ideal, setup: ProjectionSetup, limits: Limits = DEFAULT_LIMITS
-) -> list[Polynomial]:
-    """Leading y-coefficients of the block-order basis, target flags applied."""
-    return [t.coefficient for t in relative_terms(J, setup.target_ideal, limits)]
-
-
 # ---------------------------------------------------------------------------
 # stratification by fibre dimension
 # ---------------------------------------------------------------------------
@@ -328,12 +321,6 @@ class Stratification:
             if s.fibre_dim == j:
                 return s
         return None
-
-    def image_dim_of(self, j: int) -> int:
-        s = self.stratum(j)
-        if s is None:
-            raise FibrephiError(f"no stratum with fibre dimension {j}")
-        return s.image_dim
 
 
 def _poly_sort_key(p: Polynomial) -> str:

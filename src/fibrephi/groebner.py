@@ -246,52 +246,21 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -
     return Polynomial(f.ring, _spoly_dict(lmf, fd, lmg, gd))
 
 
-def division(
-    f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX
-) -> tuple[list[Polynomial], Polynomial]:
-    """Multivariate division: ``f = sum(q_i * b_i) + r`` with quotients recorded.
+def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Polynomial:
+    """Remainder of ``f`` on division by ``basis``.
 
     No term of the remainder is divisible by any basis leading monomial.
+    Making a divisor monic does not change the remainder.
     """
-    ring = f.ring
     key = order.key
-    entries = []
+    divisors = []
     for b in basis:
         if b.is_zero:
             raise ZeroPolynomialError("division by a zero basis element")
-        if b.ring != ring:
+        if b.ring != f.ring:
             raise RingMismatchError("division basis must share the ring")
-        lm, lc = b.leading_term(order)
-        entries.append((lm, lc, b.as_dict()))
-    quots: list[PolyDict] = [{} for _ in basis]
-    rem: PolyDict = {}
-    work = f.as_dict()
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for i, (lm, lc, b) in enumerate(entries):
-            if monomial_divides(lm, m):
-                q = monomial_div(m, lm)
-                factor = c / lc
-                quots[i][q] = quots[i].get(q, Fraction(0)) + factor
-                for mb, cb in b.items():
-                    if mb == lm:
-                        continue
-                    mm = monomial_mul(mb, q)
-                    nc = work.get(mm, Fraction(0)) - factor * cb
-                    if nc:
-                        work[mm] = nc
-                    elif mm in work:
-                        del work[mm]
-                break
-        else:
-            rem[m] = c
-    return [Polynomial(ring, q) for q in quots], Polynomial(ring, rem)
-
-
-def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Polynomial:
-    """Remainder of ``f`` on division by ``basis``."""
-    return division(f, basis, order)[1]
+        divisors.append(_monic_dict(b.as_dict(), key))
+    return Polynomial(f.ring, _normal_form_dict(f.as_dict(), divisors, key))
 
 
 @dataclass(frozen=True)
@@ -387,9 +356,6 @@ class Ideal:
             return True
         return self.groebner_basis(GREVLEX, limits).is_unit()
 
-    def is_proper(self, limits: Limits = DEFAULT_LIMITS) -> bool:
-        return not self.is_unit(limits)
-
     def equals(self, other: "Ideal", limits: Limits = DEFAULT_LIMITS) -> bool:
         """Mathematical equality via the canonical reduced bases."""
         if self.ring != other.ring:
@@ -398,25 +364,6 @@ class Ideal:
             self.groebner_basis(GREVLEX, limits).elements
             == other.groebner_basis(GREVLEX, limits).elements
         )
-
-    def dimension(self, limits: Limits = DEFAULT_LIMITS) -> int:
-        return krull_dimension(self, limits)
-
-
-def reduced_groebner(
-    ideal: Ideal, order: MonomialOrder = GREVLEX, limits: Limits = DEFAULT_LIMITS
-) -> GroebnerBasis:
-    """Reduced Groebner basis of ``ideal`` under ``order`` (cached on the ideal)."""
-    return ideal.groebner_basis(order, limits)
-
-
-def ideal_member(f: Polynomial, ideal: Ideal, limits: Limits = DEFAULT_LIMITS) -> bool:
-    """True iff ``f`` reduces to zero against the basis."""
-    return ideal.contains(f, limits)
-
-
-def is_unit_ideal(ideal: Ideal, limits: Limits = DEFAULT_LIMITS) -> bool:
-    return ideal.is_unit(limits)
 
 
 def _lift_to(ring: PolynomialRing, polys: Iterable[Polynomial]) -> list[Polynomial]:

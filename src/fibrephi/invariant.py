@@ -12,7 +12,9 @@ cross-validates through fibred powers.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from random import Random
 from typing import Sequence
 
 from .errors import (
@@ -27,17 +29,14 @@ from .geometry import (
     PurityResult,
     Stratification,
     VerticalResult,
+    fibre_at_point,
     fibred_power,
     has_vertical_component,
+    pure_dimension_check,
+    sample_cell_points,
     single_rational_point,
+    stratify_by_fibre_dimension,
 )
-
-
-def no_vertical_certificate(vertical: VerticalResult) -> bool | None:
-    """Translate a vertical-component verdict into the certified no-vertical flag."""
-    if vertical.verdict is None:
-        return None
-    return not vertical.verdict
 
 
 @dataclass(frozen=True, order=True)
@@ -161,7 +160,12 @@ EXACTNESS_TAGS = (
 
 @dataclass(frozen=True)
 class PhiReport:
-    """Everything the analysis established about phi, with provenance flags."""
+    """Everything the analysis established about phi, with provenance flags.
+
+    ``oracle`` counts the sampled cells and points (drawn with ``seed``) and
+    the fibre-dimension mismatches among them; ``timings`` holds the wall
+    time in seconds of each timed stage.
+    """
 
     phi_upper: ExtendedNat | None
     phi_lower: ExtendedNat | None
@@ -171,9 +175,14 @@ class PhiReport:
     purity: PurityResult
     stratification: Stratification
     fibred_power_verdicts: tuple[tuple[int, bool | None], ...]
+    fibred_power_summary: str | None
+    multiplicity_bound: int | None
+    seed: int
+    oracle: dict[str, int]
     attestations: dict[str, bool]
     warnings: tuple[str, ...]
     notes: tuple[str, ...]
+    timings: dict[str, float]
 
     def __post_init__(self):
         if (
@@ -190,6 +199,15 @@ class PhiReport:
                 raise InternalInconsistencyError("exact value below the lower bound")
         if self.exactness_tag is not None and self.exactness_tag not in EXACTNESS_TAGS:
             raise FibrephiError(f"unknown exactness tag {self.exactness_tag!r}")
+
+    @property
+    def inconclusive(self) -> bool:
+        """True when purity, the vertical test or a fibred power stayed undecided."""
+        return (
+            self.purity.pure is None
+            or self.vertical.verdict is None
+            or any(v is None for _, v in self.fibred_power_verdicts)
+        )
 
 
 def exactness_rules(
@@ -241,38 +259,6 @@ def exactness_rules(
         if tag in tags:
             return fired[tags.index(tag)][1], tag
     raise AssertionError("unreachable")
-
-
-def assemble_report(
-    setup: ProjectionSetup,
-    strat: Stratification,
-    purity: PurityResult,
-    vertical: VerticalResult,
-    upper: ExtendedNat | None,
-    lower: ExtendedNat | None,
-    exact: ExtendedNat | None,
-    tag: str | None,
-    power_verdicts: Sequence[tuple[int, bool | None]] = (),
-    warnings: Sequence[str] = (),
-    notes: Sequence[str] = (),
-) -> PhiReport:
-    """Bundle the analysis into a PhiReport, enforcing its consistency rules."""
-    return PhiReport(
-        phi_upper=upper,
-        phi_lower=lower,
-        phi_exact=exact,
-        exactness_tag=tag,
-        vertical=vertical,
-        purity=purity,
-        stratification=strat,
-        fibred_power_verdicts=tuple(power_verdicts),
-        attestations={
-            "target_locally_irreducible": setup.assert_target_locally_irreducible,
-            "target_pure_dimensional": setup.assert_target_pure_dimensional,
-        },
-        warnings=tuple(warnings),
-        notes=tuple(notes),
-    )
 
 
 def phi_by_fibred_powers(
@@ -398,3 +384,142 @@ def multiplicity_bound(query: MultiplicityQuery) -> int:
     if missing:
         raise PreconditionError(f"uncertified premises: {sorted(missing)}")
     return (query.common_dim - 1) // query.special_fibre_dim
+
+
+# ---------------------------------------------------------------------------
+# the analysis pipeline
+# ---------------------------------------------------------------------------
+
+ORACLE_POINTS_PER_CELL = 5
+
+
+def _run_oracle(
+    setup: ProjectionSetup, strat: Stratification, seed: int, limits: Limits
+) -> dict[str, int]:
+    """Sample rational points on every cell and compare fibre dimensions."""
+    rng = Random(seed)
+    cells = points = skipped = mismatches = 0
+    for stratum in strat.strata:
+        for cell in stratum.cells:
+            cells += 1
+            found = sample_cell_points(cell, rng, want=ORACLE_POINTS_PER_CELL, limits=limits)
+            if not found:
+                skipped += 1
+                continue
+            for pt in found:
+                points += 1
+                _, dim = fibre_at_point(setup, pt, limits)
+                if dim != cell.fibre_dim:
+                    mismatches += 1
+    if mismatches:
+        raise InternalInconsistencyError(
+            f"fibre oracle disagrees with the stratification on {mismatches} points"
+        )
+    return {"cells": cells, "points": points, "skipped": skipped, "mismatches": mismatches}
+
+
+def analyze(
+    setup: ProjectionSetup,
+    max_power: int = 0,
+    seed: int = 0,
+    limits: Limits = DEFAULT_LIMITS,
+) -> PhiReport:
+    """The full pipeline: stratify, purity, vertical test, bounds, exactness,
+    fibred powers up to ``max_power``, the multiplicity bound and the
+    sampling oracle (seeded by ``seed``).
+
+    The vertical test and the fibred powers need the locally-irreducible
+    attestation; without it they are skipped with a warning.
+    """
+    if max_power < 0:
+        raise FibrephiError(f"max_power must be non-negative, got {max_power}")
+    timings: dict[str, float] = {}
+    warnings: list[str] = []
+    notes: list[str] = []
+
+    def timed(name, fn):
+        start = time.perf_counter()
+        result = fn()
+        timings[name] = round(time.perf_counter() - start, 3)
+        return result
+
+    strat = timed("stratify", lambda: stratify_by_fibre_dimension(setup, limits))
+    purity = timed("purity", lambda: pure_dimension_check(setup.total_ideal, limits))
+    attested = setup.assert_target_locally_irreducible
+    if attested:
+        vertical = timed(
+            "vertical", lambda: has_vertical_component(setup.total_ideal, setup, limits=limits)
+        )
+        if vertical.verdict is None:
+            warnings.append("vertical-component test inconclusive at the configured depth")
+    else:
+        vertical = VerticalResult(None, None, "target irreducibility not attested")
+        warnings.append(
+            "vertical-component test skipped: assert_target_locally_irreducible is false"
+        )
+    if purity.pure is None:
+        warnings.append("purity of the source is unconfirmed (splitting cap)")
+
+    upper = lower = None
+    if purity.pure is True:
+        upper = phi_upper(strat, setup.m, setup.n, purity)
+        no_vertical = None if vertical.verdict is None else not vertical.verdict
+        lower = phi_lower(strat, setup.N, setup.k, setup.r, no_vertical)
+        notes.append(
+            "the lower bound uses the presentation as given; fewer generators or a "
+            "smaller ambient target would strengthen it"
+        )
+    else:
+        warnings.append("bounds unavailable: non-pure source")
+
+    exact = tag = None
+    if upper is not None:
+        exact, tag = exactness_rules(setup, strat, upper, lower, vertical, purity)
+
+    power_verdicts: list[tuple[int, bool | None]] = []
+    power_summary = None
+    if max_power >= 1 and not attested:
+        warnings.append(
+            "fibred-power verification skipped: requires the locally-irreducible attestation"
+        )
+    elif max_power >= 1:
+        power_verdicts = timed(
+            "fibred_powers", lambda: phi_by_fibred_powers(setup, max_power, limits=limits)
+        )
+        power_exact, power_summary = summarize_power_verdicts(power_verdicts)
+        if power_exact is not None:
+            if exact is not None and exact != power_exact:
+                raise InternalInconsistencyError(
+                    f"fibred powers give phi = {power_exact} but rules gave {exact}"
+                )
+            if exact is None:
+                if upper is not None and upper < power_exact:
+                    raise InternalInconsistencyError("power-determined value above upper bound")
+                exact, tag = power_exact, "fibred-power-determined"
+
+    mquery = certify_multiplicity_query(setup, strat, purity, limits)
+    mbound = multiplicity_bound(mquery) if mquery is not None else None
+
+    oracle = timed("oracle", lambda: _run_oracle(setup, strat, seed, limits))
+
+    return PhiReport(
+        phi_upper=upper,
+        phi_lower=lower,
+        phi_exact=exact,
+        exactness_tag=tag,
+        vertical=vertical,
+        purity=purity,
+        stratification=strat,
+        fibred_power_verdicts=tuple(power_verdicts),
+        fibred_power_summary=power_summary,
+        multiplicity_bound=mbound,
+        seed=seed,
+        oracle=oracle,
+        attestations={
+            "target_locally_irreducible": setup.assert_target_locally_irreducible,
+            "target_pure_dimensional": setup.assert_target_pure_dimensional,
+        },
+        warnings=tuple(warnings),
+        notes=tuple(notes),
+        timings=timings,
+    )

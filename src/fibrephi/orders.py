@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import FibrephiError
-
 Monomial = tuple[int, ...]
 
 
@@ -42,17 +40,6 @@ class MonomialOrder:
 
     def key(self, m: Monomial):
         raise NotImplementedError
-
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        """-1, 0 or 1 as ``a`` is below, equal to or above ``b``."""
-        if len(a) != len(b):
-            raise FibrephiError(f"monomial arity mismatch: {len(a)} vs {len(b)}")
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return -1
-        if ka > kb:
-            return 1
-        return 0
 
 
 @dataclass(frozen=True)
@@ -95,8 +82,3 @@ class Block(MonomialOrder):
 
 LEX = Lex()
 GREVLEX = GrevLex()
-
-
-def monomial_compare(order: MonomialOrder, a: Monomial, b: Monomial) -> int:
-    """Total comparison of two monomials of equal arity under ``order``."""
-    return order.compare(a, b)

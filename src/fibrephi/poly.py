@@ -200,12 +200,6 @@ class Polynomial:
     def coefficient(self, mono: Monomial) -> Fraction:
         return self._terms.get(tuple(mono), Fraction(0))
 
-    def total_degree(self) -> int:
-        """Total degree; the zero polynomial reports -1."""
-        if not self._terms:
-            return -1
-        return max(sum(m) for m in self._terms)
-
     def degree_in(self, name: str) -> int:
         i = self.ring.index(name)
         if not self._terms:
@@ -364,21 +358,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({format_polynomial(self)})"
-
-
-def arith(op: str, p: Polynomial, q: "Polynomial | Scalar") -> Polynomial:
-    """Dispatching wrapper over the four documented arithmetic operations."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    if op == "scale":
-        if isinstance(q, Polynomial):
-            raise FibrephiError("scale expects a rational scalar")
-        return p.scale(q)
-    raise FibrephiError(f"unknown arithmetic op {op!r}")
 
 
 def _format_coefficient(c: Fraction) -> str:

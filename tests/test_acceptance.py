@@ -11,22 +11,18 @@ from fibrephi import (
     ExtendedNat,
     Ideal,
     PolynomialRing,
+    analyze,
     certify_multiplicity_query,
-    exactness_rules,
     fibre_at_point,
-    has_vertical_component,
     multiplicity_bound,
     phi_by_fibred_powers,
-    phi_lower,
-    phi_upper,
     pure_dimension_check,
     sample_cell_points,
     stratify_by_fibre_dimension,
     summarize_power_verdicts,
 )
-from fibrephi.cli import AnalyzeOptions, load_setup, run_corpus
+from fibrephi.cli import load_setup, run_corpus
 from fibrephi.groebner import SATURATION_STATS
-from fibrephi.invariant import no_vertical_certificate
 from fibrephi.poly import Polynomial
 
 from conftest import FIXTURES, cyclic_family_setup, quadric_cone_setup, simple_setup
@@ -46,24 +42,15 @@ def criterion(number: int, label: str, budget_seconds: float):
     assert elapsed < budget_seconds, f"criterion {number} exceeded {budget_seconds}s"
 
 
-def full_analysis(setup):
-    strat = stratify_by_fibre_dimension(setup)
-    purity = pure_dimension_check(setup.total_ideal)
-    vertical = has_vertical_component(setup.total_ideal, setup)
-    upper = phi_upper(strat, setup.m, setup.n, purity) if purity.pure else None
-    lower = phi_lower(strat, setup.N, setup.k, setup.r, no_vertical_certificate(vertical))
-    exact, tag = exactness_rules(setup, strat, upper, lower, vertical, purity)
-    return strat, purity, vertical, upper, lower, exact, tag
-
-
 def test_criterion_1_quadric_cone_end_to_end():
     with criterion(1, "quadric cone end to end", budget_seconds=10.0):
         setup = quadric_cone_setup()
-        strat, purity, vertical, upper, lower, exact, tag = full_analysis(setup)
-        assert upper == ExtendedNat(2)
-        assert lower == ExtendedNat(2)
-        assert exact == ExtendedNat(2) and tag == "bounds-meet"
-        assert {(s.fibre_dim, s.image_dim) for s in strat.strata} == {(0, 3), (1, 0)}
+        report = analyze(setup)
+        assert report.phi_upper == ExtendedNat(2)
+        assert report.phi_lower == ExtendedNat(2)
+        assert report.phi_exact == ExtendedNat(2) and report.exactness_tag == "bounds-meet"
+        strata = report.stratification.strata
+        assert {(s.fibre_dim, s.image_dim) for s in strata} == {(0, 3), (1, 0)}
 
 
 def test_criterion_2_cyclic_family():
@@ -71,12 +58,14 @@ def test_criterion_2_cyclic_family():
         for n, l in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]:
             start = time.perf_counter()
             setup = cyclic_family_setup(n, l)
-            strat, purity, vertical, upper, lower, exact, tag = full_analysis(setup)
+            report = analyze(setup)
+            purity = report.purity
             assert purity.pure is True and purity.dim == 2 * n - 1, (n, l)
-            special = strat.stratum(n)
+            special = report.stratification.stratum(n)
             assert special is not None and special.image_dim == n - l, (n, l)
-            assert exact == ExtendedNat(l - 1) and tag == "smooth-target", (n, l)
-            assert lower == ExtendedNat(l - 1), (n, l)
+            assert report.phi_exact == ExtendedNat(l - 1), (n, l)
+            assert report.exactness_tag == "smooth-target", (n, l)
+            assert report.phi_lower == ExtendedNat(l - 1), (n, l)
             assert time.perf_counter() - start < 60.0, (n, l)
 
 
@@ -93,14 +82,14 @@ def test_criterion_4_degenerate_fixtures():
     with criterion(4, "degenerate fixtures", budget_seconds=15.0):
         start = time.perf_counter()
         vertical_setup = simple_setup("y*x")
-        strat, purity, vertical, upper, lower, exact, tag = full_analysis(vertical_setup)
-        assert exact == ExtendedNat(0)
-        assert vertical.verdict is True and vertical.witness is not None
+        report = analyze(vertical_setup)
+        assert report.phi_exact == ExtendedNat(0)
+        assert report.vertical.verdict is True and report.vertical.witness is not None
         assert time.perf_counter() - start < 5.0
 
         start = time.perf_counter()
         graph = simple_setup("x - y")
-        _, gpurity, _, gupper, _, _, _ = full_analysis(graph)
+        gupper = analyze(graph).phi_upper
         assert gupper is not None and gupper.is_infinite
         assert time.perf_counter() - start < 5.0
 
@@ -139,10 +128,11 @@ def test_criterion_6_invariant_suite():
         applicable = 0
         for path in sorted(FIXTURES.glob("*.setup")):
             setup = load_setup(path).setup
-            strat, purity, vertical, upper, lower, exact, tag = full_analysis(setup)
-            lam = strat.min_fibre_dim
+            report = analyze(setup)
+            upper, lower = report.phi_upper, report.phi_lower
+            lam = report.stratification.min_fibre_dim
             assert lam >= setup.k - setup.r, path.name
-            if vertical.verdict is False:
+            if report.vertical.verdict is False:
                 assert lam == setup.m - setup.n, path.name
             if lower is not None and upper is not None:
                 assert not upper < lower, path.name
@@ -173,7 +163,7 @@ def test_criterion_6_invariant_suite():
 
         # every saturation performed during a full corpus run self-certifies
         SATURATION_STATS.reset()
-        reports, exit_code = run_corpus(FIXTURES, AnalyzeOptions())
+        reports, exit_code = run_corpus(FIXTURES)
         assert exit_code == 0
         assert all(not r.mismatches for r in reports)
         assert SATURATION_STATS.calls > 0

@@ -5,26 +5,32 @@ from pathlib import Path
 
 import pytest
 
+from fibrephi import analyze
 from fibrephi.cli import (
     EXIT_CORPUS_MISMATCH,
+    EXIT_ERROR,
     EXIT_OK,
-    AnalyzeOptions,
+    analysis_document,
     compare_expectations,
     load_setup,
     main,
     required_max_power,
-    run_analyze,
     run_corpus,
     run_stratify,
     run_verify_power,
 )
-from fibrephi.errors import SetupError
+from fibrephi.errors import FibrephiError, SetupError
 
 
 def write(tmp_path: Path, text: str, name="case.setup") -> Path:
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def analyzed_document(setup_file, max_power=0, seed=0, include_timings=False):
+    report = analyze(setup_file.setup, max_power, seed)
+    return analysis_document(setup_file, report, include_timings)
 
 
 MINIMAL = """\
@@ -87,8 +93,10 @@ def test_inconsistent_target_declarations(tmp_path):
     with pytest.raises(SetupError):
         load_setup(write(tmp_path, text))
     text = "vars_target: y\nvars_source: x\nsource_ideal: x\ntarget_equals_ambient: false\n"
-    with pytest.raises(SetupError):
-        load_setup(write(tmp_path, text, name="other.setup"))
+    path = write(tmp_path, text, name="other.setup")
+    with pytest.raises(SetupError) as err:
+        load_setup(path)
+    assert str(path) in str(err.value) and "target_ideal" in str(err.value)
 
 
 def test_parse_error_carries_location(tmp_path):
@@ -104,7 +112,7 @@ def test_expect_block_does_not_influence_computation(tmp_path):
         write(tmp_path, MINIMAL + "expect:\n  phi_exact: 7\n", name="exp.setup")
     )
     assert plain.setup.dims() == with_expect.setup.dims()
-    report = run_analyze(with_expect)
+    report = analyzed_document(with_expect)
     assert report.document["phi_exact"] != 7
 
 
@@ -115,7 +123,7 @@ def test_expect_block_does_not_influence_computation(tmp_path):
 
 def test_analyze_quadric_cone(fixture_dir):
     loaded = load_setup(fixture_dir / "quadric_cone.setup")
-    report = run_analyze(loaded, AnalyzeOptions(max_power=3))
+    report = analyzed_document(loaded, max_power=3)
     doc = report.document
     assert doc["phi_upper"] == 2 and doc["phi_lower"] == 2 and doc["phi_exact"] == 2
     assert doc["exactness_tag"] == "bounds-meet"
@@ -131,7 +139,7 @@ def test_analyze_quadric_cone(fixture_dir):
 
 def test_analyze_family_instance(fixture_dir):
     loaded = load_setup(fixture_dir / "cyclic_forms_n3_l2.setup")
-    report = run_analyze(loaded)
+    report = analyzed_document(loaded)
     doc = report.document
     assert doc["phi_exact"] == 1 and doc["exactness_tag"] == "smooth-target"
     assert doc["vertical"]["verdict"] is False
@@ -139,7 +147,7 @@ def test_analyze_family_instance(fixture_dir):
 
 def test_analyze_vertical_fixture(fixture_dir):
     loaded = load_setup(fixture_dir / "line_times_fibre.setup")
-    report = run_analyze(loaded)
+    report = analyzed_document(loaded)
     doc = report.document
     assert doc["phi_exact"] == 0
     assert doc["vertical"]["verdict"] is True
@@ -148,23 +156,22 @@ def test_analyze_vertical_fixture(fixture_dir):
 
 def test_analyze_infinity_serialization(fixture_dir):
     loaded = load_setup(fixture_dir / "graph_line.setup")
-    doc = run_analyze(loaded).document
+    doc = analyzed_document(loaded).document
     assert doc["phi_upper"] == "infinity"
     assert doc["phi_exact"] == "infinity"
 
 
 def test_analyze_is_byte_deterministic(fixture_dir):
     loaded = load_setup(fixture_dir / "quadric_cone.setup")
-    options = AnalyzeOptions(max_power=2, seed=11)
-    first = run_analyze(loaded, options).to_json()
-    second = run_analyze(loaded, options).to_json()
+    first = analyzed_document(loaded, max_power=2, seed=11).to_json()
+    second = analyzed_document(loaded, max_power=2, seed=11).to_json()
     assert first == second
 
 
 def test_timings_are_opt_in(fixture_dir):
     loaded = load_setup(fixture_dir / "hyperbola.setup")
-    assert "timings" not in run_analyze(loaded).document
-    assert "timings" in run_analyze(loaded, AnalyzeOptions(include_timings=True)).document
+    assert "timings" not in analyzed_document(loaded).document
+    assert "timings" in analyzed_document(loaded, include_timings=True).document
 
 
 def test_stratify_document(fixture_dir):
@@ -184,7 +191,7 @@ def test_verify_power_document(fixture_dir):
 def test_missing_attestation_yields_inconclusive_exit(tmp_path):
     # without the irreducibility attestation the vertical test cannot run
     loaded = load_setup(write(tmp_path, MINIMAL))
-    report = run_analyze(loaded)
+    report = analyzed_document(loaded)
     assert report.document["vertical"]["verdict"] is None
     assert report.exit_code == 2
     assert any("skipped" in w for w in report.document["warnings"])
@@ -198,7 +205,7 @@ def test_non_pure_source_withholds_bounds(tmp_path):
         "source_ideal: x1*y, x1*x2\n"
         "assert_target_locally_irreducible: true\n"
     )
-    report = run_analyze(load_setup(write(tmp_path, text)))
+    report = analyzed_document(load_setup(write(tmp_path, text)))
     doc = report.document
     assert doc["purity"]["pure"] is False
     assert doc["purity"]["piece_dims"] == [2, 1]
@@ -275,3 +282,47 @@ def test_main_verify_power(fixture_dir, capsys):
     code = main(["verify-power", str(fixture_dir / "graph_line.setup"), "--i", "2"])
     assert code == EXIT_OK
     assert "vertical = False" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# error paths and exit codes
+# ---------------------------------------------------------------------------
+
+
+def test_directory_as_setup_file_is_a_setup_error(fixture_dir, capsys):
+    with pytest.raises(SetupError):
+        load_setup(fixture_dir)
+    assert main(["analyze", str(fixture_dir)]) == EXIT_ERROR
+    assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_setup_file_is_a_setup_error(tmp_path, capsys):
+    path = tmp_path / "latin1.setup"
+    path.write_bytes(MINIMAL.encode("utf-8") + b"# caf\xe9\n")
+    with pytest.raises(SetupError):
+        load_setup(path)
+    assert main(["stratify", str(path)]) == EXIT_ERROR
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_json_output_is_an_error(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    setup = str(fixture_dir / "graph_line.setup")
+    assert main(["verify-power", setup, "--i", "1", "--json", str(out)]) == EXIT_ERROR
+    assert "error:" in capsys.readouterr().err
+
+
+def test_usage_errors_exit_1_and_help_exits_0(fixture_dir, capsys):
+    setup = str(fixture_dir / "hyperbola.setup")
+    assert main(["analyze"]) == EXIT_ERROR
+    assert main(["analyze", setup, "--max-power", "x"]) == EXIT_ERROR
+    assert main(["--help"]) == EXIT_OK
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_negative_max_power_is_an_error(fixture_dir, capsys):
+    path = fixture_dir / "hyperbola.setup"
+    with pytest.raises(FibrephiError):
+        analyze(load_setup(path).setup, max_power=-1)
+    assert main(["analyze", str(path), "--max-power", "-1"]) == EXIT_ERROR
+    assert "max_power" in capsys.readouterr().err

@@ -22,7 +22,7 @@ from fibrephi.errors import (
     PreconditionError,
 )
 from fibrephi.geometry import PurityResult, VerticalResult
-from fibrephi.invariant import MultiplicityQuery, PhiReport, no_vertical_certificate
+from fibrephi.invariant import MultiplicityQuery, PhiReport
 
 from conftest import cyclic_family_setup, quadric_cone_setup, simple_setup
 
@@ -97,14 +97,16 @@ def test_upper_bound_requires_purity():
 def test_lower_bound_quadric_cone():
     setup = quadric_cone_setup()
     strat, _, vertical = analyzed(setup)
-    value = phi_lower(strat, setup.N, setup.k, setup.r, no_vertical_certificate(vertical))
+    assert vertical.verdict is False
+    value = phi_lower(strat, setup.N, setup.k, setup.r, True)
     assert value == ExtendedNat(2)
 
 
 def test_lower_bound_singleton_fibre_dimension_set():
     setup = simple_setup("x - y")
     strat, _, vertical = analyzed(setup)
-    value = phi_lower(strat, setup.N, setup.k, setup.r, no_vertical_certificate(vertical))
+    assert vertical.verdict is False
+    value = phi_lower(strat, setup.N, setup.k, setup.r, True)
     assert value is not None and value.is_infinite
 
 
@@ -331,9 +333,14 @@ def _report(**overrides):
         purity=purity,
         stratification=strat,
         fibred_power_verdicts=((1, False),),
+        fibred_power_summary=None,
+        multiplicity_bound=2,
+        seed=0,
+        oracle={"cells": 2, "points": 10, "skipped": 0, "mismatches": 0},
         attestations={"target_locally_irreducible": True, "target_pure_dimensional": True},
         warnings=(),
         notes=(),
+        timings={},
     )
     fields.update(overrides)
     return PhiReport(**fields)

@@ -13,7 +13,6 @@ from fibrephi import (
     ParseError,
     Polynomial,
     PolynomialRing,
-    monomial_compare,
     parse_polynomial,
     transport,
 )
@@ -23,7 +22,7 @@ from fibrephi.errors import (
     RingMismatchError,
     ZeroPolynomialError,
 )
-from fibrephi.poly import arith, format_polynomial
+from fibrephi.poly import format_polynomial
 
 from conftest import ring_xy, ring_y_x
 
@@ -129,14 +128,14 @@ def test_family_generator_product():
     assert g1 * g2 == parse_polynomial("y1^2*x1^2 + y1*x1*x2^2", ring)
 
 
-def test_arith_dispatch_and_ring_mismatch():
+def test_arithmetic_and_ring_mismatch():
     ring = ring_xy()
     p = parse_polynomial("x", ring)
-    assert arith("add", p, p) == parse_polynomial("2*x", ring)
-    assert arith("scale", p, Fraction(1, 2)) == parse_polynomial("1/2*x", ring)
+    assert p + p == parse_polynomial("2*x", ring)
+    assert p.scale(Fraction(1, 2)) == parse_polynomial("1/2*x", ring)
     other = parse_polynomial("y", ring_y_x())
     with pytest.raises(RingMismatchError):
-        arith("mul", p, other)
+        p * other
 
 
 def test_power_and_scale():
@@ -154,23 +153,23 @@ def test_power_and_scale():
 
 def test_lex_example():
     # x^2 vs x*y with x ranked above y
-    assert monomial_compare(LEX, (2, 0), (1, 1)) == 1
+    assert LEX.key((2, 0)) > LEX.key((1, 1))
 
 
 def test_grevlex_example():
     # x^2*y vs x*y^2: equal degree, less of the last variable wins
-    assert monomial_compare(GREVLEX, (2, 1), (1, 2)) == 1
+    assert GREVLEX.key((2, 1)) > GREVLEX.key((1, 2))
 
 
 def test_order_reflexivity():
     for order in (LEX, GREVLEX, Block(1)):
-        assert monomial_compare(order, (1, 2), (1, 2)) == 0
+        assert order.key((1, 2)) == order.key((1, 2))
 
 
 def test_block_order_eliminates_back_block():
     # any monomial touching the back block beats every front-only monomial
     order = Block(1)
-    assert monomial_compare(order, (0, 1), (5, 0)) == 1
+    assert order.key((0, 1)) > order.key((5, 0))
 
 
 def test_block_order_inner_kinds():
@@ -178,15 +177,10 @@ def test_block_order_inner_kinds():
 
     mixed = Block(1, front=Lex(), back=Lex())
     # equal back blocks: the front block decides, lexicographically
-    assert monomial_compare(mixed, (2, 5, 7), (1, 5, 7)) == 1
+    assert mixed.key((2, 5, 7)) > mixed.key((1, 5, 7))
     # a lex back block ignores total degree, unlike the grevlex default
-    assert monomial_compare(mixed, (0, 1, 0), (9, 0, 2)) == 1
-    assert monomial_compare(Block(1), (0, 1, 0), (9, 0, 2)) == -1
-
-
-def test_order_arity_mismatch():
-    with pytest.raises(FibrephiError):
-        monomial_compare(LEX, (1,), (1, 2))
+    assert mixed.key((0, 1, 0)) > mixed.key((9, 0, 2))
+    assert Block(1).key((0, 1, 0)) < Block(1).key((9, 0, 2))
 
 
 @given(
@@ -196,12 +190,12 @@ def test_order_arity_mismatch():
 )
 def test_order_totality_and_multiplicativity(a, b, w):
     for order in (LEX, GREVLEX, Block(1), Block(2)):
-        c = monomial_compare(order, a, b)
-        assert c in (-1, 0, 1)
-        assert c == -monomial_compare(order, b, a)
+        ka, kb = order.key(a), order.key(b)
+        assert (ka < kb) + (ka == kb) + (ka > kb) == 1
         aw = tuple(x + y for x, y in zip(a, w))
         bw = tuple(x + y for x, y in zip(b, w))
-        assert monomial_compare(order, aw, bw) == c
+        kaw, kbw = order.key(aw), order.key(bw)
+        assert (kaw < kbw, kaw == kbw) == (ka < kb, ka == kb)
 
 
 def test_well_foundedness_on_bounded_degree():
@@ -209,7 +203,7 @@ def test_well_foundedness_on_bounded_degree():
     unit = (0, 0)
     monos = [(i, j) for i in range(4) for j in range(4) if (i, j) != unit]
     for order in (LEX, GREVLEX, Block(1)):
-        assert all(monomial_compare(order, m, unit) == 1 for m in monos)
+        assert all(order.key(m) > order.key(unit) for m in monos)
 
 
 # ---------------------------------------------------------------------------
