@@ -7,7 +7,8 @@ the source itself has one and infinity exactly for open maps.
 
 This module evaluates the two closed-form bounds read off the fibre-dimension
 stratification, decides exactness from structural side conditions, and
-cross-validates through fibred powers.
+cross-validates through fibred powers.  ``analyze`` runs the whole pipeline
+and returns one ``PhiReport``.
 """
 
 from __future__ import annotations
