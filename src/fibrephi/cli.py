@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .errors import DEFAULT_LIMITS, FibrephiError, Limits, SetupError
+from .errors import FibrephiError, SetupError
 from .geometry import (
     ProjectionSetup,
     Stratification,
@@ -73,10 +73,12 @@ _EXPECT_KEYS = {
 
 @dataclass
 class SetupFile:
-    """A parsed setup file: the setup plus any expected-results block."""
+    """A parsed setup file: the setup, the SHA-256 of the bytes it was parsed
+    from, and any expected-results block."""
 
     path: Path
     setup: ProjectionSetup
+    input_digest: str
     expect: dict[str, str] = field(default_factory=dict)
 
 
@@ -94,13 +96,18 @@ def _parse_bool(value: str, where: str) -> bool:
     raise SetupError(f"{where}: expected true/false, got {value!r}")
 
 
-def load_setup(path: str | Path, limits: Limits = DEFAULT_LIMITS) -> SetupFile:
-    """Parse and validate a setup file; derived dimensions are recomputed."""
+def load_setup(path: str | Path) -> SetupFile:
+    """Parse and validate a setup file; derived dimensions are recomputed.
+
+    The file is read once: the digest is of the very bytes that were parsed.
+    """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise SetupError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SetupError(f"{path}: not UTF-8 text ({exc})") from exc
     keys: dict[str, tuple[int, str]] = {}
@@ -180,11 +187,15 @@ def load_setup(path: str | Path, limits: Limits = DEFAULT_LIMITS) -> SetupFile:
             target_equals_ambient=equals,
             assert_target_locally_irreducible=loc_irr,
             assert_target_pure_dimensional=pure_dim,
-            limits=limits,
         )
     except SetupError as exc:
         raise SetupError(f"{path}: {exc}") from exc
-    return SetupFile(path=path, setup=setup, expect=expect)
+    return SetupFile(
+        path=path,
+        setup=setup,
+        input_digest=hashlib.sha256(data).hexdigest(),
+        expect=expect,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +264,7 @@ def _header(command: str, setup_file: SetupFile) -> dict:
         "version": __version__,
         "command": command,
         "input": str(setup_file.path),
-        "input_digest": hashlib.sha256(setup_file.path.read_bytes()).hexdigest(),
+        "input_digest": setup_file.input_digest,
     }
 
 
@@ -293,9 +304,9 @@ def analysis_document(
     return ReportDocument(document, inconclusive=report.inconclusive)
 
 
-def run_stratify(setup_file: SetupFile, limits: Limits = DEFAULT_LIMITS) -> ReportDocument:
+def run_stratify(setup_file: SetupFile) -> ReportDocument:
     setup = setup_file.setup
-    strat = stratify_by_fibre_dimension(setup, limits)
+    strat = stratify_by_fibre_dimension(setup)
     document = {
         **_header("stratify", setup_file),
         "dims": setup.dims(),
@@ -306,12 +317,10 @@ def run_stratify(setup_file: SetupFile, limits: Limits = DEFAULT_LIMITS) -> Repo
     return ReportDocument(document)
 
 
-def run_verify_power(
-    setup_file: SetupFile, i: int, limits: Limits = DEFAULT_LIMITS
-) -> ReportDocument:
+def run_verify_power(setup_file: SetupFile, i: int) -> ReportDocument:
     setup = setup_file.setup
     power = fibred_power(setup, i)
-    result = has_vertical_component(power.ideal, setup, limits=limits)
+    result = has_vertical_component(power.ideal, setup)
     document = {
         **_header("verify-power", setup_file),
         "power": i,
@@ -420,6 +429,12 @@ def run_corpus(directory: str | Path, seed: int = 0) -> tuple[list[ReportDocumen
 # ---------------------------------------------------------------------------
 
 
+def _print_strata(strata: list[dict]):
+    for s in strata:
+        ideal = ", ".join(s["image_ideal"]) or "0"
+        print(f"stratum j={s['j']}: image dim {s['image_dim']}, image ideal ({ideal})")
+
+
 def _print_analysis_summary(doc: dict):
     dims = doc["dims"]
     print(f"input: {doc['input']}")
@@ -428,9 +443,7 @@ def _print_analysis_summary(doc: dict):
     print(
         f"pure-dimensional: {purity['pure']} (dim {purity['dim']}, pieces {purity['piece_dims']})"
     )
-    for s in doc["strata"]:
-        ideal = ", ".join(s["image_ideal"]) or "0"
-        print(f"stratum j={s['j']}: image dim {s['image_dim']}, image ideal ({ideal})")
+    _print_strata(doc["strata"])
     vertical = doc["vertical"]
     line = f"vertical component: {vertical['verdict']}"
     if vertical["witness"]:
@@ -502,9 +515,7 @@ def main(argv: list[str] | None = None) -> int:
             _print_analysis_summary(report.document)
         elif args.command == "stratify":
             report = run_stratify(setup_file)
-            for s in report.document["strata"]:
-                ideal = ", ".join(s["image_ideal"]) or "0"
-                print(f"stratum j={s['j']}: image dim {s['image_dim']}, image ideal ({ideal})")
+            _print_strata(report.document["strata"])
         else:
             report = run_verify_power(setup_file, args.i)
             vertical = report.document["vertical"]

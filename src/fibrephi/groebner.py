@@ -5,12 +5,20 @@ The engine is a Buchberger completion with the Gebauer-Moeller pair criteria
 and monic reducers, working on plain ``{exponent-tuple: Fraction}`` dicts for
 speed.  Exactness first: no modular tricks, no floats.  The reduced basis for
 a given (ideal, order) pair is unique, so it doubles as a canonical form.
+
+Each piece of bookkeeping is done once.  A pending pair's lcm is computed when
+the pair is made and the pair enters a heap keyed by the lcm's order key; the
+selection loop pops the smallest and skips pairs the criteria have dropped
+since.  A reduction computes each monomial's order key when the monomial first
+enters its working set.  A basis keeps its leading monomials, so membership
+tests divide by it directly.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -86,11 +94,16 @@ def _normal_form_dict(
     key,
     budget: _ReductionBudget | None = None,
 ) -> PolyDict:
-    """Full normal form of ``f`` against monic ``divisors``."""
+    """Full normal form of ``f`` against monic ``divisors``.
+
+    Each monomial's order key is computed once, when the monomial first
+    enters the working set, so picking the leading term does no key work.
+    """
     rem: PolyDict = {}
     work = dict(f)
+    keys = {m: key(m) for m in work}
     while work:
-        m = max(work, key=key)
+        m = max(work, key=keys.__getitem__)
         c = work.pop(m)
         for lm, g in divisors:
             if monomial_divides(lm, m):
@@ -104,6 +117,8 @@ def _normal_form_dict(
                     nc = work.get(mm)
                     if nc is None:
                         work[mm] = -c * cg
+                        if mm not in keys:
+                            keys[mm] = key(mm)
                     else:
                         nc -= c * cg
                         if nc:
@@ -116,12 +131,15 @@ def _normal_form_dict(
     return rem
 
 
-def _buchberger(seq: list[PolyDict], key, limits: Limits) -> list[PolyDict]:
+def _buchberger(
+    seq: list[PolyDict], key, limits: Limits
+) -> list[tuple[Monomial, PolyDict]]:
     """Reduced Groebner basis of the ideal generated by ``seq``.
 
     Pair handling follows the Gebauer-Moeller update criteria; the result is
     monic, self-reduced and sorted descending by leading monomial, hence
-    canonical for the (ideal, order) pair.
+    canonical for the (ideal, order) pair.  Each element comes with its
+    leading monomial.
     """
     budget = _ReductionBudget(limits.groebner_max_reductions)
 
@@ -132,100 +150,100 @@ def _buchberger(seq: list[PolyDict], key, limits: Limits) -> list[PolyDict]:
     # inter-reduce the input to a fixpoint first
     current = polys
     while True:
-        nxt: list[PolyDict] = []
-        for i, p in enumerate(current):
-            entries = [_monic_dict(q, key) for q in nxt]
-            r = _normal_form_dict(p, entries, key, budget)
+        nxt: list[tuple[Monomial, PolyDict]] = []
+        for p in current:
+            r = _normal_form_dict(p, nxt, key, budget)
             if r:
-                nxt.append(_monic_dict(r, key)[1])
-        if nxt == current:
+                nxt.append(_monic_dict(r, key))
+        reduced = [q for _, q in nxt]
+        if reduced == current:
             break
-        current = nxt
+        current = reduced
     if not current:
         return []
 
     f: list[PolyDict] = []
     lms: list[Monomial] = []
-    index: dict[frozenset, int] = {}
+    lm_keys: list = []
 
+    # No two installed polynomials share a leading monomial: the input is
+    # inter-reduced, and every later one is reduced by the current basis.
     def install(p: PolyDict) -> int:
         lm, p = _monic_dict(p, key)
-        frozen = frozenset(p.items())
-        if frozen in index:
-            return index[frozen]
         f.append(p)
         lms.append(lm)
-        index[frozen] = len(f) - 1
+        lm_keys.append(key(lm))
         if len(f) > limits.groebner_max_basis:
             raise ResourceLimitError("Groebner basis size cap exceeded")
         return len(f) - 1
 
-    def update(G: set[int], B: set[tuple[int, int]], ih: int):
+    # CP maps each pending pair to the lcm of its leading monomials.  Every
+    # pair enters ``heap`` once, keyed by that lcm; a pair that update() has
+    # since dropped from CP is skipped when it is popped.
+    CP: dict[tuple[int, int], Monomial] = {}
+    heap: list[tuple] = []
+
+    def update(G: set[int], ih: int) -> set[int]:
         # Gebauer-Moeller pair filtering, after Becker-Weispfenning p.230
+        nonlocal CP
         mh = lms[ih]
+        lcm_h = {ig: monomial_lcm(mh, lms[ig]) for ig in G}
         C = set(G)
-        D: set[tuple[int, int]] = set()
+        D: list[int] = []
         while C:
             ig = C.pop()
-            mg = lms[ig]
-            lcm_hg = monomial_lcm(mh, mg)
-
-            def lcm_divides(ip: int) -> bool:
-                return monomial_divides(monomial_lcm(mh, lms[ip]), lcm_hg)
-
-            if monomial_mul(mh, mg) == lcm_hg or (
-                not any(lcm_divides(ip) for ip in C)
-                and not any(lcm_divides(pair[1]) for pair in D)
+            lcm_hg = lcm_h[ig]
+            if monomial_mul(mh, lms[ig]) == lcm_hg or (
+                not any(monomial_divides(lcm_h[ip], lcm_hg) for ip in C)
+                and not any(monomial_divides(lcm_h[ip], lcm_hg) for ip in D)
             ):
-                D.add((ih, ig))
-        E = set()
-        while D:
-            ih2, ig = D.pop()
-            if monomial_mul(mh, lms[ig]) != monomial_lcm(mh, lms[ig]):
-                E.add((ih2, ig))
-        B_new: set[tuple[int, int]] = set()
-        while B:
-            ig1, ig2 = B.pop()
-            lcm_12 = monomial_lcm(lms[ig1], lms[ig2])
+                D.append(ig)
+        kept: dict[tuple[int, int], Monomial] = {}
+        for (ig1, ig2), lcm_12 in CP.items():
             if (
                 not monomial_divides(mh, lcm_12)
                 or monomial_lcm(lms[ig1], mh) == lcm_12
                 or monomial_lcm(lms[ig2], mh) == lcm_12
             ):
-                B_new.add((ig1, ig2))
-        B_new |= E
+                kept[ig1, ig2] = lcm_12
+        for ig in D:
+            lcm_hg = lcm_h[ig]
+            if monomial_mul(mh, lms[ig]) != lcm_hg:
+                kept[ih, ig] = lcm_hg
+                heapq.heappush(heap, (key(lcm_hg), ih, ig))
+        CP = kept
         G_new = {ig for ig in G if not monomial_divides(mh, lms[ig])}
         G_new.add(ih)
-        return G_new, B_new
+        return G_new
 
     G: set[int] = set()
-    CP: set[tuple[int, int]] = set()
-    order_of_arrival = [install(p) for p in current]
-    for ih in sorted(set(order_of_arrival), key=lambda i: key(lms[i])):
-        G, CP = update(G, CP, ih)
+    for p in current:
+        install(p)
+    for ih in sorted(range(len(f)), key=lm_keys.__getitem__):
+        G = update(G, ih)
 
+    reducers = [(lms[g], f[g]) for g in sorted(G, key=lm_keys.__getitem__)]
     while CP:
-        pair = min(CP, key=lambda p: key(monomial_lcm(lms[p[0]], lms[p[1]])))
-        CP.remove(pair)
-        i, j = pair
+        _, i, j = heapq.heappop(heap)
+        if CP.pop((i, j), None) is None:
+            continue
         s = _spoly_dict(lms[i], f[i], lms[j], f[j])
         if not s:
             continue
-        reducers = sorted(G, key=lambda g: key(lms[g]))
-        h = _normal_form_dict(s, [(lms[g], f[g]) for g in reducers], key, budget)
+        h = _normal_form_dict(s, reducers, key, budget)
         if h:
-            ih = install(h)
-            G, CP = update(G, CP, ih)
+            G = update(G, install(h))
+            reducers = [(lms[g], f[g]) for g in sorted(G, key=lm_keys.__getitem__)]
 
-    # minimal LM set is maintained by update(); one reduction pass finishes it
-    ids = sorted(G, key=lambda g: key(lms[g]), reverse=True)
-    reduced: list[PolyDict] = []
+    # An element whose leading monomial another one divides reduces to zero;
+    # every other element keeps its monic leading term, so the result stays
+    # sorted descending.
+    ids = sorted(G, key=lm_keys.__getitem__, reverse=True)
+    reduced: list[tuple[Monomial, PolyDict]] = []
     for g in ids:
-        others = [(lms[o], f[o]) for o in ids if o != g]
-        r = _normal_form_dict(f[g], others, key, budget)
+        r = _normal_form_dict(f[g], [(lms[o], f[o]) for o in ids if o != g], key, budget)
         if r:
-            reduced.append(_monic_dict(r, key)[1])
-    reduced.sort(key=lambda p: key(max(p, key=key)), reverse=True)
+            reduced.append((lms[g], r))
     return reduced
 
 
@@ -265,13 +283,19 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced, monic Groebner basis; unique for its (ideal, order) pair."""
+    """Reduced, monic Groebner basis; unique for its (ideal, order) pair.
+
+    ``divisors`` holds each element as (leading monomial, term dict), the
+    form the reduction loop divides by, so membership tests neither copy nor
+    re-normalise the elements.
+    """
 
     order: MonomialOrder
     elements: tuple[Polynomial, ...]
+    divisors: tuple[tuple[Monomial, PolyDict], ...] = field(repr=False, compare=False)
 
     def leading_monomials(self) -> list[Monomial]:
-        return [g.leading_monomial(self.order) for g in self.elements]
+        return [lm for lm, _ in self.divisors]
 
     def is_unit(self) -> bool:
         return len(self.elements) == 1 and self.elements[0].is_constant()
@@ -340,16 +364,21 @@ class Ideal:
             cached = self._cache.get(order)
             if cached is not None:
                 return cached
-            dicts = _buchberger([g.as_dict() for g in self.generators], order.key, limits)
-            basis = GroebnerBasis(order, tuple(Polynomial(self.ring, d) for d in dicts))
+            divisors = tuple(
+                _buchberger([g.as_dict() for g in self.generators], order.key, limits)
+            )
+            elements = tuple(Polynomial(self.ring, d) for _, d in divisors)
+            basis = GroebnerBasis(order, elements, divisors)
             self._cache[order] = basis
             return basis
 
     def contains(self, f: Polynomial, limits: Limits = DEFAULT_LIMITS) -> bool:
+        if f.ring != self.ring:
+            raise RingMismatchError("membership operands must share a ring")
         if f.is_zero:
             return True
         basis = self.groebner_basis(GREVLEX, limits)
-        return normal_form(f, basis.elements, GREVLEX).is_zero
+        return not _normal_form_dict(f.as_dict(), basis.divisors, GREVLEX.key)
 
     def is_unit(self, limits: Limits = DEFAULT_LIMITS) -> bool:
         if any(g.is_constant() for g in self.generators):

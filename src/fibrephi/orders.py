@@ -8,30 +8,31 @@ the same way under Python's ordering, so ``max``/``sorted`` work directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, le, neg, sub
 
 Monomial = tuple[int, ...]
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """True iff monomial ``a`` divides ``b``."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
     """Exact quotient ``a / b``; caller must ensure ``b`` divides ``a``."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_gcd(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class GrevLex(MonomialOrder):
     """
 
     def key(self, m: Monomial):
-        return (sum(m), tuple(-e for e in reversed(m)))
+        return (sum(m), tuple(map(neg, reversed(m))))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Setup-file grammar, the analyze pipeline, report documents, corpus runner."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -114,6 +115,18 @@ def test_expect_block_does_not_influence_computation(tmp_path):
     assert plain.setup.dims() == with_expect.setup.dims()
     report = analyzed_document(with_expect)
     assert report.document["phi_exact"] != 7
+
+
+def test_digest_is_of_the_loaded_text(tmp_path):
+    path = write(tmp_path, MINIMAL)
+    loaded = load_setup(path)
+    report = analyze(loaded.setup)
+    path.write_text(MINIMAL + "# edited after loading\n", encoding="utf-8")
+    document = analysis_document(loaded, report).document
+    assert document["input_digest"] == hashlib.sha256(MINIMAL.encode("utf-8")).hexdigest()
+    path.unlink()
+    assert analysis_document(loaded, report).document == document
+    assert run_stratify(loaded).document["input_digest"] == document["input_digest"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.orderings import ProductOrder, grevlex
 
 from fibrephi import (
     GREVLEX,
@@ -21,9 +22,11 @@ from fibrephi import (
     s_polynomial,
     saturation,
 )
+from fibrephi.cli import load_setup
 from fibrephi.errors import ResourceLimitError, ZeroPolynomialError
 from fibrephi.groebner import independent_set_dimension
-from fibrephi.poly import Polynomial
+from fibrephi.orders import Block
+from fibrephi.poly import Polynomial, transport
 
 from conftest import ring_xy, ring_y_x
 
@@ -172,24 +175,56 @@ def _to_sympy(p, symbols):
     return sympy.expand(expr)
 
 
+def _assert_basis_matches_sympy(ideal, order, sympy_order):
+    symbols = sympy.symbols(ideal.ring.variables)
+    mine = ideal.groebner_basis(order).elements
+    reference = sympy.groebner(
+        [_to_sympy(g, symbols) for g in ideal.generators], *symbols, order=sympy_order
+    )
+    ref_exprs = {
+        sympy.expand(poly.as_expr() / poly.LC(order=sympy_order)) for poly in reference.polys
+    }
+    assert {_to_sympy(g, symbols) for g in mine} == ref_exprs
+
+
 @pytest.mark.parametrize("order_name,order", [("grevlex", GREVLEX), ("lex", LEX)])
 def test_against_sympy_oracle(order_name, order):
     ring = PolynomialRing((), ("x", "y", "z"))
-    symbols = sympy.symbols("x y z")
     rng = random.Random(99)
     for _ in range(12):
         gens = [g for g in (_random_poly(ring, rng) for _ in range(2)) if not g.is_zero]
-        if not gens:
-            continue
-        mine = Ideal(ring, gens).groebner_basis(order).elements
-        reference = sympy.groebner(
-            [_to_sympy(g, symbols) for g in gens], *symbols, order=order_name
-        )
-        ref_exprs = {
-            sympy.expand(poly.as_expr() / poly.LC(order=order_name))
-            for poly in reference.polys
-        }
-        assert {_to_sympy(g, symbols) for g in mine} == ref_exprs
+        if gens:
+            _assert_basis_matches_sympy(Ideal(ring, gens), order, order_name)
+
+
+def _assert_block_basis_matches_sympy(ideal, split):
+    # Block(split): grevlex on the back block decides, grevlex on the front breaks ties
+    sympy_order = ProductOrder((grevlex, lambda m: m[split:]), (grevlex, lambda m: m[:split]))
+    _assert_basis_matches_sympy(ideal, Block(split), sympy_order)
+
+
+@pytest.mark.parametrize("split", [1, 2])
+@pytest.mark.parametrize("nvars", [3, 4])
+def test_block_order_against_sympy_oracle(split, nvars):
+    ring = PolynomialRing((), ("x", "y", "z", "w")[:nvars])
+    rng = random.Random(1000 * nvars + split)
+    for _ in range(6):
+        gens = [g for g in (_random_poly(ring, rng) for _ in range(3)) if not g.is_zero]
+        if gens:
+            _assert_block_basis_matches_sympy(Ideal(ring, gens), split)
+
+
+@pytest.mark.parametrize("fixture,h", [("quadric_cone", "y1"), ("cyclic_forms_n2_l2", "y1 + x3")])
+def test_block_order_saturation_ideal_against_sympy_oracle(fixture_dir, fixture, h):
+    # the extended ideal J + (1 - t*h) that saturation() eliminates t from
+    setup = load_setup(fixture_dir / f"{fixture}.setup").setup
+    J = setup.total_ideal
+    ring = J.ring
+    ext = ring.extend([ring.fresh_name("t")])
+    t = ext.variable(ext.variables[-1])
+    h = transport(P(h, ring), ext)
+    gens = [transport(g, ext) for g in J.generators] + [ext.one() - t * h]
+    _assert_block_basis_matches_sympy(Ideal(ext, gens), ring.arity)
 
 
 def test_basis_cache_is_stable():
