@@ -4,10 +4,8 @@ polynomial projection, computed with Groebner bases over the rationals."""
 __version__ = "0.1.0"
 
 from .errors import (
-    DEFAULT_LIMITS,
     EmptySpaceError,
     FibrephiError,
-    Limits,
     ParseError,
     ResourceLimitError,
     SetupError,

@@ -56,20 +56,6 @@ _KNOWN_KEYS = {
     "assert_target_pure_dimensional",
 }
 
-_EXPECT_KEYS = {
-    "phi_upper",
-    "phi_lower",
-    "phi_exact",
-    "exactness_tag",
-    "strata",
-    "pure",
-    "pure_dim",
-    "lambda",
-    "vertical",
-    "fibred_powers",
-    "multiplicity_bound",
-}
-
 
 @dataclass
 class SetupFile:
@@ -123,9 +109,14 @@ def load_setup(path: str | Path) -> SetupFile:
         if in_expect and indented:
             key, _, value = body.partition(":")
             key = key.strip()
-            if key not in _EXPECT_KEYS:
+            if key not in _EXPECT:
                 raise SetupError(f"{where}: unknown expect key {key!r}")
-            expect[key] = value.strip()
+            value = value.strip()
+            try:
+                _EXPECT[key][0](value)
+            except (ValueError, SetupError) as exc:
+                raise SetupError(f"{where}: malformed {key} value {value!r}") from exc
+            expect[key] = value
             continue
         in_expect = False
         key, sep, value = body.partition(":")
@@ -352,53 +343,48 @@ def _parse_expected_verdict(text: str):
     return _parse_bool(t, "expect")
 
 
+def _pairs(text: str) -> list[tuple[str, str]]:
+    return [chunk.partition(":")[::2] for chunk in text.split(",")]
+
+
+# expect key -> (parser of the stated value, reader of the reported value).  A
+# parser raises ValueError or SetupError on a malformed value.
+_EXPECT = {
+    "phi_upper": (_parse_expected_phi, lambda d: d.get("phi_upper")),
+    "phi_lower": (_parse_expected_phi, lambda d: d.get("phi_lower")),
+    "phi_exact": (_parse_expected_phi, lambda d: d.get("phi_exact")),
+    "exactness_tag": (str.strip, lambda d: d.get("exactness_tag")),
+    "strata": (
+        lambda t: {(int(j), int(dim)) for j, dim in _pairs(t)},
+        lambda d: {(s["j"], s["image_dim"]) for s in d.get("strata", [])},
+    ),
+    "pure": (_parse_expected_verdict, lambda d: d.get("purity", {}).get("pure")),
+    "pure_dim": (int, lambda d: d.get("purity", {}).get("dim")),
+    "lambda": (int, lambda d: d.get("lambda")),
+    "vertical": (_parse_expected_verdict, lambda d: d.get("vertical", {}).get("verdict")),
+    "fibred_powers": (
+        lambda t: [{"i": int(i), "verdict": _parse_expected_verdict(v)} for i, v in _pairs(t)],
+        lambda d: d.get("fibred_powers"),
+    ),
+    "multiplicity_bound": (int, lambda d: d.get("multiplicity_bound")),
+}
+
+
 def compare_expectations(document: dict, expect: dict[str, str]) -> list[str]:
     """Differences between a report document and a fixture's expect block."""
     problems: list[str] = []
-
-    def check(label, actual, wanted):
-        if actual != wanted:
-            problems.append(f"{label}: expected {wanted!r}, got {actual!r}")
-
-    for key in ("phi_upper", "phi_lower", "phi_exact"):
+    for key, (parse, read) in _EXPECT.items():
         if key in expect:
-            check(key, document.get(key), _parse_expected_phi(expect[key]))
-    if "exactness_tag" in expect:
-        check("exactness_tag", document.get("exactness_tag"), expect["exactness_tag"].strip())
-    if "strata" in expect:
-        wanted = set()
-        for chunk in expect["strata"].split(","):
-            j, _, dim = chunk.partition(":")
-            wanted.add((int(j), int(dim)))
-        actual = {(s["j"], s["image_dim"]) for s in document.get("strata", [])}
-        check("strata", actual, wanted)
-    if "pure" in expect:
-        check("pure", document.get("purity", {}).get("pure"), _parse_expected_verdict(expect["pure"]))
-    if "pure_dim" in expect:
-        check("pure_dim", document.get("purity", {}).get("dim"), int(expect["pure_dim"]))
-    if "lambda" in expect:
-        check("lambda", document.get("lambda"), int(expect["lambda"]))
-    if "vertical" in expect:
-        check(
-            "vertical",
-            document.get("vertical", {}).get("verdict"),
-            _parse_expected_verdict(expect["vertical"]),
-        )
-    if "fibred_powers" in expect:
-        wanted_powers = []
-        for chunk in expect["fibred_powers"].split(","):
-            i, _, verdict = chunk.partition(":")
-            wanted_powers.append({"i": int(i), "verdict": _parse_expected_verdict(verdict)})
-        check("fibred_powers", document.get("fibred_powers"), wanted_powers)
-    if "multiplicity_bound" in expect:
-        check("multiplicity_bound", document.get("multiplicity_bound"), int(expect["multiplicity_bound"]))
+            wanted, actual = parse(expect[key]), read(document)
+            if actual != wanted:
+                problems.append(f"{key}: expected {wanted!r}, got {actual!r}")
     return problems
 
 
 def required_max_power(expect: dict[str, str]) -> int:
     if "fibred_powers" not in expect:
         return 0
-    return max(int(chunk.partition(":")[0]) for chunk in expect["fibred_powers"].split(","))
+    return max(int(i) for i, _ in _pairs(expect["fibred_powers"]))
 
 
 def run_corpus(directory: str | Path, seed: int = 0) -> tuple[list[ReportDocument], int]:

@@ -1,8 +1,6 @@
-"""Exception types and resource limits shared across the package."""
+"""Exception types shared across the package."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class FibrephiError(Exception):
@@ -43,28 +41,9 @@ class PreconditionError(FibrephiError):
 
 
 class ResourceLimitError(FibrephiError):
-    """A configured resource cap was exceeded; the result was NOT computed."""
+    """A resource cap was exceeded; the result was NOT computed."""
 
 
 class InternalInconsistencyError(FibrephiError):
     """Two internally computed facts contradict each other (a bug, not bad input)."""
 
-
-@dataclass(frozen=True)
-class Limits:
-    """Resource caps for the algorithmic layer.
-
-    All caps abort with :class:`ResourceLimitError` instead of silently
-    truncating a result.
-    """
-
-    groebner_max_basis: int = 4096
-    groebner_max_reductions: int = 500_000
-    saturation_exponent_cap: int = 64
-    split_depth: int = 8
-    vertical_depth: int = 4
-    stratify_max_nodes: int = 512
-    sample_attempts: int = 400
-
-
-DEFAULT_LIMITS = Limits()

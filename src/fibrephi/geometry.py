@@ -20,11 +20,9 @@ from random import Random
 from typing import Iterable, Sequence
 
 from .errors import (
-    DEFAULT_LIMITS,
     EmptySpaceError,
     FibrephiError,
     InternalInconsistencyError,
-    Limits,
     OffTargetError,
     PreconditionError,
     ResourceLimitError,
@@ -41,6 +39,16 @@ from .groebner import (
     radical_member,
     saturation,
 )
+
+# Resource caps, read when they are enforced (as in groebner).  Too many
+# stratification nodes or splitting levels raise ResourceLimitError (the
+# purity and vertical tests report a splitting overrun as inconclusive); an
+# exhausted vertical depth is inconclusive; a cell that yields no point within
+# the sampling attempts comes back empty.
+STRATIFY_MAX_NODES = 512
+SPLIT_DEPTH = 8
+VERTICAL_DEPTH = 4
+SAMPLE_ATTEMPTS = 400
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +113,6 @@ def make_setup(
     target_equals_ambient: bool = True,
     assert_target_locally_irreducible: bool = False,
     assert_target_pure_dimensional: bool = False,
-    limits: Limits = DEFAULT_LIMITS,
 ) -> ProjectionSetup:
     """Validate the input data and compute the derived dimensions N, n, k, r, m."""
     if not ring.target_vars:
@@ -139,7 +146,7 @@ def make_setup(
             raise SetupError("target_ideal required when target_equals_ambient is false")
         target = Ideal(yring, to_target(target_generators, "target"))
         for g in ambient.generators:
-            if not radical_member(g, target, limits):
+            if not radical_member(g, target):
                 raise SetupError(
                     "target variety is not contained in the ambient target variety"
                 )
@@ -153,15 +160,15 @@ def make_setup(
         if g.is_zero:
             raise SetupError("zero generator in the source ideal")
 
-    ambient_dim = krull_dimension(ambient, limits)
-    target_dim = krull_dimension(target, limits)
+    ambient_dim = krull_dimension(ambient)
+    target_dim = krull_dimension(target)
     if ambient_dim < target_dim:
         raise InternalInconsistencyError("ambient dimension below target dimension")
 
     total = Ideal(ring, [transport(g, ring) for g in target.generators] + list(sources))
-    if total.is_unit(limits):
+    if total.is_unit():
         raise EmptySpaceError("the source space X is empty (unit ideal)")
-    total_dim = krull_dimension(total, limits)
+    total_dim = krull_dimension(total)
 
     return ProjectionSetup(
         ring=ring,
@@ -186,16 +193,15 @@ def make_setup(
 # ---------------------------------------------------------------------------
 
 
-def image_closure(J: Ideal, limits: Limits = DEFAULT_LIMITS) -> tuple[Ideal, int]:
+def image_closure(J: Ideal) -> tuple[Ideal, int]:
     """Closure of the projection image: eliminate all source variables."""
-    E = elimination_ideal(J, J.ring.split, limits)
-    return E, krull_dimension(E, limits)
+    E = elimination_ideal(J, J.ring.split)
+    return E, krull_dimension(E)
 
 
 def fibre_at_point(
     setup: ProjectionSetup,
     point: Sequence[Fraction | int],
-    limits: Limits = DEFAULT_LIMITS,
 ) -> tuple[Ideal, int]:
     """Ideal and dimension of the fibre over an exact rational target point.
 
@@ -216,7 +222,7 @@ def fibre_at_point(
         if not s.is_zero:
             specialized.append(transport(s, xring))
     fibre = Ideal(xring, specialized)
-    return fibre, krull_dimension(fibre, limits)
+    return fibre, krull_dimension(fibre)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +260,7 @@ def _relative_split(element: Polynomial, yring: PolynomialRing) -> tuple[Monomia
     return x_lead, coefficient
 
 
-def relative_terms(
-    J: Ideal,
-    constraints: Ideal | None = None,
-    limits: Limits = DEFAULT_LIMITS,
-) -> list[RelativeTerm]:
+def relative_terms(J: Ideal, constraints: Ideal | None = None) -> list[RelativeTerm]:
     """Relative leading data of the block-order basis of ``J``.
 
     ``constraints`` (an ideal of the target ring) defines the locus against
@@ -269,13 +271,11 @@ def relative_terms(
     yring = ring.target_ring()
     if constraints is None:
         constraints = Ideal(yring, ())
-    basis = J.groebner_basis(ring.source_block_order(), limits)
+    basis = J.groebner_basis(ring.source_block_order())
     out = []
     for g in basis.elements:
         x_lead, coefficient = _relative_split(g, yring)
-        flagged = (not coefficient.is_constant()) and radical_member(
-            coefficient, constraints, limits
-        )
+        flagged = (not coefficient.is_constant()) and radical_member(coefficient, constraints)
         out.append(RelativeTerm(g, x_lead, coefficient, flagged))
     return out
 
@@ -327,13 +327,11 @@ def _poly_sort_key(p: Polynomial) -> str:
     return str(p)
 
 
-def _ideal_key(I: Ideal, limits: Limits) -> tuple:
-    return tuple(I.groebner_basis(GREVLEX, limits).elements)
+def _ideal_key(I: Ideal) -> tuple:
+    return tuple(I.groebner_basis(GREVLEX).elements)
 
 
-def stratify_by_fibre_dimension(
-    setup: ProjectionSetup, limits: Limits = DEFAULT_LIMITS
-) -> Stratification:
+def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
     """Partition the image of f by fibre dimension via recursive case splitting.
 
     Each node carries a constraint ideal C of the target ring.  The
@@ -354,14 +352,14 @@ def stratify_by_fibre_dimension(
 
     while pending:
         constraint = pending.pop()
-        key = _ideal_key(constraint, limits)
+        key = _ideal_key(constraint)
         if key in seen:
             continue
         seen.add(key)
         nodes += 1
-        if nodes > limits.stratify_max_nodes:
+        if nodes > STRATIFY_MAX_NODES:
             raise ResourceLimitError("stratification node budget exhausted")
-        if constraint.is_unit(limits):
+        if constraint.is_unit():
             continue
 
         # stabilize the node: absorb new target equations and vanishing
@@ -370,14 +368,12 @@ def stratify_by_fibre_dimension(
         stable: list[RelativeTerm] | None = None
         for _ in range(64):
             Jc = J.added(transport(g, ring) for g in current.generators)
-            if Jc.is_unit(limits):
+            if Jc.is_unit():
                 stable = None
                 break
-            rel = relative_terms(Jc, current, limits)
+            rel = relative_terms(Jc, current)
             pure = [transport(t.coefficient, yring) for t in rel if not t.is_mixed]
-            new_equations = [
-                g for g in pure if not radical_member(g, current, limits)
-            ]
+            new_equations = [g for g in pure if not radical_member(g, current)]
             if new_equations:
                 # off V(new equations) the specialized ideal contains a unit,
                 # so fibres there are empty; only the refined locus survives
@@ -404,10 +400,10 @@ def stratify_by_fibre_dimension(
         )
         closure = current
         for h in lead_coeffs:
-            closure = saturation(closure, h, limits)[0]
-            if closure.is_unit(limits):
+            closure = saturation(closure, h)[0]
+            if closure.is_unit():
                 break
-        if not closure.is_unit(limits):
+        if not closure.is_unit():
             cells.append(Cell(closure, tuple(lead_coeffs), fibre_dim))
         for h in lead_coeffs:
             pending.append(current.added([h]))
@@ -426,12 +422,12 @@ def stratify_by_fibre_dimension(
         )
         image = group[0].closure
         for cell in group[1:]:
-            image = ideal_intersection(image, cell.closure, limits)
+            image = ideal_intersection(image, cell.closure)
         strata.append(
             Stratum(
                 fibre_dim=j,
                 image_ideal=image,
-                image_dim=krull_dimension(image, limits),
+                image_dim=krull_dimension(image),
                 cells=tuple(group),
             )
         )
@@ -444,7 +440,7 @@ def stratify_by_fibre_dimension(
 # ---------------------------------------------------------------------------
 
 
-def _splitter_candidates(J: Ideal, limits: Limits) -> list[Polynomial]:
+def _splitter_candidates(J: Ideal) -> list[Polynomial]:
     """Polynomials worth trying as zero divisors: variables, monomial
     contents and cofactors of basis elements, and relative leading
     coefficients when the ring has a source block."""
@@ -456,7 +452,7 @@ def _splitter_candidates(J: Ideal, limits: Limits) -> list[Polynomial]:
             return
         cands.setdefault(p.monic(GREVLEX))
 
-    basis = J.groebner_basis(GREVLEX, limits)
+    basis = J.groebner_basis(GREVLEX)
     used: set[str] = set()
     for g in list(basis.elements) + list(J.generators):
         used |= g.variables_used()
@@ -476,40 +472,36 @@ def _splitter_candidates(J: Ideal, limits: Limits) -> list[Polynomial]:
     for name in sorted(used):
         push(ring.variable(name))
     if ring.target_vars and ring.source_vars:
-        for t in relative_terms(J, limits=limits):
+        for t in relative_terms(J):
             if t.is_mixed:
                 push(transport(t.coefficient, ring))
     return sorted(cands, key=_poly_sort_key)
 
 
-def _variety_contained(inner: Ideal, outer: Ideal, limits: Limits) -> bool:
+def _variety_contained(inner: Ideal, outer: Ideal) -> bool:
     """True iff V(inner) is contained in V(outer)."""
-    return all(radical_member(g, inner, limits) for g in outer.generators)
+    return all(radical_member(g, inner) for g in outer.generators)
 
 
-def split_components(
-    J: Ideal, limits: Limits = DEFAULT_LIMITS, depth: int | None = None
-) -> list[Ideal]:
+def split_components(J: Ideal) -> list[Ideal]:
     """Split V(J) into pseudo-components by repeated zero-divisor saturation.
 
     Each returned ideal cuts out a union of irreducible components of V(J);
     together they cover V(J) and none contains another.  Pieces that resist
-    every splitting candidate are returned as they are.
+    every splitting candidate are returned as they are.  Splitting deeper
+    than ``SPLIT_DEPTH`` raises ResourceLimitError.
     """
-    if J.is_unit(limits):
+    if J.is_unit():
         raise PreconditionError("split_components needs a proper ideal")
-    if depth is None:
-        depth = limits.split_depth
-    pieces = _split(J, depth, limits)
-    return _prune(pieces, limits)
+    return _prune(_split(J, SPLIT_DEPTH))
 
 
-def _split(J: Ideal, depth: int, limits: Limits) -> list[Ideal]:
-    for h in _splitter_candidates(J, limits):
-        off, _ = saturation(J, h, limits)
-        if off.is_unit(limits):
+def _split(J: Ideal, depth: int) -> list[Ideal]:
+    for h in _splitter_candidates(J):
+        off, _ = saturation(J, h)
+        if off.is_unit():
             continue  # everything lies inside V(h): no off-part to split away
-        if all(radical_member(g, J, limits) for g in off.generators):
+        if all(radical_member(g, J) for g in off.generators):
             continue  # saturation did not shrink the variety
         if depth <= 0:
             raise ResourceLimitError("component splitting depth cap exceeded")
@@ -518,28 +510,28 @@ def _split(J: Ideal, depth: int, limits: Limits) -> list[Ideal]:
         # keep only genuine components inside V(h): saturating by the
         # off-part's generators removes the slices of other components
         for g in off.generators:
-            part, _ = saturation(inside, g, limits)
-            if not part.is_unit(limits):
+            part, _ = saturation(inside, g)
+            if not part.is_unit():
                 pieces.append(part)
         out: list[Ideal] = []
         for piece in pieces:
-            out.extend(_split(piece, depth - 1, limits))
+            out.extend(_split(piece, depth - 1))
         return out
     return [J]
 
 
-def _prune(pieces: Iterable[Ideal], limits: Limits) -> list[Ideal]:
+def _prune(pieces: Iterable[Ideal]) -> list[Ideal]:
     ordered = sorted(pieces, key=lambda I: tuple(map(_poly_sort_key, I.generators)))
     kept: list[Ideal] = []
     for piece in ordered:
         redundant = False
         for other in kept:
-            if _variety_contained(piece, other, limits):
+            if _variety_contained(piece, other):
                 redundant = True
                 break
         if redundant:
             continue
-        kept = [o for o in kept if not _variety_contained(o, piece, limits)]
+        kept = [o for o in kept if not _variety_contained(o, piece)]
         kept.append(piece)
     return kept
 
@@ -557,16 +549,16 @@ class PurityResult:
     piece_dims: tuple[int, ...]
 
 
-def pure_dimension_check(J: Ideal, limits: Limits = DEFAULT_LIMITS) -> PurityResult:
+def pure_dimension_check(J: Ideal) -> PurityResult:
     """Split into pseudo-components and compare their dimensions."""
-    if J.is_unit(limits):
+    if J.is_unit():
         raise PreconditionError("pure_dimension_check needs a proper ideal")
-    dim = krull_dimension(J, limits)
+    dim = krull_dimension(J)
     try:
-        pieces = split_components(J, limits)
+        pieces = split_components(J)
     except ResourceLimitError:
         return PurityResult(None, dim, ())
-    piece_dims = tuple(sorted((krull_dimension(p, limits) for p in pieces), reverse=True))
+    piece_dims = tuple(sorted((krull_dimension(p) for p in pieces), reverse=True))
     return PurityResult(len(set(piece_dims)) == 1, dim, piece_dims)
 
 
@@ -590,18 +582,14 @@ class VerticalResult:
     detail: str = ""
 
 
-def has_vertical_component(
-    J: Ideal,
-    setup: ProjectionSetup,
-    depth: int | None = None,
-    limits: Limits = DEFAULT_LIMITS,
-) -> VerticalResult:
+def has_vertical_component(J: Ideal, setup: ProjectionSetup) -> VerticalResult:
     """Decide whether V(J) has a component with lower-dimensional image.
 
     Requires the target to be attested locally irreducible: the test reads
     "image inside a proper closed subset" as "empty interior", which needs an
     irreducible target.  ``J`` may live in the setup's own ring or in a
-    fibred-power ring sharing the target block.
+    fibred-power ring sharing the target block.  The recursion into
+    pseudo-components stops, inconclusive, after ``VERTICAL_DEPTH`` levels.
     """
     if not setup.assert_target_locally_irreducible:
         raise PreconditionError(
@@ -609,18 +597,16 @@ def has_vertical_component(
         )
     if J.ring.target_vars != setup.ring.target_vars:
         raise FibrephiError("ideal does not share the setup's target block")
-    if depth is None:
-        depth = limits.vertical_depth
-    if J.is_unit(limits):
+    if J.is_unit():
         return VerticalResult(False, None, "empty space has no components")
-    return _vertical(J, setup.target_dim, depth, limits)
+    return _vertical(J, setup.target_dim, VERTICAL_DEPTH)
 
 
-def _vertical(J: Ideal, n: int, depth: int, limits: Limits) -> VerticalResult:
+def _vertical(J: Ideal, n: int, depth: int) -> VerticalResult:
     ring = J.ring
     yring = ring.target_ring()
 
-    image, image_dim = image_closure(J, limits)
+    image, image_dim = image_closure(J)
     if image_dim < n:
         witness = image.generators[0] if image.generators else None
         return VerticalResult(True, witness, f"image closure has dimension {image_dim} < {n}")
@@ -630,20 +616,20 @@ def _vertical(J: Ideal, n: int, depth: int, limits: Limits) -> VerticalResult:
     current = J
     rel: list[RelativeTerm] = []
     for _ in range(64):
-        rel = relative_terms(current, limits=limits)
+        rel = relative_terms(current)
         closure_y = Ideal(yring, [transport(t.coefficient, yring) for t in rel if not t.is_mixed])
         flagged = [
             t.coefficient
             for t in rel
             if t.is_mixed
             and not t.coefficient.is_constant()
-            and radical_member(t.coefficient, closure_y, limits)
+            and radical_member(t.coefficient, closure_y)
         ]
         if not flagged:
             break
         lifted = [transport(c, ring) for c in flagged]
         for c in lifted:
-            if not radical_member(c, current, limits):
+            if not radical_member(c, current):
                 raise InternalInconsistencyError(
                     "a coefficient vanishing on the image fails to vanish on the source"
                 )
@@ -656,9 +642,9 @@ def _vertical(J: Ideal, n: int, depth: int, limits: Limits) -> VerticalResult:
         key=_poly_sort_key,
     )
     for h in lead_coeffs:
-        off, _ = saturation(current, transport(h, ring), limits)
+        off, _ = saturation(current, transport(h, ring))
         for g in off.generators:
-            if not radical_member(g, current, limits):
+            if not radical_member(g, current):
                 # some component lies inside {h o f = 0}; its image sits in the
                 # proper closed set {h = 0} of the irreducible target
                 return VerticalResult(True, g, f"component inside the zero set of {h}")
@@ -666,14 +652,14 @@ def _vertical(J: Ideal, n: int, depth: int, limits: Limits) -> VerticalResult:
     if depth <= 0:
         return VerticalResult(None, None, "recursion depth exhausted")
     try:
-        pieces = split_components(current, limits)
+        pieces = split_components(current)
     except ResourceLimitError:
         return VerticalResult(None, None, "component splitting hit its depth cap")
     if len(pieces) == 1:
         return VerticalResult(False, None, "")
     undecided = False
     for piece in pieces:
-        result = _vertical(piece, n, depth - 1, limits)
+        result = _vertical(piece, n, depth - 1)
         if result.verdict:
             return result
         if result.verdict is None:
@@ -683,7 +669,7 @@ def _vertical(J: Ideal, n: int, depth: int, limits: Limits) -> VerticalResult:
     return VerticalResult(False, None, "")
 
 
-def single_rational_point(I: Ideal, limits: Limits = DEFAULT_LIMITS) -> tuple[Fraction, ...] | None:
+def single_rational_point(I: Ideal) -> tuple[Fraction, ...] | None:
     """The unique point of V(I) when it is one rational point, else None.
 
     For each variable the univariate elimination ideal must be generated by a
@@ -692,16 +678,16 @@ def single_rational_point(I: Ideal, limits: Limits = DEFAULT_LIMITS) -> tuple[Fr
     the complex numbers, not just its rational points.
     """
     ring = I.ring
-    if krull_dimension(I, limits) != 0:
+    if krull_dimension(I) != 0:
         return None
     coords: dict[str, Fraction] = {}
     for name in ring.variables:
         flat = PolynomialRing((name, *[v for v in ring.variables if v != name]), ())
         lifted = Ideal(flat, [transport(g, flat) for g in I.generators])
-        univariate = elimination_ideal(lifted, 1, limits)
+        univariate = elimination_ideal(lifted, 1)
         if not univariate.generators:
             return None
-        g = univariate.groebner_basis(limits=limits).elements[0]
+        g = univariate.groebner_basis().elements[0]
         degree = g.degree_in(name)
         if degree < 1:
             return None
@@ -792,7 +778,6 @@ def sample_cell_points(
     cell: Cell,
     rng: Random,
     want: int = 20,
-    limits: Limits = DEFAULT_LIMITS,
 ) -> list[tuple[Fraction, ...]]:
     """Exact rational points on a cell: on its closure, off its inequations.
 
@@ -806,7 +791,7 @@ def sample_cell_points(
     closure = cell.closure
     ring = closure.ring
     n = ring.arity
-    basis = closure.groebner_basis(LEX, limits)
+    basis = closure.groebner_basis(LEX)
     if basis.is_unit():
         return []
     by_leading_var: dict[int, list[Polynomial]] = {}
@@ -818,7 +803,7 @@ def sample_cell_points(
 
     points: list[tuple[Fraction, ...]] = []
     seen: set[tuple[Fraction, ...]] = set()
-    for _ in range(limits.sample_attempts):
+    for _ in range(SAMPLE_ATTEMPTS):
         if len(points) >= want:
             break
         values: dict[str, Fraction] = {}

@@ -23,9 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
-    DEFAULT_LIMITS,
     FibrephiError,
-    Limits,
     ResourceLimitError,
     RingMismatchError,
     ZeroPolynomialError,
@@ -43,6 +41,13 @@ from .orders import (
 from .poly import Polynomial, PolynomialRing, transport
 
 PolyDict = dict[Monomial, Fraction]
+
+# Resource caps.  Each aborts with ResourceLimitError instead of truncating a
+# result.  Each is read when it is enforced, never bound as a default
+# argument, so that lowering it on the module takes effect.
+GROEBNER_MAX_BASIS = 4096
+GROEBNER_MAX_REDUCTIONS = 500_000
+SATURATION_EXPONENT_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +136,7 @@ def _normal_form_dict(
     return rem
 
 
-def _buchberger(
-    seq: list[PolyDict], key, limits: Limits
-) -> list[tuple[Monomial, PolyDict]]:
+def _buchberger(seq: list[PolyDict], key) -> list[tuple[Monomial, PolyDict]]:
     """Reduced Groebner basis of the ideal generated by ``seq``.
 
     Pair handling follows the Gebauer-Moeller update criteria; the result is
@@ -141,7 +144,7 @@ def _buchberger(
     canonical for the (ideal, order) pair.  Each element comes with its
     leading monomial.
     """
-    budget = _ReductionBudget(limits.groebner_max_reductions)
+    budget = _ReductionBudget(GROEBNER_MAX_REDUCTIONS)
 
     polys = [dict(p) for p in seq if p]
     if not polys:
@@ -173,7 +176,7 @@ def _buchberger(
         f.append(p)
         lms.append(lm)
         lm_keys.append(key(lm))
-        if len(f) > limits.groebner_max_basis:
+        if len(f) > GROEBNER_MAX_BASIS:
             raise ResourceLimitError("Groebner basis size cap exceeded")
         return len(f) - 1
 
@@ -357,49 +360,42 @@ class Ideal:
     def added(self, extra: Iterable[Polynomial]) -> "Ideal":
         return Ideal(self.ring, self.generators + tuple(extra))
 
-    def groebner_basis(
-        self, order: MonomialOrder = GREVLEX, limits: Limits = DEFAULT_LIMITS
-    ) -> GroebnerBasis:
+    def groebner_basis(self, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
         with self._lock:
             cached = self._cache.get(order)
             if cached is not None:
                 return cached
-            divisors = tuple(
-                _buchberger([g.as_dict() for g in self.generators], order.key, limits)
-            )
+            divisors = tuple(_buchberger([g.as_dict() for g in self.generators], order.key))
             elements = tuple(Polynomial(self.ring, d) for _, d in divisors)
             basis = GroebnerBasis(order, elements, divisors)
             self._cache[order] = basis
             return basis
 
-    def contains(self, f: Polynomial, limits: Limits = DEFAULT_LIMITS) -> bool:
+    def contains(self, f: Polynomial) -> bool:
         if f.ring != self.ring:
             raise RingMismatchError("membership operands must share a ring")
         if f.is_zero:
             return True
-        basis = self.groebner_basis(GREVLEX, limits)
+        basis = self.groebner_basis(GREVLEX)
         return not _normal_form_dict(f.as_dict(), basis.divisors, GREVLEX.key)
 
-    def is_unit(self, limits: Limits = DEFAULT_LIMITS) -> bool:
+    def is_unit(self) -> bool:
         if any(g.is_constant() for g in self.generators):
             return True
-        return self.groebner_basis(GREVLEX, limits).is_unit()
+        return self.groebner_basis(GREVLEX).is_unit()
 
-    def equals(self, other: "Ideal", limits: Limits = DEFAULT_LIMITS) -> bool:
+    def equals(self, other: "Ideal") -> bool:
         """Mathematical equality via the canonical reduced bases."""
         if self.ring != other.ring:
             return False
-        return (
-            self.groebner_basis(GREVLEX, limits).elements
-            == other.groebner_basis(GREVLEX, limits).elements
-        )
+        return self.groebner_basis(GREVLEX).elements == other.groebner_basis(GREVLEX).elements
 
 
 def _lift_to(ring: PolynomialRing, polys: Iterable[Polynomial]) -> list[Polynomial]:
     return [transport(p, ring) for p in polys]
 
 
-def radical_member(f: Polynomial, ideal: Ideal, limits: Limits = DEFAULT_LIMITS) -> bool:
+def radical_member(f: Polynomial, ideal: Ideal) -> bool:
     """True iff some power of ``f`` lies in ``ideal``.
 
     Uses the auxiliary-variable trick: f is in the radical iff
@@ -409,18 +405,16 @@ def radical_member(f: Polynomial, ideal: Ideal, limits: Limits = DEFAULT_LIMITS)
         raise RingMismatchError("radical membership operands must share a ring")
     if f.is_zero:
         return True
-    if ideal.contains(f, limits):
+    if ideal.contains(f):
         return True
     ext = ideal.ring.extend([ideal.ring.fresh_name("t")])
     t = ext.variable(ext.variables[-1])
     gens = _lift_to(ext, ideal.generators)
     gens.append(ext.one() - t * transport(f, ext))
-    return Ideal(ext, gens).is_unit(limits)
+    return Ideal(ext, gens).is_unit()
 
 
-def elimination_ideal(
-    ideal: Ideal, keep: int | Sequence[str], limits: Limits = DEFAULT_LIMITS
-) -> Ideal:
+def elimination_ideal(ideal: Ideal, keep: int | Sequence[str]) -> Ideal:
     """Intersection of ``ideal`` with the subring of the first ``keep`` variables.
 
     ``keep`` must be a prefix block: the target variables, or the target
@@ -444,7 +438,7 @@ def elimination_ideal(
         small = PolynomialRing(ring.target_vars[:count], ())
     else:
         small = PolynomialRing(ring.target_vars, ring.source_vars[: count - split])
-    basis = ideal.groebner_basis(Block(count), limits)
+    basis = ideal.groebner_basis(Block(count))
     kept = [
         transport(g, small)
         for g in basis.elements
@@ -453,26 +447,7 @@ def elimination_ideal(
     return Ideal(small, kept)
 
 
-class SaturationStats:
-    """Counters letting the test suite confirm every saturation certified."""
-
-    __slots__ = ("calls", "certified")
-
-    def __init__(self):
-        self.calls = 0
-        self.certified = 0
-
-    def reset(self):
-        self.calls = 0
-        self.certified = 0
-
-
-SATURATION_STATS = SaturationStats()
-
-
-def saturation(
-    ideal: Ideal, h: Polynomial, limits: Limits = DEFAULT_LIMITS
-) -> tuple[Ideal, int]:
+def saturation(ideal: Ideal, h: Polynomial) -> tuple[Ideal, int]:
     """Saturation ``ideal : h^infinity`` with a certified exponent.
 
     Returns ``(sat, s)`` where ``h^s * g`` lies in ``ideal`` for every
@@ -483,9 +458,7 @@ def saturation(
         raise RingMismatchError("saturation operands must share a ring")
     if h.is_zero:
         raise ZeroPolynomialError("cannot saturate by the zero polynomial")
-    SATURATION_STATS.calls += 1
     if h.is_constant():
-        SATURATION_STATS.certified += 1
         return ideal, 0
     ring = ideal.ring
     ext = ring.extend([ring.fresh_name("t")])
@@ -493,29 +466,23 @@ def saturation(
     gens = _lift_to(ext, ideal.generators)
     gens.append(ext.one() - t * transport(h, ext))
     extended = Ideal(ext, gens)
-    basis = extended.groebner_basis(Block(ring.arity), limits)
+    basis = extended.groebner_basis(Block(ring.arity))
     kept = [
         transport(g, ring)
         for g in basis.elements
         if all(not m[ring.arity] for m in g.monomials())
     ]
     sat = Ideal(ring, kept)
-    exponent = 0
+    cap = SATURATION_EXPONENT_CAP
     power = ideal.ring.one()
-    for s in range(limits.saturation_exponent_cap + 1):
-        if all(ideal.contains(power * g, limits) for g in sat.generators):
-            exponent = s
-            break
+    for exponent in range(cap + 1):
+        if all(ideal.contains(power * g) for g in sat.generators):
+            return sat, exponent
         power = power * h
-    else:
-        raise ResourceLimitError(
-            f"saturation exponent exceeds cap {limits.saturation_exponent_cap}"
-        )
-    SATURATION_STATS.certified += 1
-    return sat, exponent
+    raise ResourceLimitError(f"saturation exponent exceeds cap {cap}")
 
 
-def ideal_intersection(a: Ideal, b: Ideal, limits: Limits = DEFAULT_LIMITS) -> Ideal:
+def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
     """Intersection via the auxiliary-variable trick: eliminate t from t*a + (1-t)*b."""
     if a.ring != b.ring:
         raise RingMismatchError("intersection operands must share a ring")
@@ -528,7 +495,7 @@ def ideal_intersection(a: Ideal, b: Ideal, limits: Limits = DEFAULT_LIMITS) -> I
     gens = [t * g for g in _lift_to(ext, a.generators)]
     gens += [one_minus_t * g for g in _lift_to(ext, b.generators)]
     extended = Ideal(ext, gens)
-    basis = extended.groebner_basis(Block(ring.arity), limits)
+    basis = extended.groebner_basis(Block(ring.arity))
     kept = [
         transport(g, ring)
         for g in basis.elements
@@ -578,11 +545,11 @@ def independent_set_dimension(monomials: Iterable[Monomial], nvars: int) -> int:
     return best
 
 
-def krull_dimension(ideal: Ideal, limits: Limits = DEFAULT_LIMITS) -> int:
+def krull_dimension(ideal: Ideal) -> int:
     """Dimension of the vanishing set, read off the grevlex leading-term ideal.
 
     The unit ideal reports -1 (empty variety sentinel); the zero ideal
     reports the full ambient dimension.
     """
-    basis = ideal.groebner_basis(GREVLEX, limits)
+    basis = ideal.groebner_basis(GREVLEX)
     return independent_set_dimension(basis.leading_monomials(), ideal.ring.arity)

@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Sequence
 
-from .errors import (
-    DEFAULT_LIMITS,
-    FibrephiError,
-    InternalInconsistencyError,
-    Limits,
-    PreconditionError,
-)
+from .errors import FibrephiError, InternalInconsistencyError, PreconditionError
 from .geometry import (
     ProjectionSetup,
     PurityResult,
@@ -262,12 +256,7 @@ def exactness_rules(
     raise AssertionError("unreachable")
 
 
-def phi_by_fibred_powers(
-    setup: ProjectionSetup,
-    i_max: int,
-    depth: int | None = None,
-    limits: Limits = DEFAULT_LIMITS,
-) -> list[tuple[int, bool | None]]:
+def phi_by_fibred_powers(setup: ProjectionSetup, i_max: int) -> list[tuple[int, bool | None]]:
     """Vertical-component verdicts on the fibred powers, in increasing order.
 
     phi is the largest i whose i-fold power is vertical-free, so the verdict
@@ -279,7 +268,7 @@ def phi_by_fibred_powers(
     verdicts: list[tuple[int, bool | None]] = []
     for i in range(1, i_max + 1):
         power = fibred_power(setup, i)
-        result = has_vertical_component(power.ideal, setup, depth, limits)
+        result = has_vertical_component(power.ideal, setup)
         verdicts.append((i, result.verdict))
         if result.verdict is not False:
             break
@@ -336,7 +325,6 @@ def certify_multiplicity_query(
     setup: ProjectionSetup,
     strat: Stratification,
     purity: PurityResult,
-    limits: Limits = DEFAULT_LIMITS,
 ) -> MultiplicityQuery | None:
     """Check the premises of the fibre-cardinality bound against computed data.
 
@@ -359,7 +347,7 @@ def certify_multiplicity_query(
         return None
     premises.append("single-positive-stratum")
     special = positive[0]
-    if single_rational_point(special.image_ideal, limits) is None:
+    if single_rational_point(special.image_ideal) is None:
         return None  # the special image is not certified to be one rational point
     premises.append("point-image")
     smooth = setup.target_ideal.is_zero_ideal
@@ -394,22 +382,20 @@ def multiplicity_bound(query: MultiplicityQuery) -> int:
 ORACLE_POINTS_PER_CELL = 5
 
 
-def _run_oracle(
-    setup: ProjectionSetup, strat: Stratification, seed: int, limits: Limits
-) -> dict[str, int]:
+def _run_oracle(setup: ProjectionSetup, strat: Stratification, seed: int) -> dict[str, int]:
     """Sample rational points on every cell and compare fibre dimensions."""
     rng = Random(seed)
     cells = points = skipped = mismatches = 0
     for stratum in strat.strata:
         for cell in stratum.cells:
             cells += 1
-            found = sample_cell_points(cell, rng, want=ORACLE_POINTS_PER_CELL, limits=limits)
+            found = sample_cell_points(cell, rng, want=ORACLE_POINTS_PER_CELL)
             if not found:
                 skipped += 1
                 continue
             for pt in found:
                 points += 1
-                _, dim = fibre_at_point(setup, pt, limits)
+                _, dim = fibre_at_point(setup, pt)
                 if dim != cell.fibre_dim:
                     mismatches += 1
     if mismatches:
@@ -419,12 +405,7 @@ def _run_oracle(
     return {"cells": cells, "points": points, "skipped": skipped, "mismatches": mismatches}
 
 
-def analyze(
-    setup: ProjectionSetup,
-    max_power: int = 0,
-    seed: int = 0,
-    limits: Limits = DEFAULT_LIMITS,
-) -> PhiReport:
+def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiReport:
     """The full pipeline: stratify, purity, vertical test, bounds, exactness,
     fibred powers up to ``max_power``, the multiplicity bound and the
     sampling oracle (seeded by ``seed``).
@@ -444,13 +425,11 @@ def analyze(
         timings[name] = round(time.perf_counter() - start, 3)
         return result
 
-    strat = timed("stratify", lambda: stratify_by_fibre_dimension(setup, limits))
-    purity = timed("purity", lambda: pure_dimension_check(setup.total_ideal, limits))
+    strat = timed("stratify", lambda: stratify_by_fibre_dimension(setup))
+    purity = timed("purity", lambda: pure_dimension_check(setup.total_ideal))
     attested = setup.assert_target_locally_irreducible
     if attested:
-        vertical = timed(
-            "vertical", lambda: has_vertical_component(setup.total_ideal, setup, limits=limits)
-        )
+        vertical = timed("vertical", lambda: has_vertical_component(setup.total_ideal, setup))
         if vertical.verdict is None:
             warnings.append("vertical-component test inconclusive at the configured depth")
     else:
@@ -484,9 +463,7 @@ def analyze(
             "fibred-power verification skipped: requires the locally-irreducible attestation"
         )
     elif max_power >= 1:
-        power_verdicts = timed(
-            "fibred_powers", lambda: phi_by_fibred_powers(setup, max_power, limits=limits)
-        )
+        power_verdicts = timed("fibred_powers", lambda: phi_by_fibred_powers(setup, max_power))
         power_exact, power_summary = summarize_power_verdicts(power_verdicts)
         if power_exact is not None:
             if exact is not None and exact != power_exact:
@@ -498,10 +475,10 @@ def analyze(
                     raise InternalInconsistencyError("power-determined value above upper bound")
                 exact, tag = power_exact, "fibred-power-determined"
 
-    mquery = certify_multiplicity_query(setup, strat, purity, limits)
+    mquery = certify_multiplicity_query(setup, strat, purity)
     mbound = multiplicity_bound(mquery) if mquery is not None else None
 
-    oracle = timed("oracle", lambda: _run_oracle(setup, strat, seed, limits))
+    oracle = timed("oracle", lambda: _run_oracle(setup, strat, seed))
 
     return PhiReport(
         phi_upper=upper,

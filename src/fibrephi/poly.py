@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import FibrephiError, ResourceLimitError, RingMismatchError, ZeroPolynomialError
+from .errors import FibrephiError, RingMismatchError, ZeroPolynomialError
 from .orders import (
     GREVLEX,
     Block,
@@ -32,19 +32,12 @@ class PolynomialRing:
     """An ordered tuple of variable names split into target and source blocks.
 
     Rings are immutable; two rings are equal iff they carry the same names in
-    the same blocks.  Optional degree and term-count caps abort oversized
-    results with :class:`ResourceLimitError` instead of truncating.
+    the same blocks.
     """
 
-    __slots__ = ("target_vars", "source_vars", "variables", "max_degree", "max_terms", "_index")
+    __slots__ = ("target_vars", "source_vars", "variables", "_index")
 
-    def __init__(
-        self,
-        target_vars: Sequence[str],
-        source_vars: Sequence[str],
-        max_degree: int | None = None,
-        max_terms: int | None = None,
-    ):
+    def __init__(self, target_vars: Sequence[str], source_vars: Sequence[str]):
         target = tuple(target_vars)
         source = tuple(source_vars)
         names = target + source
@@ -60,8 +53,6 @@ class PolynomialRing:
         object.__setattr__(self, "target_vars", target)
         object.__setattr__(self, "source_vars", source)
         object.__setattr__(self, "variables", names)
-        object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "max_terms", max_terms)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
 
     def __setattr__(self, name, value):
@@ -103,8 +94,7 @@ class PolynomialRing:
 
     def extend(self, names: Sequence[str]) -> "PolynomialRing":
         """Append auxiliary variables to the source block."""
-        return PolynomialRing(self.target_vars, self.source_vars + tuple(names),
-                              self.max_degree, self.max_terms)
+        return PolynomialRing(self.target_vars, self.source_vars + tuple(names))
 
     def target_ring(self) -> "PolynomialRing":
         if not self.target_vars:
@@ -162,12 +152,6 @@ class Polynomial:
             if any(e < 0 for e in mono):
                 raise FibrephiError(f"negative exponent in {mono}")
             clean[tuple(mono)] = coeff
-        if ring.max_terms is not None and len(clean) > ring.max_terms:
-            raise ResourceLimitError(f"term count {len(clean)} exceeds cap {ring.max_terms}")
-        if ring.max_degree is not None:
-            for mono in clean:
-                if sum(mono) > ring.max_degree:
-                    raise ResourceLimitError(f"degree {sum(mono)} exceeds cap {ring.max_degree}")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)

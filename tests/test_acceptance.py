@@ -21,8 +21,8 @@ from fibrephi import (
     stratify_by_fibre_dimension,
     summarize_power_verdicts,
 )
+from fibrephi import geometry
 from fibrephi.cli import load_setup, run_corpus
-from fibrephi.groebner import SATURATION_STATS
 from fibrephi.poly import Polynomial
 
 from conftest import FIXTURES, cyclic_family_setup, quadric_cone_setup, simple_setup
@@ -123,7 +123,7 @@ def test_criterion_5_oracle_agreement_over_corpus():
         assert points > 0 and cells > 0
 
 
-def test_criterion_6_invariant_suite():
+def test_criterion_6_invariant_suite(monkeypatch):
     with criterion(6, "cross-cutting invariants", budget_seconds=300.0):
         applicable = 0
         for path in sorted(FIXTURES.glob("*.setup")):
@@ -161,14 +161,25 @@ def test_criterion_6_invariant_suite():
             assert Ideal(ring, shuffled).groebner_basis().elements == reference
             checked += 1
 
-        # every saturation performed during a full corpus run self-certifies
-        SATURATION_STATS.reset()
+        # every saturation performed during a full corpus run self-certifies:
+        # saturation returns only with a certified exponent, so each call
+        # must come back normally
+        counts = {"calls": 0, "certified": 0}
+        saturate = geometry.saturation
+
+        def counted(ideal, h):
+            counts["calls"] += 1
+            result = saturate(ideal, h)
+            counts["certified"] += 1
+            return result
+
+        monkeypatch.setattr(geometry, "saturation", counted)
         reports, exit_code = run_corpus(FIXTURES)
         assert exit_code == 0
         assert all(not r.mismatches for r in reports)
-        assert SATURATION_STATS.calls > 0
-        assert SATURATION_STATS.certified == SATURATION_STATS.calls
-        print(f"  {SATURATION_STATS.calls} saturations, all exponent-certified")
+        assert counts["calls"] > 0
+        assert counts["certified"] == counts["calls"]
+        print(f"  {counts['calls']} saturations, all exponent-certified")
 
 
 def test_criterion_7_multiplicity_bounds():

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from fibrephi import analyze
+from fibrephi import analyze, geometry
 from fibrephi.cli import (
     EXIT_CORPUS_MISMATCH,
     EXIT_ERROR,
+    EXIT_INCONCLUSIVE,
     EXIT_OK,
     analysis_document,
     compare_expectations,
@@ -226,6 +227,29 @@ def test_non_pure_source_withholds_bounds(tmp_path):
     assert any("non-pure" in w for w in doc["warnings"])
 
 
+def analyze_to_json(path: Path, out: Path) -> tuple[int, dict]:
+    code = main(["analyze", str(path), "--json", str(out)])
+    return code, json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_exhausted_vertical_depth_is_inconclusive(monkeypatch, fixture_dir, tmp_path):
+    monkeypatch.setattr(geometry, "VERTICAL_DEPTH", 0)
+    code, doc = analyze_to_json(fixture_dir / "hyperbola.setup", tmp_path / "out.json")
+    assert code == EXIT_INCONCLUSIVE
+    assert doc["vertical"]["verdict"] is None
+    assert doc["vertical"]["detail"] == "recursion depth exhausted"
+    assert "vertical-component test inconclusive at the configured depth" in doc["warnings"]
+
+
+def test_exhausted_split_depth_leaves_purity_unconfirmed(monkeypatch, fixture_dir, tmp_path):
+    monkeypatch.setattr(geometry, "SPLIT_DEPTH", 0)
+    code, doc = analyze_to_json(fixture_dir / "line_times_fibre.setup", tmp_path / "out.json")
+    assert code == EXIT_INCONCLUSIVE
+    assert doc["purity"]["pure"] is None
+    assert "purity of the source is unconfirmed (splitting cap)" in doc["warnings"]
+    assert "bounds unavailable: non-pure source" in doc["warnings"]
+
+
 # ---------------------------------------------------------------------------
 # expectations and corpus
 # ---------------------------------------------------------------------------
@@ -234,6 +258,30 @@ def test_non_pure_source_withholds_bounds(tmp_path):
 def test_required_max_power():
     assert required_max_power({}) == 0
     assert required_max_power({"fibred_powers": "1:false, 3:true"}) == 3
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("phi_upper", "two"),
+        ("phi_lower", "1.5"),
+        ("phi_exact", "two"),
+        ("strata", "0:one"),
+        ("pure", "maybe"),
+        ("pure_dim", "x"),
+        ("lambda", ""),
+        ("vertical", "perhaps"),
+        ("fibred_powers", "first:false"),
+        ("fibred_powers", "1:unknown"),
+        ("multiplicity_bound", "many"),
+    ],
+)
+def test_malformed_expect_value_is_a_setup_error(key, value, tmp_path, capsys):
+    path = write(tmp_path, MINIMAL + f"expect:\n  {key}: {value}\n")
+    with pytest.raises(SetupError, match=f":5: malformed {key} value"):
+        load_setup(path)
+    assert main(["corpus", str(tmp_path)]) == EXIT_ERROR
+    assert f"{path}:5: malformed {key} value" in capsys.readouterr().err
 
 
 def test_compare_expectations_reports_drift():

@@ -24,6 +24,7 @@ from fibrephi import (
 )
 from fibrephi.cli import load_setup
 from fibrephi.errors import ResourceLimitError, ZeroPolynomialError
+from fibrephi import groebner
 from fibrephi.groebner import independent_set_dimension
 from fibrephi.orders import Block
 from fibrephi.poly import Polynomial, transport
@@ -252,14 +253,12 @@ def test_concurrent_basis_requests_agree():
     assert all(r.elements == results[0].elements for r in results)
 
 
-def test_reduction_budget_enforced():
-    from fibrephi.errors import Limits
-
+def test_reduction_budget_enforced(monkeypatch):
+    monkeypatch.setattr(groebner, "GROEBNER_MAX_REDUCTIONS", 0)
     ring = PolynomialRing((), ("x", "y", "z"))
-    tight = Limits(groebner_max_reductions=0)
     ideal = Ideal(ring, [P("x*y - z", ring), P("y*z - 1", ring), P("x - z^2", ring)])
     with pytest.raises(ResourceLimitError):
-        ideal.groebner_basis(GREVLEX, tight)
+        ideal.groebner_basis(GREVLEX)
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +420,12 @@ def test_saturation_contract():
     assert again.equals(sat)
 
 
-def test_saturation_exponent_cap():
-    from fibrephi.errors import Limits
-
+def test_saturation_exponent_cap(monkeypatch):
+    monkeypatch.setattr(groebner, "SATURATION_EXPONENT_CAP", 2)
     ring = ring_xy()
     ideal = Ideal(ring, [P("x^3", ring)])
     with pytest.raises(ResourceLimitError):
-        saturation(ideal, P("x", ring), Limits(saturation_exponent_cap=2))
+        saturation(ideal, P("x", ring))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from fibrephi import (
 )
 from fibrephi.errors import (
     FibrephiError,
-    ResourceLimitError,
     RingMismatchError,
     ZeroPolynomialError,
 )
@@ -307,21 +306,8 @@ def test_specialize_is_a_homomorphism(p, q):
 
 
 # ---------------------------------------------------------------------------
-# caps and transport
+# transport
 # ---------------------------------------------------------------------------
-
-
-def test_degree_cap_aborts():
-    ring = PolynomialRing((), ("x",), max_degree=3)
-    p = parse_polynomial("x^2", ring)
-    with pytest.raises(ResourceLimitError):
-        _ = p * p
-
-
-def test_term_cap_aborts():
-    ring = PolynomialRing((), ("x", "y"), max_terms=2)
-    with pytest.raises(ResourceLimitError):
-        parse_polynomial("x + y + 1", ring)
 
 
 def test_transport_renames_and_rejects_lost_variables():
