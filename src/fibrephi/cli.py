@@ -111,6 +111,8 @@ def load_setup(path: str | Path) -> SetupFile:
             key = key.strip()
             if key not in _EXPECT:
                 raise SetupError(f"{where}: unknown expect key {key!r}")
+            if key in expect:
+                raise SetupError(f"{where}: duplicate expect key {key!r}")
             value = value.strip()
             try:
                 _EXPECT[key][0](value)
@@ -123,13 +125,14 @@ def load_setup(path: str | Path) -> SetupFile:
         key = key.strip()
         if not sep:
             raise SetupError(f"{where}: expected 'key: value'")
+        if key in keys:
+            raise SetupError(f"{where}: duplicate key {key!r}")
         if key == "expect":
+            keys[key] = (lineno, "")
             in_expect = True
             continue
         if key not in _KNOWN_KEYS:
             raise SetupError(f"{where}: unknown key {key!r}")
-        if key in keys:
-            raise SetupError(f"{where}: duplicate key {key!r}")
         keys[key] = (lineno, value.strip())
 
     def need(key: str) -> str:

@@ -483,21 +483,51 @@ def _variety_contained(inner: Ideal, outer: Ideal) -> bool:
     return all(radical_member(g, inner) for g in outer.generators)
 
 
-def split_components(J: Ideal) -> list[Ideal]:
+def split_components(J: Ideal, *, _certificate: Ideal | None = None) -> list[Ideal]:
     """Split V(J) into pseudo-components by repeated zero-divisor saturation.
 
     Each returned ideal cuts out a union of irreducible components of V(J);
     together they cover V(J) and none contains another.  Pieces that resist
     every splitting candidate are returned as they are.  Splitting deeper
     than ``SPLIT_DEPTH`` raises ResourceLimitError.
+
+    J certifies itself: when it is generated by as many polynomials as its
+    codimension, Macaulay's unmixedness theorem (Matsumura, *Commutative Ring
+    Theory*, Thm 17.6) makes V(J) pure, and a candidate that lowers its
+    dimension is skipped without a saturation.  The pieces are the same
+    either way.  The private ``_certificate``, an ideal with the radical of
+    J, certifies in J's place.
     """
     if J.is_unit():
         raise PreconditionError("split_components needs a proper ideal")
-    return _prune(_split(J, SPLIT_DEPTH))
+    certificate = J if _certificate is None else _certificate
+    return _prune(_split(J, SPLIT_DEPTH, _unmixed_dimension(certificate)))
 
 
-def _split(J: Ideal, depth: int) -> list[Ideal]:
+def _unmixed_dimension(I: Ideal) -> int | None:
+    """dim V(I) when I is a complete intersection, else None.
+
+    An ideal of a polynomial ring generated by as many elements as its
+    codimension is unmixed (Macaulay; Matsumura, *Commutative Ring Theory*,
+    Thm 17.6), so every component of V(I) then has the returned dimension.
+    """
+    dim = krull_dimension(I)
+    return dim if len(I.generators) == I.ring.arity - dim else None
+
+
+def _split(J: Ideal, depth: int, pure_dim: int | None = None) -> list[Ideal]:
+    """Pseudo-components of V(J), trying each splitting candidate h in turn.
+
+    ``pure_dim`` is None, or the dimension that an unmixedness certificate
+    (Matsumura Thm 17.6) gives every component of V(J).  Then
+    ``dim V(J + (h)) < pure_dim`` proves that h vanishes on no component, so
+    ``J : h^inf`` has the radical of J and its saturation could only report
+    "did not shrink"; such an h is skipped.  The pieces of a successful split
+    carry no certificate.
+    """
     for h in _splitter_candidates(J):
+        if pure_dim is not None and krull_dimension(J.added([h])) < pure_dim:
+            continue  # h vanishes on no component of the pure V(J)
         off, _ = saturation(J, h)
         if off.is_unit():
             continue  # everything lies inside V(h): no off-part to split away
@@ -652,7 +682,9 @@ def _vertical(J: Ideal, n: int, depth: int) -> VerticalResult:
     if depth <= 0:
         return VerticalResult(None, None, "recursion depth exhausted")
     try:
-        pieces = split_components(current)
+        # stabilization only added polynomials that vanish on V(J), so J
+        # has the radical of ``current`` and certifies it
+        pieces = split_components(current, _certificate=J)
     except ResourceLimitError:
         return VerticalResult(None, None, "component splitting hit its depth cap")
     if len(pieces) == 1:

@@ -290,7 +290,8 @@ class GroebnerBasis:
 
     ``divisors`` holds each element as (leading monomial, term dict), the
     form the reduction loop divides by, so membership tests neither copy nor
-    re-normalise the elements.
+    re-normalise the elements.  Each element shares its term dict with its
+    divisor entry, so the basis holds its terms once.
     """
 
     order: MonomialOrder
@@ -366,7 +367,7 @@ class Ideal:
             if cached is not None:
                 return cached
             divisors = tuple(_buchberger([g.as_dict() for g in self.generators], order.key))
-            elements = tuple(Polynomial(self.ring, d) for _, d in divisors)
+            elements = tuple(Polynomial._trusted(self.ring, d) for _, d in divisors)
             basis = GroebnerBasis(order, elements, divisors)
             self._cache[order] = basis
             return basis

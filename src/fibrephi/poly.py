@@ -156,6 +156,20 @@ class Polynomial:
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _trusted(cls, ring: PolynomialRing, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """Wrap ``terms`` without checking or copying it.
+
+        Only for Groebner-engine output: tuple exponents of the ring's arity,
+        none negative, nonzero ``Fraction`` coefficients, and a dict that is
+        never mutated afterwards, so the element may share it.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "ring", ring)
+        object.__setattr__(p, "_terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 

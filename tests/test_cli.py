@@ -284,6 +284,22 @@ def test_malformed_expect_value_is_a_setup_error(key, value, tmp_path, capsys):
     assert f"{path}:5: malformed {key} value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "expect_lines, message",
+    [
+        ("expect:\n  phi_exact: 1\n  phi_exact: infinity\n", ":6: duplicate expect key 'phi_exact'"),
+        ("expect:\n  phi_exact: 1\nexpect:\n  pure: true\n", ":6: duplicate key 'expect'"),
+    ],
+    ids=["key", "block"],
+)
+def test_repeated_expectation_is_a_setup_error(expect_lines, message, tmp_path, capsys):
+    path = write(tmp_path, MINIMAL + expect_lines)
+    with pytest.raises(SetupError, match=message):
+        load_setup(path)
+    assert main(["corpus", str(tmp_path)]) == EXIT_ERROR
+    assert f"{path}{message}" in capsys.readouterr().err
+
+
 def test_compare_expectations_reports_drift():
     document = {"phi_upper": 2, "strata": [{"j": 0, "image_dim": 3}]}
     assert compare_expectations(document, {"phi_upper": "2"}) == []

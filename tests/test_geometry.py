@@ -10,6 +10,7 @@ from fibrephi import (
     PolynomialRing,
     fibre_at_point,
     fibred_power,
+    geometry,
     has_vertical_component,
     image_closure,
     make_setup,
@@ -17,17 +18,24 @@ from fibrephi import (
     pure_dimension_check,
     radical_member,
     sample_cell_points,
+    saturation,
     split_components,
     stratify_by_fibre_dimension,
     transport,
 )
+from fibrephi.cli import load_setup, required_max_power
 from fibrephi.errors import (
     EmptySpaceError,
     OffTargetError,
     PreconditionError,
     SetupError,
 )
-from fibrephi.geometry import relative_terms, single_rational_point
+from fibrephi.geometry import (
+    _splitter_candidates,
+    _unmixed_dimension,
+    relative_terms,
+    single_rational_point,
+)
 
 from conftest import cyclic_family_setup, quadric_cone_setup, simple_setup
 
@@ -341,8 +349,12 @@ def test_fibred_power_symmetry():
 
 
 def test_split_coordinate_cross():
+    # a certified complete intersection whose candidates x and y each vanish
+    # on a component, so the unmixedness shortcut must not skip them
     ring = PolynomialRing(("y",), ("x",))
-    pieces = split_components(Ideal(ring, [P("y*x", ring)]))
+    J = Ideal(ring, [P("y*x", ring)])
+    assert _unmixed_dimension(J) == 1
+    pieces = split_components(J)
     varieties = {tuple(str(g) for g in p.groebner_basis().elements) for p in pieces}
     assert varieties == {("x",), ("y",)}
 
@@ -386,8 +398,11 @@ def test_purity_of_quadric_family():
 
 
 def test_impurity_of_plane_plus_line():
+    # two generators, codimension 1: no unmixedness certificate
     ring = PolynomialRing((), ("x", "y", "z"))
-    result = pure_dimension_check(Ideal(ring, [P("x*y", ring), P("x*z", ring)]))
+    J = Ideal(ring, [P("x*y", ring), P("x*z", ring)])
+    assert _unmixed_dimension(J) is None
+    result = pure_dimension_check(J)
     assert (result.pure, result.dim, result.piece_dims) == (False, 2, (2, 1))
 
 
@@ -395,6 +410,74 @@ def test_purity_of_hypersurface():
     ring = PolynomialRing((), ("x", "y", "z"))
     result = pure_dimension_check(Ideal(ring, [P("x^2 + y^2 + z^2 - 1", ring)]))
     assert (result.pure, result.dim) == (True, 2)
+
+
+def test_unmixed_skips_agree_with_saturation(monkeypatch, fixture_dir):
+    # Every candidate the unmixedness certificate made _split skip, on the
+    # total ideal of each corpus fixture and on the fibred powers its expect
+    # block lists, must fail to split on the slow path too: the saturation is
+    # a proper ideal whose generators all vanish on V(J).
+    certified = []
+    saturated = set()
+    split, saturate = geometry._split, geometry.saturation
+
+    def recording_split(J, depth, pure_dim=None):
+        if pure_dim is not None:
+            certified.append(J)
+        return split(J, depth, pure_dim)
+
+    def recording_saturation(ideal, h):
+        saturated.add((ideal, h))
+        return saturate(ideal, h)
+
+    monkeypatch.setattr(geometry, "_split", recording_split)
+    monkeypatch.setattr(geometry, "saturation", recording_saturation)
+    for path in sorted(fixture_dir.glob("*.setup")):
+        loaded = load_setup(path)
+        setup = loaded.setup
+        pure_dimension_check(setup.total_ideal)
+        if setup.assert_target_locally_irreducible:
+            has_vertical_component(setup.total_ideal, setup)
+            for i in range(1, required_max_power(loaded.expect) + 1):
+                has_vertical_component(fibred_power(setup, i).ideal, setup)
+    monkeypatch.undo()
+
+    skipped = 0
+    for J in certified:
+        # replay the candidate loop: the candidates _split did not saturate,
+        # up to the first one that split J, are the skipped ones
+        for h in _splitter_candidates(J):
+            off, _ = saturation(J, h)
+            shrinks = not off.is_unit() and not all(radical_member(g, J) for g in off.generators)
+            if (J, h) not in saturated:
+                assert not off.is_unit() and not shrinks, (J, h)
+                skipped += 1
+            elif shrinks:
+                break
+    assert skipped > 0
+
+
+def test_unmixed_certificate_saturation_counts(monkeypatch, fixture_dir):
+    # The fibred power 2 of cyclic (3, 3) is a complete intersection (11
+    # variables, 4 generators, dimension 7) with 11 splitting candidates,
+    # none of which splits it.  Uncertified, each costs a saturation; the
+    # certificate skips all of them.
+    setup = load_setup(fixture_dir / "cyclic_forms_n3_l3.setup").setup
+    J = fibred_power(setup, 2).ideal
+    assert _unmixed_dimension(J) == 7
+    calls = []
+    saturate = geometry.saturation
+
+    def counted(ideal, h):
+        calls.append(h)
+        return saturate(ideal, h)
+
+    monkeypatch.setattr(geometry, "saturation", counted)
+    assert geometry._split(J, geometry.SPLIT_DEPTH) == [J]
+    assert len(calls) == 11
+    calls.clear()
+    assert split_components(J) == [J]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
