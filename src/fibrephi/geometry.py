@@ -483,7 +483,7 @@ def _variety_contained(inner: Ideal, outer: Ideal) -> bool:
     return all(radical_member(g, inner) for g in outer.generators)
 
 
-def split_components(J: Ideal, *, _certificate: Ideal | None = None) -> list[Ideal]:
+def split_components(J: Ideal) -> list[Ideal]:
     """Split V(J) into pseudo-components by repeated zero-divisor saturation.
 
     Each returned ideal cuts out a union of irreducible components of V(J);
@@ -495,13 +495,11 @@ def split_components(J: Ideal, *, _certificate: Ideal | None = None) -> list[Ide
     codimension, Macaulay's unmixedness theorem (Matsumura, *Commutative Ring
     Theory*, Thm 17.6) makes V(J) pure, and a candidate that lowers its
     dimension is skipped without a saturation.  The pieces are the same
-    either way.  The private ``_certificate``, an ideal with the radical of
-    J, certifies in J's place.
+    either way.
     """
     if J.is_unit():
         raise PreconditionError("split_components needs a proper ideal")
-    certificate = J if _certificate is None else _certificate
-    return _prune(_split(J, SPLIT_DEPTH, _unmixed_dimension(certificate)))
+    return _prune(_split(J, SPLIT_DEPTH, _unmixed_dimension(J)))
 
 
 def _unmixed_dimension(I: Ideal) -> int | None:
@@ -682,9 +680,7 @@ def _vertical(J: Ideal, n: int, depth: int) -> VerticalResult:
     if depth <= 0:
         return VerticalResult(None, None, "recursion depth exhausted")
     try:
-        # stabilization only added polynomials that vanish on V(J), so J
-        # has the radical of ``current`` and certifies it
-        pieces = split_components(current, _certificate=J)
+        pieces = split_components(current)
     except ResourceLimitError:
         return VerticalResult(None, None, "component splitting hit its depth cap")
     if len(pieces) == 1:
