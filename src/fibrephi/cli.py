@@ -128,6 +128,8 @@ def load_setup(path: str | Path) -> SetupFile:
         if key in keys:
             raise SetupError(f"{where}: duplicate key {key!r}")
         if key == "expect":
+            if value.strip():
+                raise SetupError(f"{where}: expect values go on indented lines below 'expect:'")
             keys[key] = (lineno, "")
             in_expect = True
             continue
@@ -139,6 +141,10 @@ def load_setup(path: str | Path) -> SetupFile:
         if key not in keys:
             raise SetupError(f"{path}: missing required key {key!r}")
         return keys[key][1]
+
+    def flag(key: str, default: str) -> bool:
+        lineno, value = keys.get(key, (0, default))
+        return _parse_bool(value, f"{path}:{lineno}")
 
     def split_names(text: str) -> list[str]:
         return [n for n in text.replace(",", " ").split() if n]
@@ -159,7 +165,7 @@ def load_setup(path: str | Path) -> SetupFile:
             raise SetupError(f"{path} ({key}): {exc}") from exc
 
     ambient = poly_list("ambient_target_ideal", keys.get("ambient_target_ideal", (0, "0"))[1])
-    equals = _parse_bool(keys.get("target_equals_ambient", (0, "true"))[1], str(path))
+    equals = flag("target_equals_ambient", "true")
     target = None
     if "target_ideal" in keys:
         target = poly_list("target_ideal", keys["target_ideal"][1])
@@ -169,8 +175,8 @@ def load_setup(path: str | Path) -> SetupFile:
             sources.append(parse_polynomial(chunk, ring))
         except FibrephiError as exc:
             raise SetupError(f"{path} (source_ideal): {exc}") from exc
-    loc_irr = _parse_bool(keys.get("assert_target_locally_irreducible", (0, "false"))[1], str(path))
-    pure_dim = _parse_bool(keys.get("assert_target_pure_dimensional", (0, "false"))[1], str(path))
+    loc_irr = flag("assert_target_locally_irreducible", "false")
+    pure_dim = flag("assert_target_pure_dimensional", "false")
 
     try:
         setup = make_setup(

@@ -63,7 +63,9 @@ class ProjectionSetup:
     X sits inside Y x Omega where Omega is affine space on the source
     variables; Y sits inside an ambient space cut out by
     ``ambient_target_ideal``.  Every derived number is recomputed from the
-    ideals, never trusted from input.
+    ideals, never trusted from input.  The dimensions carry the paper's
+    letters: ``N`` of the ambient target, ``n`` of Y, ``m`` of X, ``k`` of
+    Omega and ``r`` the number of source generators.
     """
 
     ring: PolynomialRing
@@ -74,32 +76,18 @@ class ProjectionSetup:
     target_equals_ambient: bool
     assert_target_locally_irreducible: bool
     assert_target_pure_dimensional: bool
-    ambient_dim: int
-    target_dim: int
-    source_space_dim: int
-    generator_count: int
+    N: int
+    n: int
     total_ideal: Ideal
-    total_dim: int
-
-    @property
-    def N(self) -> int:
-        return self.ambient_dim
-
-    @property
-    def n(self) -> int:
-        return self.target_dim
+    m: int
 
     @property
     def k(self) -> int:
-        return self.source_space_dim
+        return len(self.ring.source_vars)
 
     @property
     def r(self) -> int:
-        return self.generator_count
-
-    @property
-    def m(self) -> int:
-        return self.total_dim
+        return len(self.source_generators)
 
     def dims(self) -> dict[str, int]:
         return {"N": self.N, "n": self.n, "k": self.k, "r": self.r, "m": self.m}
@@ -179,12 +167,10 @@ def make_setup(
         target_equals_ambient=target_equals_ambient,
         assert_target_locally_irreducible=assert_target_locally_irreducible,
         assert_target_pure_dimensional=assert_target_pure_dimensional,
-        ambient_dim=ambient_dim,
-        target_dim=target_dim,
-        source_space_dim=len(ring.source_vars),
-        generator_count=len(sources),
+        N=ambient_dim,
+        n=target_dim,
         total_ideal=total,
-        total_dim=total_dim,
+        m=total_dim,
     )
 
 
@@ -323,14 +309,6 @@ class Stratification:
         return None
 
 
-def _poly_sort_key(p: Polynomial) -> str:
-    return str(p)
-
-
-def _ideal_key(I: Ideal) -> tuple:
-    return tuple(I.groebner_basis(GREVLEX).elements)
-
-
 def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
     """Partition the image of f by fibre dimension via recursive case splitting.
 
@@ -352,7 +330,7 @@ def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
 
     while pending:
         constraint = pending.pop()
-        key = _ideal_key(constraint)
+        key = tuple(constraint.groebner_basis(GREVLEX).elements)
         if key in seen:
             continue
         seen.add(key)
@@ -396,7 +374,7 @@ def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
         fibre_dim = independent_set_dimension([t.x_monomial for t in mixed], k)
         lead_coeffs = sorted(
             {t.coefficient for t in mixed if not t.coefficient.is_constant()},
-            key=_poly_sort_key,
+            key=str,
         )
         closure = current
         for h in lead_coeffs:
@@ -418,7 +396,7 @@ def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
     for j in sorted(groups):
         group = sorted(
             groups[j],
-            key=lambda c: tuple(map(_poly_sort_key, c.closure.generators)),
+            key=lambda c: tuple(map(str, c.closure.generators)),
         )
         image = group[0].closure
         for cell in group[1:]:
@@ -475,7 +453,7 @@ def _splitter_candidates(J: Ideal) -> list[Polynomial]:
         for t in relative_terms(J):
             if t.is_mixed:
                 push(transport(t.coefficient, ring))
-    return sorted(cands, key=_poly_sort_key)
+    return sorted(cands, key=str)
 
 
 def _variety_contained(inner: Ideal, outer: Ideal) -> bool:
@@ -549,7 +527,7 @@ def _split(J: Ideal, depth: int, pure_dim: int | None = None) -> list[Ideal]:
 
 
 def _prune(pieces: Iterable[Ideal]) -> list[Ideal]:
-    ordered = sorted(pieces, key=lambda I: tuple(map(_poly_sort_key, I.generators)))
+    ordered = sorted(pieces, key=lambda I: tuple(map(str, I.generators)))
     kept: list[Ideal] = []
     for piece in ordered:
         redundant = False
@@ -627,7 +605,7 @@ def has_vertical_component(J: Ideal, setup: ProjectionSetup) -> VerticalResult:
         raise FibrephiError("ideal does not share the setup's target block")
     if J.is_unit():
         return VerticalResult(False, None, "empty space has no components")
-    return _vertical(J, setup.target_dim, VERTICAL_DEPTH)
+    return _vertical(J, setup.n, VERTICAL_DEPTH)
 
 
 def _vertical(J: Ideal, n: int, depth: int) -> VerticalResult:
@@ -667,7 +645,7 @@ def _vertical(J: Ideal, n: int, depth: int) -> VerticalResult:
 
     lead_coeffs = sorted(
         {t.coefficient for t in rel if t.is_mixed and not t.coefficient.is_constant()},
-        key=_poly_sort_key,
+        key=str,
     )
     for h in lead_coeffs:
         off, _ = saturation(current, transport(h, ring))

@@ -392,8 +392,13 @@ class Ideal:
         return self.groebner_basis(GREVLEX).elements == other.groebner_basis(GREVLEX).elements
 
 
-def _lift_to(ring: PolynomialRing, polys: Iterable[Polynomial]) -> list[Polynomial]:
-    return [transport(p, ring) for p in polys]
+def _inverted(ideal: Ideal, h: Polynomial) -> Ideal:
+    """``ideal + (1 - t*h)`` in the ring extended by a fresh last variable t."""
+    ext = ideal.ring.extend([ideal.ring.fresh_name("t")])
+    t = ext.variable(ext.variables[-1])
+    gens = [transport(g, ext) for g in ideal.generators]
+    gens.append(ext.one() - t * transport(h, ext))
+    return Ideal(ext, gens)
 
 
 def radical_member(f: Polynomial, ideal: Ideal) -> bool:
@@ -408,28 +413,17 @@ def radical_member(f: Polynomial, ideal: Ideal) -> bool:
         return True
     if ideal.contains(f):
         return True
-    ext = ideal.ring.extend([ideal.ring.fresh_name("t")])
-    t = ext.variable(ext.variables[-1])
-    gens = _lift_to(ext, ideal.generators)
-    gens.append(ext.one() - t * transport(f, ext))
-    return Ideal(ext, gens).is_unit()
+    return _inverted(ideal, f).is_unit()
 
 
-def elimination_ideal(ideal: Ideal, keep: int | Sequence[str]) -> Ideal:
-    """Intersection of ``ideal`` with the subring of the first ``keep`` variables.
+def elimination_ideal(ideal: Ideal, count: int) -> Ideal:
+    """Intersection of ``ideal`` with the subring of the first ``count`` variables.
 
-    ``keep`` must be a prefix block: the target variables, or the target
-    variables plus an initial segment of the source block.  The result lives
-    in the correspondingly restricted ring.
+    The kept variables are a prefix block: the target variables, or the
+    target variables plus an initial segment of the source block.  The result
+    lives in the correspondingly restricted ring.
     """
     ring = ideal.ring
-    if isinstance(keep, int):
-        count = keep
-    else:
-        names = tuple(keep)
-        if names != ring.variables[: len(names)]:
-            raise FibrephiError("keep must be a prefix of the ring's variables")
-        count = len(names)
     if count <= 0 or count > ring.arity:
         raise FibrephiError(f"cannot keep {count} of {ring.arity} variables")
     if count == ring.arity:
@@ -451,9 +445,10 @@ def elimination_ideal(ideal: Ideal, keep: int | Sequence[str]) -> Ideal:
 def saturation(ideal: Ideal, h: Polynomial) -> tuple[Ideal, int]:
     """Saturation ``ideal : h^infinity`` with a certified exponent.
 
-    Returns ``(sat, s)`` where ``h^s * g`` lies in ``ideal`` for every
-    generator ``g`` of the result.  Geometrically the saturation cuts out the
-    closure of ``V(ideal)`` minus ``V(h)``.
+    The saturation is ``(ideal + (1 - t*h))`` with t eliminated.  Returns
+    ``(sat, s)`` where ``h^s * g`` lies in ``ideal`` for every generator
+    ``g`` of the result.  Geometrically the saturation cuts out the closure
+    of ``V(ideal)`` minus ``V(h)``.
     """
     if h.ring != ideal.ring:
         raise RingMismatchError("saturation operands must share a ring")
@@ -461,19 +456,7 @@ def saturation(ideal: Ideal, h: Polynomial) -> tuple[Ideal, int]:
         raise ZeroPolynomialError("cannot saturate by the zero polynomial")
     if h.is_constant():
         return ideal, 0
-    ring = ideal.ring
-    ext = ring.extend([ring.fresh_name("t")])
-    t = ext.variable(ext.variables[-1])
-    gens = _lift_to(ext, ideal.generators)
-    gens.append(ext.one() - t * transport(h, ext))
-    extended = Ideal(ext, gens)
-    basis = extended.groebner_basis(Block(ring.arity))
-    kept = [
-        transport(g, ring)
-        for g in basis.elements
-        if all(not m[ring.arity] for m in g.monomials())
-    ]
-    sat = Ideal(ring, kept)
+    sat = elimination_ideal(_inverted(ideal, h), ideal.ring.arity)
     cap = SATURATION_EXPONENT_CAP
     power = ideal.ring.one()
     for exponent in range(cap + 1):
@@ -493,16 +476,9 @@ def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
     ext = ring.extend([ring.fresh_name("t")])
     t = ext.variable(ext.variables[-1])
     one_minus_t = ext.one() - t
-    gens = [t * g for g in _lift_to(ext, a.generators)]
-    gens += [one_minus_t * g for g in _lift_to(ext, b.generators)]
-    extended = Ideal(ext, gens)
-    basis = extended.groebner_basis(Block(ring.arity))
-    kept = [
-        transport(g, ring)
-        for g in basis.elements
-        if all(not m[ring.arity] for m in g.monomials())
-    ]
-    return Ideal(ring, kept)
+    gens = [t * transport(g, ext) for g in a.generators]
+    gens += [one_minus_t * transport(g, ext) for g in b.generators]
+    return elimination_ideal(Ideal(ext, gens), ring.arity)
 
 
 def independent_set_dimension(monomials: Iterable[Monomial], nvars: int) -> int:

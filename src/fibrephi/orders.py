@@ -7,7 +7,7 @@ the same way under Python's ordering, so ``max``/``sorted`` work directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add, le, neg, sub
 
 Monomial = tuple[int, ...]
@@ -69,16 +69,15 @@ class Block(MonomialOrder):
 
     Variables at positions ``split`` and above form the dominant block and
     get eliminated; a Groebner basis element whose leading monomial avoids
-    them avoids them everywhere.  Both blocks are compared with grevlex
-    unless other inner orders are supplied.
+    them avoids them everywhere.  Both blocks are compared with grevlex.
+    Saturation and intersection are eliminations of an ideal extended by one
+    auxiliary variable, so this is the only elimination order needed.
     """
 
     split: int
-    front: MonomialOrder = field(default_factory=GrevLex)
-    back: MonomialOrder = field(default_factory=GrevLex)
 
     def key(self, m: Monomial):
-        return (self.back.key(m[self.split:]), self.front.key(m[: self.split]))
+        return (GREVLEX.key(m[self.split:]), GREVLEX.key(m[: self.split]))
 
 
 LEX = Lex()

@@ -300,6 +300,26 @@ def test_repeated_expectation_is_a_setup_error(expect_lines, message, tmp_path, 
     assert f"{path}{message}" in capsys.readouterr().err
 
 
+def test_inline_expect_value_is_a_setup_error(tmp_path, capsys):
+    # a value on the 'expect:' line itself would otherwise be dropped unchecked
+    path = write(tmp_path, MINIMAL + "expect: phi_exact: 7\n")
+    with pytest.raises(SetupError, match=":4: expect values go on indented lines"):
+        load_setup(path)
+    assert main(["corpus", str(tmp_path)]) == EXIT_ERROR
+    assert f"{path}:4: expect values go on indented lines" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["target_equals_ambient", "assert_target_locally_irreducible", "assert_target_pure_dimensional"],
+)
+def test_malformed_boolean_value_carries_its_line(key, tmp_path):
+    path = write(tmp_path, MINIMAL + "# a comment line still counts\n" + f"{key}: maybe\n")
+    with pytest.raises(SetupError) as err:
+        load_setup(path)
+    assert str(err.value) == f"{path}:5: expected true/false, got 'maybe'"
+
+
 def test_compare_expectations_reports_drift():
     document = {"phi_upper": 2, "strata": [{"j": 0, "image_dim": 3}]}
     assert compare_expectations(document, {"phi_upper": "2"}) == []

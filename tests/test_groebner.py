@@ -23,7 +23,7 @@ from fibrephi import (
     saturation,
 )
 from fibrephi.cli import load_setup
-from fibrephi.errors import ResourceLimitError, ZeroPolynomialError
+from fibrephi.errors import FibrephiError, ResourceLimitError, ZeroPolynomialError
 from fibrephi import groebner
 from fibrephi.groebner import independent_set_dimension
 from fibrephi.orders import Block
@@ -373,11 +373,12 @@ def test_elimination_generators_stay_in_ideal():
         assert ideal.contains(transport(g, ring))
 
 
-def test_elimination_requires_prefix():
+@pytest.mark.parametrize("count", [0, 4])
+def test_elimination_count_out_of_range(count):
     ring = PolynomialRing(("y1", "y2"), ("x",))
     ideal = Ideal(ring, [P("x - y1", ring)])
-    with pytest.raises(Exception):
-        elimination_ideal(ideal, ("y2",))
+    with pytest.raises(FibrephiError, match=f"cannot keep {count} of 3 variables"):
+        elimination_ideal(ideal, count)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +444,26 @@ def test_intersection_with_zero_ideal():
     ring = ring_xy()
     meet = ideal_intersection(Ideal(ring, []), Ideal(ring, [P("x", ring)]))
     assert meet.is_zero_ideal
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        PolynomialRing(("y1", "y2"), ()),
+        PolynomialRing((), ("x1", "x2")),
+        PolynomialRing(("y1",), ("x1",)),
+    ],
+    ids=["target-only", "source-only", "mixed"],
+)
+def test_saturation_and_intersection_stay_in_the_input_ring(ring):
+    # both eliminate an auxiliary variable appended to the source block
+    u, v = (ring.variable(name) for name in ring.variables)
+    sat, s = saturation(Ideal(ring, [u * v]), u)
+    assert sat.ring == ring and s == 1
+    assert sat.equals(Ideal(ring, [v]))
+    meet = ideal_intersection(Ideal(ring, [u]), Ideal(ring, [v]))
+    assert meet.ring == ring
+    assert meet.equals(Ideal(ring, [u * v]))
 
 
 # ---------------------------------------------------------------------------
