@@ -216,53 +216,25 @@ def fibre_at_point(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelativeTerm:
-    """One block-order basis element seen as a polynomial in x over y.
-
-    ``x_monomial`` is the exponent tuple over the source block only; a purely
-    target-side element carries the trivial x-monomial and is its own
-    coefficient.  ``vanishes`` marks coefficients that vanish identically on
-    the constraint variety they were computed against.
-    """
-
-    element: Polynomial
-    x_monomial: Monomial
-    coefficient: Polynomial
-    vanishes: bool
-
-    @property
-    def is_mixed(self) -> bool:
-        return any(self.x_monomial)
-
-
-def _relative_split(element: Polynomial, yring: PolynomialRing) -> tuple[Monomial, Polynomial]:
-    split = element.ring.split
-    groups: dict[Monomial, dict[Monomial, Fraction]] = {}
-    for mono, coeff in element.as_dict().items():
-        groups.setdefault(mono[split:], {})[mono[:split]] = coeff
-    x_lead = max(groups, key=GREVLEX.key)
-    coefficient = Polynomial(yring, groups[x_lead])
-    return x_lead, coefficient
-
-
-def relative_terms(J: Ideal, constraints: Ideal | None = None) -> list[RelativeTerm]:
+def relative_terms(J: Ideal) -> list[tuple[Monomial, Polynomial]]:
     """Relative leading data of the block-order basis of ``J``.
 
-    ``constraints`` (an ideal of the target ring) defines the locus against
-    which vanishing of coefficients is flagged; by default the zero ideal, so
-    nothing is flagged.
+    Each basis element, seen as a polynomial in x over y, gives the pair of
+    its x-leading monomial (the exponent tuple over the source block only)
+    and that monomial's coefficient in the target ring.  A purely
+    target-side element carries the trivial x-monomial and is its own
+    coefficient; a mixed one has ``any(x_monomial)``.
     """
     ring = J.ring
     yring = ring.target_ring()
-    if constraints is None:
-        constraints = Ideal(yring, ())
-    basis = J.groebner_basis(ring.source_block_order())
+    split = ring.split
     out = []
-    for g in basis.elements:
-        x_lead, coefficient = _relative_split(g, yring)
-        flagged = (not coefficient.is_constant()) and radical_member(coefficient, constraints)
-        out.append(RelativeTerm(g, x_lead, coefficient, flagged))
+    for g in J.groebner_basis(ring.source_block_order()).elements:
+        groups: dict[Monomial, dict[Monomial, Fraction]] = {}
+        for mono, coeff in g.as_dict().items():
+            groups.setdefault(mono[split:], {})[mono[:split]] = coeff
+        x_lead = max(groups, key=GREVLEX.key)
+        out.append((x_lead, Polynomial(yring, groups[x_lead])))
     return out
 
 
@@ -296,11 +268,18 @@ class Stratum:
 
 @dataclass(frozen=True)
 class Stratification:
-    """The target-side partition of the image by fibre dimension."""
+    """The target-side partition of the image by fibre dimension, one stratum
+    per fibre dimension in increasing order."""
 
     strata: tuple[Stratum, ...]
-    fibre_dimensions: tuple[int, ...]
-    min_fibre_dim: int
+
+    @property
+    def fibre_dimensions(self) -> tuple[int, ...]:
+        return tuple(s.fibre_dim for s in self.strata)
+
+    @property
+    def min_fibre_dim(self) -> int:
+        return self.strata[0].fibre_dim
 
     def stratum(self, j: int) -> Stratum | None:
         for s in self.strata:
@@ -320,7 +299,6 @@ def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
     is finite.
     """
     ring = setup.ring
-    yring = setup.target_ring
     k = setup.k
     J = setup.total_ideal
     cells: list[Cell] = []
@@ -343,22 +321,22 @@ def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
         # stabilize the node: absorb new target equations and vanishing
         # leading coefficients into the constraint ideal
         current = constraint
-        stable: list[RelativeTerm] | None = None
+        stable: list[tuple[Monomial, Polynomial]] | None = None
         for _ in range(64):
             Jc = J.added(transport(g, ring) for g in current.generators)
             if Jc.is_unit():
-                stable = None
                 break
-            rel = relative_terms(Jc, current)
-            pure = [transport(t.coefficient, yring) for t in rel if not t.is_mixed]
+            rel = relative_terms(Jc)
+            pure = [c for x, c in rel if not any(x)]
             new_equations = [g for g in pure if not radical_member(g, current)]
             if new_equations:
                 # off V(new equations) the specialized ideal contains a unit,
                 # so fibres there are empty; only the refined locus survives
                 pending.append(current.added(pure))
-                stable = None
                 break
-            flagged = [t.coefficient for t in rel if t.is_mixed and t.vanishes]
+            flagged = [
+                c for x, c in rel if any(x) and not c.is_constant() and radical_member(c, current)
+            ]
             if not flagged:
                 stable = rel
                 break
@@ -368,14 +346,11 @@ def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
         else:
             raise InternalInconsistencyError("stratification node failed to stabilize")
         if stable is None:
-            continue
+            continue  # an empty locus, or one refined into a pending node
 
-        mixed = [t for t in stable if t.is_mixed]
-        fibre_dim = independent_set_dimension([t.x_monomial for t in mixed], k)
-        lead_coeffs = sorted(
-            {t.coefficient for t in mixed if not t.coefficient.is_constant()},
-            key=str,
-        )
+        mixed = [(x, c) for x, c in stable if any(x)]
+        fibre_dim = independent_set_dimension([x for x, _ in mixed], k)
+        lead_coeffs = sorted({c for _, c in mixed if not c.is_constant()}, key=str)
         closure = current
         for h in lead_coeffs:
             closure = saturation(closure, h)[0]
@@ -409,8 +384,7 @@ def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
                 cells=tuple(group),
             )
         )
-    dims = tuple(sorted(groups))
-    return Stratification(tuple(strata), dims, min(dims))
+    return Stratification(tuple(strata))
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +424,9 @@ def _splitter_candidates(J: Ideal) -> list[Polynomial]:
     for name in sorted(used):
         push(ring.variable(name))
     if ring.target_vars and ring.source_vars:
-        for t in relative_terms(J):
-            if t.is_mixed:
-                push(transport(t.coefficient, ring))
+        for x, c in relative_terms(J):
+            if any(x):
+                push(transport(c, ring))
     return sorted(cands, key=str)
 
 
@@ -620,16 +594,12 @@ def _vertical(J: Ideal, n: int, depth: int) -> VerticalResult:
     # stabilize: leading coefficients vanishing on the image closure are added
     # to the ideal (variety unchanged) until none remain flagged
     current = J
-    rel: list[RelativeTerm] = []
+    rel: list[tuple[Monomial, Polynomial]] = []
     for _ in range(64):
         rel = relative_terms(current)
-        closure_y = Ideal(yring, [transport(t.coefficient, yring) for t in rel if not t.is_mixed])
+        closure_y = Ideal(yring, [c for x, c in rel if not any(x)])
         flagged = [
-            t.coefficient
-            for t in rel
-            if t.is_mixed
-            and not t.coefficient.is_constant()
-            and radical_member(t.coefficient, closure_y)
+            c for x, c in rel if any(x) and not c.is_constant() and radical_member(c, closure_y)
         ]
         if not flagged:
             break
@@ -643,10 +613,7 @@ def _vertical(J: Ideal, n: int, depth: int) -> VerticalResult:
     else:
         raise InternalInconsistencyError("leading-coefficient stabilization did not settle")
 
-    lead_coeffs = sorted(
-        {t.coefficient for t in rel if t.is_mixed and not t.coefficient.is_constant()},
-        key=str,
-    )
+    lead_coeffs = sorted({c for x, c in rel if any(x) and not c.is_constant()}, key=str)
     for h in lead_coeffs:
         off, _ = saturation(current, transport(h, ring))
         for g in off.generators:
@@ -721,10 +688,9 @@ class FibredPower:
 
     The ring repeats the source block i times with renamed variables; the
     ideal joins the target equations with i renamed copies of the source
-    equations.
+    equations.  ``copy_names`` holds the i renamed source blocks in order.
     """
 
-    power: int
     ring: PolynomialRing
     ideal: Ideal
     copy_names: tuple[tuple[str, ...], ...]
@@ -749,7 +715,7 @@ def fibred_power(setup: ProjectionSetup, i: int) -> FibredPower:
     for block in copies:
         rename = dict(zip(setup.ring.source_vars, block))
         gens.extend(transport(g, ring, rename) for g in setup.source_generators)
-    return FibredPower(i, ring, Ideal(ring, gens), tuple(copies))
+    return FibredPower(ring, Ideal(ring, gens), tuple(copies))
 
 
 # ---------------------------------------------------------------------------

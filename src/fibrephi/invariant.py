@@ -72,8 +72,7 @@ def phi_upper(
     strat: Stratification,
     m: int,
     n: int,
-    purity: PurityResult | None = None,
-    pure_attested: bool = False,
+    purity: PurityResult,
 ) -> ExtendedNat:
     """Upper bound from the stratification of a pure-dimensional source.
 
@@ -82,11 +81,8 @@ def phi_upper(
     the minimum, and an empty minimand set (an equidimensional map) gives
     infinity.
     """
-    confirmed = purity is not None and purity.pure is True
-    if not (confirmed or pure_attested):
-        raise PreconditionError(
-            "the upper bound needs the source confirmed or attested pure-dimensional"
-        )
+    if purity.pure is not True:
+        raise PreconditionError("the upper bound needs the source confirmed pure-dimensional")
     values = []
     for stratum in strat.strata:
         j = stratum.fibre_dim
@@ -207,7 +203,6 @@ class PhiReport:
 
 def exactness_rules(
     setup: ProjectionSetup,
-    strat: Stratification,
     upper: ExtendedNat | None,
     lower: ExtendedNat | None,
     vertical: VerticalResult,
@@ -215,7 +210,8 @@ def exactness_rules(
 ) -> tuple[ExtendedNat | None, str | None]:
     """Decide whether phi is known exactly, and under which rule.
 
-    Rules, in the priority used for the reported tag:
+    Rules, in the priority used for the reported tag (the order of
+    ``EXACTNESS_TAGS``, in which they are tried):
       smooth-target          the target ideal is zero, so the target is affine
                              space; the upper bound is attained.
       bounds-meet            lower equals upper (phi >= 0 stands in for an
@@ -249,11 +245,8 @@ def exactness_rules(
     values = {value for _, value in fired}
     if len(values) > 1:
         raise InternalInconsistencyError(f"exactness rules disagree: {fired}")
-    tags = [tag for tag, _ in fired]
-    for tag in EXACTNESS_TAGS:
-        if tag in tags:
-            return fired[tags.index(tag)][1], tag
-    raise AssertionError("unreachable")
+    tag, value = fired[0]
+    return value, tag
 
 
 def phi_by_fibred_powers(setup: ProjectionSetup, i_max: int) -> list[tuple[int, bool | None]]:
@@ -454,7 +447,7 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
 
     exact = tag = None
     if upper is not None:
-        exact, tag = exactness_rules(setup, strat, upper, lower, vertical, purity)
+        exact, tag = exactness_rules(setup, upper, lower, vertical, purity)
 
     power_verdicts: list[tuple[int, bool | None]] = []
     power_summary = None

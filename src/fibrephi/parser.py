@@ -43,9 +43,9 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit also accepts '²' and '٣'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("num", text[i:j], line, col))
             col += j - i
@@ -87,6 +87,13 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.column)
 
+    def integer(self, tok: _Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # beyond Python's limit on int-string conversion
+            self.error(f"integer literal of {len(tok.text)} digits is too long", tok)
+            raise AssertionError("unreachable")
+
     def parse(self) -> Polynomial:
         p = self.expr()
         tok = self.peek()
@@ -124,21 +131,21 @@ class _Parser:
             if tok.kind != "num":
                 self.error("exponent must be a natural number")
             self.advance()
-            p = p ** int(tok.text)
+            p = p ** self.integer(tok)
         return p
 
     def atom(self) -> Polynomial:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            numerator = int(tok.text)
+            numerator = self.integer(tok)
             if self.peek().kind == "op" and self.peek().text == "/":
                 self.advance()
                 den_tok = self.peek()
                 if den_tok.kind != "num":
                     self.error("expected integer denominator")
                 self.advance()
-                den = int(den_tok.text)
+                den = self.integer(den_tok)
                 if den == 0:
                     self.error("zero denominator in rational literal", den_tok)
                 return self.ring.constant(Fraction(numerator, den))

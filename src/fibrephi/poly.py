@@ -131,9 +131,6 @@ class PolynomialRing:
         exp[self.index(name)] = 1
         return Polynomial(self, {tuple(exp): Fraction(1)})
 
-    def monomial(self, exponents: Monomial, coefficient: Scalar = 1) -> "Polynomial":
-        return Polynomial(self, {tuple(exponents): Fraction(coefficient)})
-
 
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
@@ -149,7 +146,9 @@ class Polynomial:
                 continue
             if len(mono) != arity:
                 raise FibrephiError(f"exponent tuple {mono} has wrong arity for {ring!r}")
-            if any(e < 0 for e in mono):
+            if set(map(type, mono)) != {int}:
+                raise FibrephiError(f"non-integer exponent in {mono}")
+            if min(mono) < 0:
                 raise FibrephiError(f"negative exponent in {mono}")
             clean[tuple(mono)] = coeff
         object.__setattr__(self, "ring", ring)
@@ -372,12 +371,12 @@ def _format_monomial(ring: PolynomialRing, mono: Monomial) -> str:
     return "*".join(factors)
 
 
-def format_polynomial(p: Polynomial, order: MonomialOrder = GREVLEX) -> str:
-    """Canonical text form: terms sorted descending under ``order``."""
+def format_polynomial(p: Polynomial) -> str:
+    """Canonical text form: terms sorted descending under grevlex."""
     if p.is_zero:
         return "0"
     chunks: list[str] = []
-    for mono, coeff in p.terms(order):
+    for mono, coeff in p.terms():
         mono_s = _format_monomial(p.ring, mono)
         mag = abs(coeff)
         if not mono_s:

@@ -309,6 +309,14 @@ def test_inline_expect_value_is_a_setup_error(tmp_path, capsys):
     assert f"{path}:4: expect values go on indented lines" in capsys.readouterr().err
 
 
+def test_non_ascii_digit_is_a_setup_error(tmp_path, capsys):
+    path = write(tmp_path, MINIMAL.replace("y*x - 1", "x^\u00b2 - y"))
+    assert main(["stratify", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "source_ideal" in captured.err
+    assert "unexpected character '\u00b2'" in captured.err
+
+
 @pytest.mark.parametrize(
     "key",
     ["target_equals_ambient", "assert_target_locally_irreducible", "assert_target_pure_dimensional"],

@@ -169,7 +169,7 @@ def test_empty_fibre_reports_minus_one():
 
 
 def _relative_coefficients(setup) -> list[str]:
-    return [str(t.coefficient) for t in relative_terms(setup.total_ideal, setup.target_ideal)]
+    return [str(c) for _, c in relative_terms(setup.total_ideal)]
 
 
 def test_relative_coefficients_two_elements():
@@ -187,14 +187,29 @@ def test_relative_coefficients_single_product():
     assert _relative_coefficients(setup) == ["y1"]
 
 
-def test_relative_flagging_against_constraints():
+def test_stratification_absorbs_coefficients_vanishing_on_the_constraint(monkeypatch):
+    # On the target V(y1^2) the leading coefficient y1 of y1*x vanishes, so
+    # the node absorbs it: the whole target is one cell with fibre dimension
+    # 1 and no inequation to saturate by.  Without the absorption the cell
+    # would read fibre dimension 0 off y1*x and saturate by y1.
     ring = PolynomialRing(("y1", "y2"), ("x",))
-    yring = ring.target_ring()
-    J = Ideal(ring, [P("y1*x", ring)])
-    flagged = relative_terms(J, Ideal(yring, [P("y1", yring)]))
-    assert flagged[0].vanishes
-    unflagged = relative_terms(J, Ideal(yring, [P("y2", yring)]))
-    assert not unflagged[0].vanishes
+    setup = make_setup(
+        ring,
+        ambient_target_generators=[P("y1^2", ring)],
+        source_generators=[P("y1*x", ring)],
+    )
+    calls = []
+    saturate = geometry.saturation
+
+    def counted(ideal, h):
+        calls.append(h)
+        return saturate(ideal, h)
+
+    monkeypatch.setattr(geometry, "saturation", counted)
+    strat = stratify_by_fibre_dimension(setup)
+    assert calls == []
+    assert strat.fibre_dimensions == (1,)
+    assert [str(g) for g in strat.stratum(1).image_ideal.generators] == ["y1^2", "y1"]
 
 
 # ---------------------------------------------------------------------------

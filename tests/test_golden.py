@@ -33,10 +33,10 @@ NAMES = sorted(p.stem for p in FIXTURES.glob("*.setup"))
 POWERS = [(name, 2) for name in NAMES] + [("quadric_cone", 3)]
 
 
-def assert_matches_golden(argv: list[str], name: str, golden: Path, tmp_path, capsys):
+def assert_matches_golden(command, options, name, golden, tmp_path, capsys):
     path = FIXTURES / f"{name}.setup"
     out = tmp_path / "report.json"
-    assert main([argv[0], str(path), *argv[1:], "--json", str(out)]) == 0
+    assert main([command, str(path), *options, "--json", str(out)]) == 0
     capsys.readouterr()
     written = f'  "input": {json.dumps(str(path))},\n'
     expected_input = f'  "input": {json.dumps(f"fixtures/{name}.setup")},\n'
@@ -54,10 +54,10 @@ def test_every_fixture_has_a_golden_document():
 @pytest.mark.parametrize("name", NAMES)
 def test_analyze_document_is_byte_identical(name, tmp_path, capsys):
     golden = GOLDEN / f"{name}.json"
-    assert_matches_golden(["analyze", "--max-power", "3"], name, golden, tmp_path, capsys)
+    assert_matches_golden("analyze", ["--max-power", "3"], name, golden, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("name,i", POWERS)
 def test_verify_power_document_is_byte_identical(name, i, tmp_path, capsys):
     golden = GOLDEN / "verify-power" / f"{name}_i{i}.json"
-    assert_matches_golden(["verify-power", "--i", str(i)], name, golden, tmp_path, capsys)
+    assert_matches_golden("verify-power", ["--i", str(i)], name, golden, tmp_path, capsys)

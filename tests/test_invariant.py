@@ -86,7 +86,9 @@ def test_upper_bound_requires_purity():
     unconfirmed = PurityResult(None, 3, ())
     with pytest.raises(PreconditionError):
         phi_upper(strat, setup.m, setup.n, unconfirmed)
-    assert phi_upper(strat, setup.m, setup.n, unconfirmed, pure_attested=True) == ExtendedNat(2)
+    with pytest.raises(PreconditionError):
+        phi_upper(strat, setup.m, setup.n, PurityResult(False, 3, (3, 0)))
+    assert phi_upper(strat, setup.m, setup.n, PurityResult(True, 3, (3,))) == ExtendedNat(2)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +144,7 @@ def test_bounds_meet_beats_complete_intersection():
     strat, purity, vertical = analyzed(setup)
     upper = phi_upper(strat, setup.m, setup.n, purity)
     lower = phi_lower(strat, setup.N, setup.k, setup.r, True)
-    exact, tag = exactness_rules(setup, strat, upper, lower, vertical, purity)
+    exact, tag = exactness_rules(setup, upper, lower, vertical, purity)
     assert exact == ExtendedNat(2) and tag == "bounds-meet"
 
 
@@ -150,7 +152,7 @@ def test_complete_intersection_fires_without_lower_bound():
     setup = quadric_cone_setup()
     strat, purity, vertical = analyzed(setup)
     upper = phi_upper(strat, setup.m, setup.n, purity)
-    exact, tag = exactness_rules(setup, strat, upper, None, vertical, purity)
+    exact, tag = exactness_rules(setup, upper, None, vertical, purity)
     assert exact == ExtendedNat(2) and tag == "complete-intersection"
 
 
@@ -159,7 +161,7 @@ def test_smooth_target_has_priority():
     strat, purity, vertical = analyzed(setup)
     upper = phi_upper(strat, setup.m, setup.n, purity)
     lower = phi_lower(strat, setup.N, setup.k, setup.r, True)
-    exact, tag = exactness_rules(setup, strat, upper, lower, vertical, purity)
+    exact, tag = exactness_rules(setup, upper, lower, vertical, purity)
     assert exact == ExtendedNat(1) and tag == "smooth-target"
 
 
@@ -168,7 +170,7 @@ def test_zero_upper_bound_forces_zero():
     strat, purity, vertical = analyzed(setup)
     upper = phi_upper(strat, setup.m, setup.n, purity)
     assert upper == ExtendedNat(0)
-    exact, tag = exactness_rules(setup, strat, upper, None, vertical, purity)
+    exact, tag = exactness_rules(setup, upper, None, vertical, purity)
     assert exact == ExtendedNat(0) and tag == "smooth-target"
 
 
@@ -190,7 +192,7 @@ def test_curve_target_rule():
     assert (setup.N, setup.n, setup.r) == (2, 1, 2)
     strat, purity, vertical = analyzed(setup)
     upper = phi_upper(strat, setup.m, setup.n, purity)
-    exact, tag = exactness_rules(setup, strat, upper, None, vertical, purity)
+    exact, tag = exactness_rules(setup, upper, None, vertical, purity)
     assert exact == upper and tag == "curve-target"
 
 
@@ -200,7 +202,7 @@ def test_conflicting_rules_abort():
     upper = phi_upper(strat, setup.m, setup.n, purity)
     wrong_vertical = VerticalResult(True, None, "forged")
     with pytest.raises(InternalInconsistencyError):
-        exactness_rules(setup, strat, upper, None, wrong_vertical, purity)
+        exactness_rules(setup, upper, None, wrong_vertical, purity)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Polynomial kernel: parsing, printing, arithmetic, orders, substitution."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,29 @@ def test_parse_syntax_error_position():
     assert err.value.line == 1
 
 
+# Python's limit on the digits of an int-string conversion: 0 when there is
+# none (it was added in 3.10.7 and can be switched off)
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+OVERLONG = "7" * (INT_DIGITS + 1)
+limited = pytest.mark.skipif(not INT_DIGITS, reason="no int-string conversion limit")
+
+
+@pytest.mark.parametrize(
+    "text,column",
+    [
+        pytest.param("x^\u00b2", 3, id="superscript-two"),
+        pytest.param("\u0663*x", 1, id="arabic-indic-three"),
+        pytest.param(OVERLONG + "*x", 1, id="long-numerator", marks=limited),
+        pytest.param("1/" + OVERLONG, 3, id="long-denominator", marks=limited),
+        pytest.param("x^" + OVERLONG, 3, id="long-exponent", marks=limited),
+    ],
+)
+def test_parse_rejects_non_ascii_digits_and_overlong_literals(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, ring_xy())
+    assert (err.value.line, err.value.column) == (1, column)
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
@@ -135,6 +159,16 @@ def test_arithmetic_and_ring_mismatch():
     other = parse_polynomial("y", ring_y_x())
     with pytest.raises(RingMismatchError):
         p * other
+
+
+def test_polynomial_rejects_non_integer_exponents():
+    ring = ring_xy()
+    for exponents in [(0.5, 1), (1.0, 0), (Fraction(1), 0)]:
+        with pytest.raises(FibrephiError, match="non-integer exponent"):
+            Polynomial(ring, {exponents: 1})
+    with pytest.raises(FibrephiError, match="negative exponent"):
+        Polynomial(ring, {(-1, 0): 1})
+    assert Polynomial(ring, {(1, 0): 1}) == parse_polynomial("x", ring)
 
 
 def test_power_and_scale():
