@@ -26,7 +26,6 @@ from .groebner import (
 )
 from .geometry import (
     Cell,
-    FibredPower,
     ProjectionSetup,
     PurityResult,
     Stratification,

@@ -165,7 +165,8 @@ def load_setup(path: str | Path) -> SetupFile:
             raise SetupError(f"{path} ({key}): {exc}") from exc
 
     ambient = poly_list("ambient_target_ideal", keys.get("ambient_target_ideal", (0, "0"))[1])
-    equals = flag("target_equals_ambient", "true")
+    if flag("target_equals_ambient", "true") == ("target_ideal" in keys):
+        raise SetupError(f"{path}: give target_ideal exactly when target_equals_ambient is false")
     target = None
     if "target_ideal" in keys:
         target = poly_list("target_ideal", keys["target_ideal"][1])
@@ -184,7 +185,6 @@ def load_setup(path: str | Path) -> SetupFile:
             ambient_target_generators=ambient,
             source_generators=sources,
             target_generators=target,
-            target_equals_ambient=equals,
             assert_target_locally_irreducible=loc_irr,
             assert_target_pure_dimensional=pure_dim,
         )
@@ -278,7 +278,10 @@ def analysis_document(
         **_header("analyze", setup_file),
         "seed": report.seed,
         "dims": setup_file.setup.dims(),
-        "attestations": dict(report.attestations),
+        "attestations": {
+            "target_locally_irreducible": setup_file.setup.assert_target_locally_irreducible,
+            "target_pure_dimensional": setup_file.setup.assert_target_pure_dimensional,
+        },
         "purity": {
             "pure": purity.pure,
             "dim": purity.dim,
@@ -320,12 +323,12 @@ def run_stratify(setup_file: SetupFile) -> ReportDocument:
 def run_verify_power(setup_file: SetupFile, i: int) -> ReportDocument:
     setup = setup_file.setup
     power = fibred_power(setup, i)
-    result = has_vertical_component(power.ideal, setup)
+    result = has_vertical_component(power, setup)
     document = {
         **_header("verify-power", setup_file),
         "power": i,
         "variables": list(power.ring.variables),
-        "generators": [str(g) for g in power.ideal.generators],
+        "generators": [str(g) for g in power.generators],
         "vertical": _vertical_json(result),
     }
     return ReportDocument(document, inconclusive=result.verdict is None)

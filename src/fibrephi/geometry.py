@@ -61,19 +61,16 @@ class ProjectionSetup:
     """The data of a projection f: X -> Y together with its derived dimensions.
 
     X sits inside Y x Omega where Omega is affine space on the source
-    variables; Y sits inside an ambient space cut out by
-    ``ambient_target_ideal``.  Every derived number is recomputed from the
-    ideals, never trusted from input.  The dimensions carry the paper's
-    letters: ``N`` of the ambient target, ``n`` of Y, ``m`` of X, ``k`` of
-    Omega and ``r`` the number of source generators.
+    variables; Y is cut out by ``target_ideal`` in ``ring.target_ring()``
+    and lies in an ambient target that only ``N`` records.  Every derived
+    number is recomputed from the ideals, never trusted from input.  The
+    dimensions carry the paper's letters: ``N`` of the ambient target, ``n``
+    of Y, ``m`` of X, ``k`` of Omega and ``r`` the number of source generators.
     """
 
     ring: PolynomialRing
-    target_ring: PolynomialRing
-    ambient_target_ideal: Ideal
     target_ideal: Ideal
     source_generators: tuple[Polynomial, ...]
-    target_equals_ambient: bool
     assert_target_locally_irreducible: bool
     assert_target_pure_dimensional: bool
     N: int
@@ -98,11 +95,13 @@ def make_setup(
     ambient_target_generators: Sequence[Polynomial],
     source_generators: Sequence[Polynomial],
     target_generators: Sequence[Polynomial] | None = None,
-    target_equals_ambient: bool = True,
     assert_target_locally_irreducible: bool = False,
     assert_target_pure_dimensional: bool = False,
 ) -> ProjectionSetup:
-    """Validate the input data and compute the derived dimensions N, n, k, r, m."""
+    """Validate the input data and compute the derived dimensions N, n, k, r, m.
+
+    With no ``target_generators`` the target is the ambient target itself.
+    """
     if not ring.target_vars:
         raise SetupError("the ring needs at least one target variable")
     if not ring.source_vars:
@@ -125,13 +124,9 @@ def make_setup(
         return [p for p in out if not p.is_zero]
 
     ambient = Ideal(yring, to_target(ambient_target_generators, "ambient target"))
-    if target_equals_ambient:
-        if target_generators is not None:
-            raise SetupError("target_ideal given although target_equals_ambient is set")
+    if target_generators is None:
         target = ambient
     else:
-        if target_generators is None:
-            raise SetupError("target_ideal required when target_equals_ambient is false")
         target = Ideal(yring, to_target(target_generators, "target"))
         for g in ambient.generators:
             if not radical_member(g, target):
@@ -160,11 +155,8 @@ def make_setup(
 
     return ProjectionSetup(
         ring=ring,
-        target_ring=yring,
-        ambient_target_ideal=ambient,
         target_ideal=target,
         source_generators=sources,
-        target_equals_ambient=target_equals_ambient,
         assert_target_locally_irreducible=assert_target_locally_irreducible,
         assert_target_pure_dimensional=assert_target_pure_dimensional,
         N=ambient_dim,
@@ -194,10 +186,10 @@ def fibre_at_point(
     The point must satisfy the target ideal exactly; the empty fibre reports
     dimension -1.
     """
-    names = setup.target_ring.variables
+    names = setup.ring.target_vars
     if len(point) != len(names):
         raise OffTargetError(f"expected {len(names)} coordinates, got {len(point)}")
-    assignment = {name: Fraction(v) for name, v in zip(names, point)}
+    assignment = dict(zip(names, point))
     for g in setup.target_ideal.generators:
         if g.evaluate(assignment) != 0:
             raise OffTargetError(f"point does not satisfy target equation {g}")
@@ -682,21 +674,13 @@ def single_rational_point(I: Ideal) -> tuple[Fraction, ...] | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FibredPower:
-    """The i-fold fibre product of X with itself over Y.
+def fibred_power(setup: ProjectionSetup, i: int) -> Ideal:
+    """The ideal of the i-fold fibre product of X with itself over Y.
 
-    The ring repeats the source block i times with renamed variables; the
-    ideal joins the target equations with i renamed copies of the source
-    equations.  ``copy_names`` holds the i renamed source blocks in order.
+    Its ring repeats the source block i times with renamed variables: copy t
+    is the t-th k-wide slice of ``ring.source_vars``.  The ideal joins the
+    target equations with i renamed copies of the source equations.
     """
-
-    ring: PolynomialRing
-    ideal: Ideal
-    copy_names: tuple[tuple[str, ...], ...]
-
-
-def fibred_power(setup: ProjectionSetup, i: int) -> FibredPower:
     if i < 1:
         raise FibrephiError("fibred power index must be at least 1")
     taken = set(setup.ring.target_vars)
@@ -715,7 +699,7 @@ def fibred_power(setup: ProjectionSetup, i: int) -> FibredPower:
     for block in copies:
         rename = dict(zip(setup.ring.source_vars, block))
         gens.extend(transport(g, ring, rename) for g in setup.source_generators)
-    return FibredPower(ring, Ideal(ring, gens), tuple(copies))
+    return Ideal(ring, gens)
 
 
 # ---------------------------------------------------------------------------

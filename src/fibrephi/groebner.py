@@ -145,32 +145,12 @@ def _buchberger(seq: list[PolyDict], key) -> list[tuple[Monomial, PolyDict]]:
     leading monomial.
     """
     budget = _ReductionBudget(GROEBNER_MAX_REDUCTIONS)
-
-    polys = [dict(p) for p in seq if p]
-    if not polys:
-        return []
-
-    # inter-reduce the input to a fixpoint first
-    current = polys
-    while True:
-        nxt: list[tuple[Monomial, PolyDict]] = []
-        for p in current:
-            r = _normal_form_dict(p, nxt, key, budget)
-            if r:
-                nxt.append(_monic_dict(r, key))
-        reduced = [q for _, q in nxt]
-        if reduced == current:
-            break
-        current = reduced
-    if not current:
-        return []
-
     f: list[PolyDict] = []
     lms: list[Monomial] = []
     lm_keys: list = []
 
-    # No two installed polynomials share a leading monomial: the input is
-    # inter-reduced, and every later one is reduced by the current basis.
+    # No two installed polynomials share a leading monomial: every one, a
+    # generator or an S-polynomial, is first reduced by the current basis.
     def install(p: PolyDict) -> int:
         lm, p = _monic_dict(p, key)
         f.append(p)
@@ -220,23 +200,24 @@ def _buchberger(seq: list[PolyDict], key) -> list[tuple[Monomial, PolyDict]]:
         return G_new
 
     G: set[int] = set()
-    for p in current:
-        install(p)
-    for ih in sorted(range(len(f)), key=lm_keys.__getitem__):
-        G = update(G, ih)
+    reducers: list[tuple[Monomial, PolyDict]] = []
 
-    reducers = [(lms[g], f[g]) for g in sorted(G, key=lm_keys.__getitem__)]
+    def add(p: PolyDict):
+        nonlocal G, reducers
+        h = _normal_form_dict(p, reducers, key, budget)
+        if h:
+            G = update(G, install(h))
+            reducers = [(lms[g], f[g]) for g in sorted(G, key=lm_keys.__getitem__)]
+
+    # generators enter the way S-polynomials do, smallest leading monomial
+    # first (a stable sort, so ties keep generator order)
+    for p in sorted((p for p in seq if p), key=lambda p: max(map(key, p))):
+        add(p)
     while CP:
         _, i, j = heapq.heappop(heap)
         if CP.pop((i, j), None) is None:
             continue
-        s = _spoly_dict(lms[i], f[i], lms[j], f[j])
-        if not s:
-            continue
-        h = _normal_form_dict(s, reducers, key, budget)
-        if h:
-            G = update(G, install(h))
-            reducers = [(lms[g], f[g]) for g in sorted(G, key=lm_keys.__getitem__)]
+        add(_spoly_dict(lms[i], f[i], lms[j], f[j]))
 
     # An element whose leading monomial another one divides reduces to zero;
     # every other element keeps its monic leading term, so the result stays
@@ -294,7 +275,6 @@ class GroebnerBasis:
     divisor entry, so the basis holds its terms once.
     """
 
-    order: MonomialOrder
     elements: tuple[Polynomial, ...]
     divisors: tuple[tuple[Monomial, PolyDict], ...] = field(repr=False, compare=False)
 
@@ -303,9 +283,6 @@ class GroebnerBasis:
 
     def is_unit(self) -> bool:
         return len(self.elements) == 1 and self.elements[0].is_constant()
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def __len__(self):
         return len(self.elements)
@@ -368,7 +345,7 @@ class Ideal:
                 return cached
             divisors = tuple(_buchberger([g.as_dict() for g in self.generators], order.key))
             elements = tuple(Polynomial._trusted(self.ring, d) for _, d in divisors)
-            basis = GroebnerBasis(order, elements, divisors)
+            basis = GroebnerBasis(elements, divisors)
             self._cache[order] = basis
             return basis
 

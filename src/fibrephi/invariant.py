@@ -170,7 +170,6 @@ class PhiReport:
     multiplicity_bound: int | None
     seed: int
     oracle: dict[str, int]
-    attestations: dict[str, bool]
     warnings: tuple[str, ...]
     notes: tuple[str, ...]
     timings: dict[str, float]
@@ -260,8 +259,7 @@ def phi_by_fibred_powers(setup: ProjectionSetup, i_max: int) -> list[tuple[int, 
         raise FibrephiError("i_max must be at least 1")
     verdicts: list[tuple[int, bool | None]] = []
     for i in range(1, i_max + 1):
-        power = fibred_power(setup, i)
-        result = has_vertical_component(power.ideal, setup)
+        result = has_vertical_component(fibred_power(setup, i), setup)
         verdicts.append((i, result.verdict))
         if result.verdict is not False:
             break
@@ -486,10 +484,6 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
         multiplicity_bound=mbound,
         seed=seed,
         oracle=oracle,
-        attestations={
-            "target_locally_irreducible": setup.assert_target_locally_irreducible,
-            "target_pure_dimensional": setup.assert_target_pure_dimensional,
-        },
         warnings=tuple(warnings),
         notes=tuple(notes),
         timings=timings,

@@ -19,6 +19,11 @@ from typing import NamedTuple
 from .errors import ParseError
 from .poly import Polynomial, PolynomialRing
 
+# Resource cap, read per parse: the term products (len(p) * len(q) summed
+# over every product, each step of a power included) one parse may form.
+# Past it the parse fails with ParseError instead of expanding without bound.
+PARSE_MAX_TERM_PRODUCTS = 100_000
+
 
 class _Token(NamedTuple):
     kind: str  # 'num', 'name', 'op', 'end'
@@ -74,6 +79,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.ring = ring
+        self.budget = PARSE_MAX_TERM_PRODUCTS
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -93,6 +99,12 @@ class _Parser:
         except ValueError:  # beyond Python's limit on int-string conversion
             self.error(f"integer literal of {len(tok.text)} digits is too long", tok)
             raise AssertionError("unreachable")
+
+    def product(self, p: Polynomial, q: Polynomial, op: _Token) -> Polynomial:
+        self.budget -= len(p) * len(q)
+        if self.budget < 0:
+            self.error(f"expansion exceeds {PARSE_MAX_TERM_PRODUCTS} term products", op)
+        return p * q
 
     def parse(self) -> Polynomial:
         p = self.expr()
@@ -119,19 +131,27 @@ class _Parser:
                 sign = -sign
         p = self.factor()
         while self.peek().kind == "op" and self.peek().text == "*":
-            self.advance()
-            p = p * self.factor()
+            op = self.advance()
+            p = self.product(p, self.factor(), op)
         return p if sign > 0 else -p
 
     def factor(self) -> Polynomial:
         p = self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
+            op = self.advance()
             tok = self.peek()
             if tok.kind != "num":
                 self.error("exponent must be a natural number")
             self.advance()
-            p = p ** self.integer(tok)
+            # square and multiply, each product charged to the budget
+            n, power = self.integer(tok), self.ring.one()
+            while n:
+                if n & 1:
+                    power = self.product(power, p, op)
+                n >>= 1
+                if n:
+                    p = self.product(p, p, op)
+            p = power
         return p
 
     def atom(self) -> Polynomial:

@@ -28,6 +28,15 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 Scalar = Fraction | int
 
 
+def _exact(c: Scalar) -> Fraction:
+    """``c`` as a Fraction; a float, a string or any other type is refused."""
+    if type(c) is Fraction:
+        return c
+    if isinstance(c, (int, Fraction)):
+        return Fraction(c)
+    raise FibrephiError(f"{c!r} is not an int or Fraction")
+
+
 class PolynomialRing:
     """An ordered tuple of variable names split into target and source blocks.
 
@@ -121,7 +130,7 @@ class PolynomialRing:
         return self.constant(1)
 
     def constant(self, c: Scalar) -> "Polynomial":
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return self.zero()
         return Polynomial(self, {(0,) * self.arity: c})
@@ -141,7 +150,7 @@ class Polynomial:
         clean: dict[Monomial, Fraction] = {}
         arity = ring.arity
         for mono, coeff in terms.items():
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if coeff == 0:
                 continue
             if len(mono) != arity:
@@ -276,7 +285,7 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, c: Scalar) -> "Polynomial":
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return self.ring.zero()
         return Polynomial(self.ring, {m: c * co for m, co in self._terms.items()})
@@ -321,7 +330,7 @@ class Polynomial:
         """Substitute values for some variables; stays in the same ring."""
         if not assignment:
             return self
-        idx = {self.ring.index(name): Fraction(v) for name, v in assignment.items()}
+        idx = {self.ring.index(name): _exact(v) for name, v in assignment.items()}
         out: dict[Monomial, Fraction] = {}
         for mono, coeff in self._terms.items():
             c = coeff

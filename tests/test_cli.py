@@ -60,8 +60,7 @@ def test_load_family_fixture(fixture_dir):
 
 def test_defaults_and_comments(tmp_path):
     loaded = load_setup(write(tmp_path, MINIMAL + "# trailing comment\n"))
-    assert loaded.setup.target_equals_ambient
-    assert loaded.setup.ambient_target_ideal.is_zero_ideal
+    assert loaded.setup.target_ideal.is_zero_ideal and loaded.setup.N == 1
     assert not loaded.setup.assert_target_locally_irreducible
 
 
@@ -315,6 +314,14 @@ def test_non_ascii_digit_is_a_setup_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "source_ideal" in captured.err
     assert "unexpected character '\u00b2'" in captured.err
+
+
+def test_runaway_power_is_a_setup_error(tmp_path, capsys):
+    path = write(tmp_path, MINIMAL.replace("y*x - 1", "(x+y+1)^200"))
+    assert main(["stratify", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "source_ideal" in captured.err
+    assert "term products" in captured.err
 
 
 @pytest.mark.parametrize(

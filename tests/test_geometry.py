@@ -85,7 +85,6 @@ def test_setup_checks_target_inside_ambient():
             [P("y1 - 1", ring)],
             [P("x", ring)],
             target_generators=[P("y1", ring)],
-            target_equals_ambient=False,
         )
 
 
@@ -97,7 +96,6 @@ def test_setup_with_smaller_target_inside_ambient():
         [],
         [P("x - y2", ring)],
         target_generators=[P("y1", ring)],
-        target_equals_ambient=False,
     )
     assert (setup.N, setup.n) == (2, 1)
 
@@ -111,7 +109,7 @@ def test_image_closure_of_quadric_family():
     setup = quadric_cone_setup()
     image, dim = image_closure(setup.total_ideal)
     assert dim == 3
-    yring = setup.target_ring
+    yring = setup.ring.target_ring()
     assert image.equals(Ideal(yring, [P("y1*y4 - y2*y3", yring)]))
 
 
@@ -232,7 +230,7 @@ def test_family_strata_with_special_image():
     strat = stratify_by_fibre_dimension(setup)
     assert {(s.fibre_dim, s.image_dim) for s in strat.strata} == {(1, 2), (2, 0)}
     image = strat.stratum(2).image_ideal
-    yring = setup.target_ring
+    yring = setup.ring.target_ring()
     # the special image is the coordinate point y1 = y2 = 0, up to radical
     for v in ("y1", "y2"):
         assert radical_member(P(v, yring), image)
@@ -308,8 +306,8 @@ def test_vertical_requires_attestation():
 
 def test_vertical_monotone_across_powers():
     setup = simple_setup("y*x")
-    first = has_vertical_component(fibred_power(setup, 1).ideal, setup)
-    second = has_vertical_component(fibred_power(setup, 2).ideal, setup)
+    first = has_vertical_component(fibred_power(setup, 1), setup)
+    second = has_vertical_component(fibred_power(setup, 2), setup)
     assert first.verdict is True
     assert second.verdict is True
 
@@ -322,15 +320,15 @@ def test_vertical_monotone_across_powers():
 def test_fibred_power_one_matches_original():
     setup = quadric_cone_setup()
     power = fibred_power(setup, 1)
-    rename = dict(zip(power.copy_names[0], setup.ring.source_vars))
-    back = Ideal(setup.ring, [transport(g, setup.ring, rename) for g in power.ideal.generators])
+    rename = dict(zip(power.ring.source_vars, setup.ring.source_vars))
+    back = Ideal(setup.ring, [transport(g, setup.ring, rename) for g in power.generators])
     assert back.equals(setup.total_ideal)
 
 
 def test_fibred_power_generators_by_construction():
     setup = quadric_cone_setup()
     power = fibred_power(setup, 2)
-    texts = {str(g) for g in power.ideal.generators}
+    texts = {str(g) for g in power.generators}
     ring = power.ring
     expected = {
         str(P("y1*y4 - y2*y3", ring)),
@@ -344,18 +342,19 @@ def test_fibred_power_generator_count():
     setup = cyclic_family_setup(2, 2)
     for i in (1, 2, 3):
         power = fibred_power(setup, i)
-        assert len(power.ideal.generators) == i * setup.r + len(setup.target_ideal.generators)
+        assert len(power.generators) == i * setup.r + len(setup.target_ideal.generators)
 
 
 def test_fibred_power_symmetry():
     setup = quadric_cone_setup()
     power = fibred_power(setup, 2)
+    k = setup.k
     swap = {}
-    for a, b in zip(power.copy_names[0], power.copy_names[1]):
+    for a, b in zip(power.ring.source_vars[:k], power.ring.source_vars[k : 2 * k]):
         swap[a] = b
         swap[b] = a
-    swapped = {transport(g, power.ring, swap) for g in power.ideal.generators}
-    assert swapped == set(power.ideal.generators)
+    swapped = {transport(g, power.ring, swap) for g in power.generators}
+    assert swapped == set(power.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +453,7 @@ def test_unmixed_skips_agree_with_saturation(monkeypatch, fixture_dir):
         if setup.assert_target_locally_irreducible:
             has_vertical_component(setup.total_ideal, setup)
             for i in range(1, required_max_power(loaded.expect) + 1):
-                has_vertical_component(fibred_power(setup, i).ideal, setup)
+                has_vertical_component(fibred_power(setup, i), setup)
     monkeypatch.undo()
 
     skipped = 0
@@ -478,7 +477,7 @@ def test_unmixed_certificate_saturation_counts(monkeypatch, fixture_dir):
     # none of which splits it.  Uncertified, each costs a saturation; the
     # certificate skips all of them.
     setup = load_setup(fixture_dir / "cyclic_forms_n3_l3.setup").setup
-    J = fibred_power(setup, 2).ideal
+    J = fibred_power(setup, 2)
     assert _unmixed_dimension(J) == 7
     calls = []
     saturate = geometry.saturation
@@ -517,7 +516,7 @@ def test_sampling_respects_closure_and_inequations():
     for stratum in strat.strata:
         for cell in stratum.cells:
             for pt in sample_cell_points(cell, rng, want=6):
-                values = dict(zip(setup.target_ring.variables, pt))
+                values = dict(zip(setup.ring.target_vars, pt))
                 assert all(g.evaluate(values) == 0 for g in cell.closure.generators)
                 assert all(h.evaluate(values) != 0 for h in cell.inequations)
                 assert all(abs(c.numerator) <= 10**6 for c in pt)

@@ -14,6 +14,7 @@ from fibrephi import (
     Ideal,
     PolynomialRing,
     elimination_ideal,
+    fibred_power,
     ideal_intersection,
     krull_dimension,
     normal_form,
@@ -29,7 +30,7 @@ from fibrephi.groebner import independent_set_dimension
 from fibrephi.orders import Block
 from fibrephi.poly import Polynomial, transport
 
-from conftest import ring_xy, ring_y_x
+from conftest import FIXTURES, ring_xy, ring_y_x
 
 
 def P(text, ring):
@@ -153,17 +154,22 @@ def _random_poly(ring, rng, max_terms=3, max_degree=2):
 
 
 def test_canonicity_under_generator_permutation():
+    # redundant generators (a scalar multiple of a, a*m + b and a + 3*b) in
+    # any order leave the reduced basis unchanged
     ring = PolynomialRing((), ("x", "y", "z"))
     rng = random.Random(20240)
-    for _ in range(25):
-        gens = [_random_poly(ring, rng) for _ in range(3)]
-        gens = [g for g in gens if not g.is_zero]
-        if not gens:
-            continue
-        reference = Ideal(ring, gens).groebner_basis().elements
-        shuffled = gens[:]
-        rng.shuffle(shuffled)
-        assert Ideal(ring, shuffled).groebner_basis().elements == reference
+    for order in (GREVLEX, LEX, Block(1)):
+        for _ in range(25):
+            gens = [_random_poly(ring, rng) for _ in range(3)]
+            gens = [g for g in gens if not g.is_zero]
+            if not gens:
+                continue
+            reference = Ideal(ring, gens).groebner_basis(order).elements
+            a, b = gens[0], gens[-1]
+            m = _random_poly(ring, rng)
+            shuffled = gens + [a.scale(Fraction(-2, 3)), a * m + b, a + 3 * b]
+            rng.shuffle(shuffled)
+            assert Ideal(ring, shuffled).groebner_basis(order).elements == reference
 
 
 def _to_sympy(p, symbols):
@@ -226,6 +232,15 @@ def test_block_order_saturation_ideal_against_sympy_oracle(fixture_dir, fixture,
     h = transport(P(h, ring), ext)
     gens = [transport(g, ext) for g in J.generators] + [ext.one() - t * h]
     _assert_block_basis_matches_sympy(Ideal(ext, gens), ring.arity)
+
+
+@pytest.mark.parametrize("fixture", sorted(p.stem for p in FIXTURES.glob("*.setup")))
+def test_fibred_power_block_basis_against_sympy_oracle(fixture_dir, fixture):
+    # the source-dominant basis of fibred power 2 that elimination_ideal and
+    # relative_terms read
+    setup = load_setup(fixture_dir / f"{fixture}.setup").setup
+    power = fibred_power(setup, 2)
+    _assert_block_basis_matches_sympy(power, power.ring.split)
 
 
 def test_basis_cache_is_stable():

@@ -185,7 +185,6 @@ def test_curve_target_rule():
         # r = 2 generators, so the complete-intersection route cannot fire
         [parse_polynomial("x - y1", ring), parse_polynomial("x - y1", ring)],
         target_generators=[parse_polynomial("y1^2 - y2^3", ring)],
-        target_equals_ambient=False,
         assert_target_locally_irreducible=True,
         assert_target_pure_dimensional=True,
     )
@@ -339,7 +338,6 @@ def _report(**overrides):
         multiplicity_bound=2,
         seed=0,
         oracle={"cells": 2, "points": 10, "skipped": 0, "mismatches": 0},
-        attestations={"target_locally_irreducible": True, "target_pure_dimensional": True},
         warnings=(),
         notes=(),
         timings={},

@@ -1,6 +1,7 @@
 """Polynomial kernel: parsing, printing, arithmetic, orders, substitution."""
 
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,21 @@ def test_parse_rejects_non_ascii_digits_and_overlong_literals(text, column):
     assert (err.value.line, err.value.column) == (1, column)
 
 
+def test_parse_caps_its_term_products():
+    ring = ring_xy()
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="term products") as err:
+        parse_polynomial("(x+y+1)^200", ring)
+    assert time.perf_counter() - start < 1
+    assert (err.value.line, err.value.column) == (1, 8)
+    # the budget spans the whole parse: three affordable powers, then a
+    # product that would run it out, reported at that product's operator
+    with pytest.raises(ParseError, match="term products") as err:
+        parse_polynomial("(x+y+1)^20 * (x+y+1)^20 * (x+y+1)^20", ring)
+    assert (err.value.line, err.value.column) == (1, 25)
+    assert len(parse_polynomial("(x+y+1)^20 * (x+y+1)^20", ring)) == 861
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
@@ -169,6 +185,24 @@ def test_polynomial_rejects_non_integer_exponents():
     with pytest.raises(FibrephiError, match="negative exponent"):
         Polynomial(ring, {(-1, 0): 1})
     assert Polynomial(ring, {(1, 0): 1}) == parse_polynomial("x", ring)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda ring, x: Polynomial(ring, {(0, 1): 0.1}),
+        lambda ring, x: Polynomial(ring, {(0, 1): "1/3"}),
+        lambda ring, x: ring.constant(0.5),
+        lambda ring, x: x.scale(0.1),
+        lambda ring, x: x * 0.5,
+        lambda ring, x: x.specialize({"y": 0.1}),
+    ],
+    ids=["float-term", "string-term", "constant", "scale", "scalar-product", "specialize"],
+)
+def test_coefficients_and_values_must_be_int_or_fraction(make):
+    ring = ring_y_x()
+    with pytest.raises(FibrephiError, match="not an int or Fraction"):
+        make(ring, ring.variable("x"))
 
 
 def test_power_and_scale():

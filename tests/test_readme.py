@@ -1,9 +1,13 @@
-"""The README's quick library session runs and prints what its comments say."""
+"""The README's quick library session runs and prints what its comments say, and
+its setup-file example loads and meets its own expect block."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from fibrephi import analyze
+from fibrephi.cli import analysis_document, compare_expectations, load_setup, required_max_power
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,3 +19,15 @@ def test_readme_library_session_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], str(README), "exec"), {})
     assert out.getvalue().splitlines() == ["1 smooth-target", "((1, False), (2, True))"]
+
+
+def test_readme_setup_file_loads_and_meets_its_expectations(tmp_path):
+    blocks = re.findall(r"```\n(vars_target:.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.setup"
+    path.write_text(blocks[0], encoding="utf-8")
+    setup_file = load_setup(path)
+    assert setup_file.expect
+    report = analyze(setup_file.setup, required_max_power(setup_file.expect))
+    document = analysis_document(setup_file, report).document
+    assert compare_expectations(document, setup_file.expect) == []
