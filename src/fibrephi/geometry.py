@@ -739,10 +739,19 @@ def sample_cell_points(
 
     Free coordinates get random integers of height at most 100; constrained
     coordinates are solved from the lexicographic basis (linear exactly,
-    quadratic via rational square roots).  Membership is verified by
+    quadratic via rational square roots, a random choice between two distinct
+    roots and no draw for a double root).  Membership is verified by
     evaluating every closure generator, so a returned point is guaranteed to
     lie on the cell.  Cells where no point is found within the attempt budget
     come back empty; callers should report the skip.
+
+    ``SAMPLE_ATTEMPTS`` is an upper bound: sampling stops after the first
+    attempt that drew no random number, whatever that attempt's outcome.  An
+    attempt depends only on the lex basis, the closure generators, the
+    inequations and its draws, so with no draw it is a pure function of the
+    cell, and every later attempt would take the same path, reach the same
+    outcome and again draw nothing.  Stopping therefore returns the list the
+    full budget would return and leaves ``rng`` where it would leave it.
     """
     closure = cell.closure
     ring = closure.ring
@@ -759,9 +768,11 @@ def sample_cell_points(
 
     points: list[tuple[Fraction, ...]] = []
     seen: set[tuple[Fraction, ...]] = set()
+    drew = True
     for _ in range(SAMPLE_ATTEMPTS):
-        if len(points) >= want:
+        if len(points) >= want or not drew:
             break
+        drew = False
         values: dict[str, Fraction] = {}
         ok = True
         for v in reversed(range(n)):
@@ -773,6 +784,7 @@ def sample_cell_points(
                     constraints.append(u)
             if not constraints:
                 values[name] = Fraction(rng.randint(-100, 100))
+                drew = True
                 continue
             candidate: Fraction | None = None
             u = constraints[0]
@@ -789,7 +801,11 @@ def sample_cell_points(
                     ok = False
                 else:
                     options = sorted({(-b + root) / (2 * a), (-b - root) / (2 * a)})
-                    candidate = rng.choice(options)
+                    if len(options) == 1:
+                        candidate = options[0]
+                    else:
+                        candidate = rng.choice(options)
+                        drew = True
             else:
                 ok = False
             if not ok:

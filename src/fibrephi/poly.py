@@ -291,6 +291,8 @@ class Polynomial:
         return Polynomial(self.ring, {m: c * co for m, co in self._terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise FibrephiError(f"exponent of a polynomial must be an int, got {n!r}")
         if n < 0:
             raise FibrephiError("negative power of a polynomial")
         result = self.ring.one()

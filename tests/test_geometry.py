@@ -1,6 +1,7 @@
 """Projection geometry: setups, images, fibres, stratification, verticality,
 component splitting, purity, fibred powers and rational sampling."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -31,7 +32,10 @@ from fibrephi.errors import (
     SetupError,
 )
 from fibrephi.geometry import (
+    LEX,
+    _rational_sqrt,
     _splitter_candidates,
+    _univariate_coefficients,
     _unmixed_dimension,
     relative_terms,
     single_rational_point,
@@ -605,3 +609,116 @@ def test_sampling_is_seed_deterministic():
     first = sample_cell_points(cell, Random(42), want=5)
     second = sample_cell_points(cell, Random(42), want=5)
     assert first == second
+
+
+def _reference_sample_cell_points(cell, rng, want):
+    """The sampler run to the full attempt budget, with no early stop.
+
+    Returns the points and whether any attempt met a double root (where this
+    loop still calls ``rng.choice`` on a single option).
+    """
+    closure = cell.closure
+    ring = closure.ring
+    basis = closure.groebner_basis(LEX)
+    if basis.is_unit():
+        return [], False
+    by_leading_var = {}
+    for g in basis.elements:
+        lead = min(i for mono in g.monomials() for i, e in enumerate(mono) if e)
+        by_leading_var.setdefault(lead, []).append(g)
+    points, seen, double_root = [], set(), False
+    for _ in range(geometry.SAMPLE_ATTEMPTS):
+        if len(points) >= want:
+            break
+        values = {}
+        ok = True
+        for v in reversed(range(ring.arity)):
+            name = ring.variables[v]
+            specialized = (g.specialize(values) for g in by_leading_var.get(v, []))
+            constraints = [u for u in specialized if not u.is_zero]
+            if not constraints:
+                values[name] = Fraction(rng.randint(-100, 100))
+                continue
+            candidate = None
+            coeffs = _univariate_coefficients(constraints[0], v)
+            degree = len(coeffs) - 1
+            if degree == 1:
+                candidate = -coeffs[0] / coeffs[1]
+            elif degree == 2:
+                a, b, c = coeffs[2], coeffs[1], coeffs[0]
+                root = _rational_sqrt(b * b - 4 * a * c)
+                if root is not None:
+                    options = sorted({(-b + root) / (2 * a), (-b - root) / (2 * a)})
+                    double_root = double_root or len(options) == 1
+                    candidate = rng.choice(options)
+            if candidate is None or any(
+                u2.specialize({name: candidate}).constant_value() != 0 for u2 in constraints[1:]
+            ):
+                ok = False
+                break
+            values[name] = candidate
+        if not ok:
+            continue
+        point = tuple(values[name] for name in ring.variables)
+        if any(g.evaluate(values) != 0 for g in closure.generators):
+            continue
+        if any(h.evaluate(values) == 0 for h in cell.inequations):
+            continue
+        if point not in seen:
+            seen.add(point)
+            points.append(point)
+    return points, double_root
+
+
+def test_sampling_stop_agrees_with_full_budget(fixture_dir):
+    # Stopping after an attempt that drew nothing must return what the full
+    # budget returns; with no double root the rng must also end in the same
+    # state, so later cells of one oracle run see the same stream.
+    compared = double_roots = 0
+    for path in sorted(fixture_dir.glob("*.setup")):
+        strat = stratify_by_fibre_dimension(load_setup(path).setup)
+        for stratum in strat.strata:
+            for cell in stratum.cells:
+                for seed in range(5):
+                    for want in (5, 20):
+                        fast_rng, slow_rng = Random(seed), Random(seed)
+                        fast = sample_cell_points(cell, fast_rng, want=want)
+                        slow, double_root = _reference_sample_cell_points(cell, slow_rng, want)
+                        assert fast == slow, (path.name, cell.closure.generators, seed, want)
+                        if double_root:
+                            double_roots += 1
+                        else:
+                            assert fast_rng.getstate() == slow_rng.getstate(), path.name
+                        compared += 1
+    assert compared > 100 and 0 < double_roots < compared
+
+
+@pytest.mark.parametrize(
+    "fixture, fibre_dim, calls",
+    [
+        # cyclic (3, 3) over y1 = y2 = y3 = 0: one constrained coordinate per
+        # variable and no draw.
+        ("cyclic_forms_n3_l3.setup", 3, 3),
+        # the vertex of the quadric cone: the basis element y3^2 gives a
+        # double root, which is taken without a draw.
+        ("quadric_cone.setup", 1, 4),
+    ],
+)
+def test_single_point_cell_is_sampled_once(monkeypatch, fixture_dir, fixture, fibre_dim, calls):
+    # One attempt solves each coordinate once; running the whole budget would
+    # make SAMPLE_ATTEMPTS times as many calls.
+    strat = stratify_by_fibre_dimension(load_setup(fixture_dir / fixture).setup)
+    (cell,) = strat.stratum(fibre_dim).cells
+    counted = []
+    solve = geometry._univariate_coefficients
+
+    def counting(p, index):
+        counted.append(index)
+        return solve(p, index)
+
+    monkeypatch.setattr(geometry, "_univariate_coefficients", counting)
+    rng = Random(0)
+    state = rng.getstate()
+    assert len(sample_cell_points(cell, rng, want=5)) == 1
+    assert len(counted) == calls
+    assert rng.getstate() == state

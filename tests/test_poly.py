@@ -213,6 +213,14 @@ def test_power_and_scale():
     assert p.scale(0).is_zero
 
 
+@pytest.mark.parametrize("exponent", [0.5, 2.0, True], ids=["half", "float-two", "bool"])
+def test_power_exponent_must_be_an_int(exponent):
+    x = ring_xy().variable("x")
+    with pytest.raises(FibrephiError, match="must be an int"):
+        x**exponent
+    assert x**3 == parse_polynomial("x^3", x.ring)
+
+
 # ---------------------------------------------------------------------------
 # monomial orders
 # ---------------------------------------------------------------------------
