@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .errors import FibrephiError, SetupError
+from .errors import FibrephiError, ParseError, SetupError
 from .geometry import (
     ProjectionSetup,
     Stratification,
@@ -37,7 +37,7 @@ from .geometry import (
     stratify_by_fibre_dimension,
 )
 from .invariant import ExtendedNat, PhiReport, analyze
-from .parser import parse_polynomial, parse_polynomial_list
+from .parser import parse_polynomial
 from .poly import PolynomialRing
 
 EXIT_OK = 0
@@ -96,10 +96,11 @@ def load_setup(path: str | Path) -> SetupFile:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SetupError(f"{path}: not UTF-8 text ({exc})") from exc
+    lines = text.splitlines()
     keys: dict[str, tuple[int, str]] = {}
     expect: dict[str, str] = {}
     in_expect = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = _strip_comment(raw)
         if not line.strip():
             continue
@@ -156,26 +157,31 @@ def load_setup(path: str | Path) -> SetupFile:
     except FibrephiError as exc:
         raise SetupError(f"{path}: {exc}") from exc
 
-    def poly_list(key: str, text: str):
-        if text.strip() == "0":
+    def poly_list(key: str):
+        lineno, value = keys.get(key, (0, "0"))
+        if value == "0":
             return []
-        try:
-            return parse_polynomial_list(text, ring)
-        except FibrephiError as exc:
-            raise SetupError(f"{path} ({key}): {exc}") from exc
+        line = lines[lineno - 1]
+        start = line.index(value, line.index(":") + 1)  # columns before the value
+        polys = []
+        for chunk in value.split(","):
+            try:
+                polys.append(parse_polynomial(chunk, ring))
+            except ParseError as exc:
+                raise SetupError(
+                    f"{path}:{lineno} ({key}): {exc.args[0]} (column {start + exc.column})"
+                ) from exc
+            start += len(chunk) + 1
+        return polys
 
-    ambient = poly_list("ambient_target_ideal", keys.get("ambient_target_ideal", (0, "0"))[1])
+    ambient = poly_list("ambient_target_ideal")
     if flag("target_equals_ambient", "true") == ("target_ideal" in keys):
         raise SetupError(f"{path}: give target_ideal exactly when target_equals_ambient is false")
     target = None
     if "target_ideal" in keys:
-        target = poly_list("target_ideal", keys["target_ideal"][1])
-    sources = []
-    for chunk in need("source_ideal").split(","):
-        try:
-            sources.append(parse_polynomial(chunk, ring))
-        except FibrephiError as exc:
-            raise SetupError(f"{path} (source_ideal): {exc}") from exc
+        target = poly_list("target_ideal")
+    need("source_ideal")
+    sources = poly_list("source_ideal")
     loc_irr = flag("assert_target_locally_irreducible", "false")
     pure_dim = flag("assert_target_pure_dimensional", "false")
 

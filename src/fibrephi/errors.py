@@ -16,12 +16,18 @@ class ZeroPolynomialError(FibrephiError):
 
 
 class ParseError(FibrephiError):
-    """Syntax or semantic error while parsing text input."""
+    """Syntax or semantic error while parsing text input.
+
+    ``args[0]`` is the message without its position.
+    """
 
     def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
+        super().__init__(message)
         self.line = line
         self.column = column
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (line {self.line}, column {self.column})"
 
 
 class SetupError(FibrephiError):

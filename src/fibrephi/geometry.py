@@ -128,11 +128,8 @@ def make_setup(
         target = ambient
     else:
         target = Ideal(yring, to_target(target_generators, "target"))
-        for g in ambient.generators:
-            if not radical_member(g, target):
-                raise SetupError(
-                    "target variety is not contained in the ambient target variety"
-                )
+        if not _variety_contained(target, ambient):
+            raise SetupError("target variety is not contained in the ambient target variety")
 
     sources = tuple(source_generators)
     if not sources:
@@ -209,13 +206,14 @@ def fibre_at_point(
 
 
 def relative_terms(J: Ideal) -> list[tuple[Monomial, Polynomial]]:
-    """Relative leading data of the block-order basis of ``J``.
+    """Relative leading data of the mixed elements of the block-order basis.
 
-    Each basis element, seen as a polynomial in x over y, gives the pair of
-    its x-leading monomial (the exponent tuple over the source block only)
-    and that monomial's coefficient in the target ring.  A purely
-    target-side element carries the trivial x-monomial and is its own
-    coefficient; a mixed one has ``any(x_monomial)``.
+    Each basis element of ``J`` that involves a source variable, seen as a
+    polynomial in x over y, gives the pair of its x-leading monomial (the
+    exponent tuple over the source block only, never trivial) and that
+    monomial's coefficient in the target ring.  The purely target-side
+    elements of the same basis generate the image closure, which
+    ``elimination_ideal(J, J.ring.split)`` reads off the same cached basis.
     """
     ring = J.ring
     yring = ring.target_ring()
@@ -226,7 +224,8 @@ def relative_terms(J: Ideal) -> list[tuple[Monomial, Polynomial]]:
         for mono, coeff in g.as_dict().items():
             groups.setdefault(mono[split:], {})[mono[:split]] = coeff
         x_lead = max(groups, key=GREVLEX.key)
-        out.append((x_lead, Polynomial(yring, groups[x_lead])))
+        if any(x_lead):
+            out.append((x_lead, Polynomial(yring, groups[x_lead])))
     return out
 
 
@@ -316,19 +315,16 @@ def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
         stable: list[tuple[Monomial, Polynomial]] | None = None
         for _ in range(64):
             Jc = J.added(transport(g, ring) for g in current.generators)
-            if Jc.is_unit():
-                break
-            rel = relative_terms(Jc)
-            pure = [c for x, c in rel if not any(x)]
+            pure = elimination_ideal(Jc, ring.split).generators
             new_equations = [g for g in pure if not radical_member(g, current)]
             if new_equations:
                 # off V(new equations) the specialized ideal contains a unit,
                 # so fibres there are empty; only the refined locus survives
+                # (for a unit Jc, pure is [1] and the unit node is skipped)
                 pending.append(current.added(pure))
                 break
-            flagged = [
-                c for x, c in rel if any(x) and not c.is_constant() and radical_member(c, current)
-            ]
+            rel = relative_terms(Jc)
+            flagged = [c for _, c in rel if not c.is_constant() and radical_member(c, current)]
             if not flagged:
                 stable = rel
                 break
@@ -340,9 +336,8 @@ def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
         if stable is None:
             continue  # an empty locus, or one refined into a pending node
 
-        mixed = [(x, c) for x, c in stable if any(x)]
-        fibre_dim = independent_set_dimension([x for x, _ in mixed], k)
-        lead_coeffs = sorted({c for _, c in mixed if not c.is_constant()}, key=str)
+        fibre_dim = independent_set_dimension([x for x, _ in stable], k)
+        lead_coeffs = sorted({c for _, c in stable if not c.is_constant()}, key=str)
         closure = current
         for h in lead_coeffs:
             closure = saturation(closure, h)[0]
@@ -405,9 +400,6 @@ def _splitter_candidates(J: Ideal) -> list[Polynomial]:
         for m in monos[1:]:
             content = monomial_gcd(content, m)
         if any(content):
-            for i, e in enumerate(content):
-                if e:
-                    push(ring.variable(ring.variables[i]))
             cofactor = Polynomial(
                 g.ring,
                 {tuple(a - b for a, b in zip(m, content)): c for m, c in g.as_dict().items()},
@@ -416,9 +408,8 @@ def _splitter_candidates(J: Ideal) -> list[Polynomial]:
     for name in sorted(used):
         push(ring.variable(name))
     if ring.target_vars and ring.source_vars:
-        for x, c in relative_terms(J):
-            if any(x):
-                push(transport(c, ring))
+        for _, c in relative_terms(J):
+            push(transport(c, ring))
     return sorted(cands, key=str)
 
 
@@ -468,17 +459,17 @@ def _split(J: Ideal, depth: int, pure_dim: int | None = None) -> list[Ideal]:
     carry no certificate.
     """
     for h in _splitter_candidates(J):
-        if pure_dim is not None and krull_dimension(J.added([h])) < pure_dim:
+        inside = J.added([h])
+        if pure_dim is not None and krull_dimension(inside) < pure_dim:
             continue  # h vanishes on no component of the pure V(J)
         off, _ = saturation(J, h)
         if off.is_unit():
             continue  # everything lies inside V(h): no off-part to split away
-        if all(radical_member(g, J) for g in off.generators):
+        if _variety_contained(J, off):
             continue  # saturation did not shrink the variety
         if depth <= 0:
             raise ResourceLimitError("component splitting depth cap exceeded")
         pieces = [off]
-        inside = J.added([h])
         # keep only genuine components inside V(h): saturating by the
         # off-part's generators removes the slices of other components
         for g in off.generators:
@@ -496,12 +487,7 @@ def _prune(pieces: Iterable[Ideal]) -> list[Ideal]:
     ordered = sorted(pieces, key=lambda I: tuple(map(str, I.generators)))
     kept: list[Ideal] = []
     for piece in ordered:
-        redundant = False
-        for other in kept:
-            if _variety_contained(piece, other):
-                redundant = True
-                break
-        if redundant:
+        if any(_variety_contained(piece, other) for other in kept):
             continue
         kept = [o for o in kept if not _variety_contained(o, piece)]
         kept.append(piece)
@@ -576,23 +562,20 @@ def has_vertical_component(J: Ideal, setup: ProjectionSetup) -> VerticalResult:
 
 def _vertical(J: Ideal, n: int, depth: int) -> VerticalResult:
     ring = J.ring
-    yring = ring.target_ring()
-
     image, image_dim = image_closure(J)
     if image_dim < n:
         witness = image.generators[0] if image.generators else None
         return VerticalResult(True, witness, f"image closure has dimension {image_dim} < {n}")
 
     # stabilize: leading coefficients vanishing on the image closure are added
-    # to the ideal (variety unchanged) until none remain flagged
+    # to the ideal until none remain flagged.  Each one is checked to vanish
+    # on V(current), so V(current) stays V(J), its image closure keeps the
+    # radical of ``image``, and flags can be tested against ``image``.
     current = J
     rel: list[tuple[Monomial, Polynomial]] = []
     for _ in range(64):
         rel = relative_terms(current)
-        closure_y = Ideal(yring, [c for x, c in rel if not any(x)])
-        flagged = [
-            c for x, c in rel if any(x) and not c.is_constant() and radical_member(c, closure_y)
-        ]
+        flagged = [c for _, c in rel if not c.is_constant() and radical_member(c, image)]
         if not flagged:
             break
         lifted = [transport(c, ring) for c in flagged]
@@ -605,7 +588,7 @@ def _vertical(J: Ideal, n: int, depth: int) -> VerticalResult:
     else:
         raise InternalInconsistencyError("leading-coefficient stabilization did not settle")
 
-    lead_coeffs = sorted({c for x, c in rel if any(x) and not c.is_constant()}, key=str)
+    lead_coeffs = sorted({c for _, c in rel if not c.is_constant()}, key=str)
     for h in lead_coeffs:
         off, _ = saturation(current, transport(h, ring))
         for g in off.generators:
@@ -730,6 +713,20 @@ def _rational_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
+def _rational_roots(u: Polynomial, index: int) -> list[Fraction]:
+    """Distinct rational roots, ascending, of a linear or quadratic polynomial
+    in the variable at ``index``; ``[]`` for any other degree."""
+    coeffs = _univariate_coefficients(u, index)
+    if len(coeffs) == 2:
+        return [-coeffs[0] / coeffs[1]]
+    if len(coeffs) == 3:
+        c, b, a = coeffs
+        root = _rational_sqrt(b * b - 4 * a * c)
+        if root is not None:
+            return sorted({(-b + root) / (2 * a), (-b - root) / (2 * a)})
+    return []
+
+
 def sample_cell_points(
     cell: Cell,
     rng: Random,
@@ -737,10 +734,12 @@ def sample_cell_points(
 ) -> list[tuple[Fraction, ...]]:
     """Exact rational points on a cell: on its closure, off its inequations.
 
-    Free coordinates get random integers of height at most 100; constrained
-    coordinates are solved from the lexicographic basis (linear exactly,
-    quadratic via rational square roots, a random choice between two distinct
-    roots and no draw for a double root).  Membership is verified by
+    Free coordinates get random integers of height at most 100.  A
+    constrained coordinate takes a rational root of the first lexicographic
+    basis element that pins it (``_rational_roots``: linear or quadratic
+    only), with a random choice between two distinct roots and no draw for a
+    double root; the other elements pinning it must vanish there, or the
+    attempt fails.  Membership is verified by
     evaluating every closure generator, so a returned point is guaranteed to
     lie on the cell.  Cells where no point is found within the attempt budget
     come back empty; callers should report the skip.
@@ -767,14 +766,12 @@ def sample_cell_points(
         by_leading_var.setdefault(lead, []).append(g)
 
     points: list[tuple[Fraction, ...]] = []
-    seen: set[tuple[Fraction, ...]] = set()
     drew = True
     for _ in range(SAMPLE_ATTEMPTS):
         if len(points) >= want or not drew:
             break
         drew = False
         values: dict[str, Fraction] = {}
-        ok = True
         for v in reversed(range(n)):
             name = ring.variables[v]
             constraints = []
@@ -786,47 +783,21 @@ def sample_cell_points(
                 values[name] = Fraction(rng.randint(-100, 100))
                 drew = True
                 continue
-            candidate: Fraction | None = None
-            u = constraints[0]
-            coeffs = _univariate_coefficients(u, v)
-            degree = len(coeffs) - 1
-            if degree == 0:
-                ok = False
-            elif degree == 1:
-                candidate = -coeffs[0] / coeffs[1]
-            elif degree == 2:
-                a, b, c = coeffs[2], coeffs[1], coeffs[0]
-                root = _rational_sqrt(b * b - 4 * a * c)
-                if root is None:
-                    ok = False
-                else:
-                    options = sorted({(-b + root) / (2 * a), (-b - root) / (2 * a)})
-                    if len(options) == 1:
-                        candidate = options[0]
-                    else:
-                        candidate = rng.choice(options)
-                        drew = True
-            else:
-                ok = False
-            if not ok:
+            roots = _rational_roots(constraints[0], v)
+            if len(roots) == 2:
+                roots = [rng.choice(roots)]
+                drew = True
+            if not roots or any(
+                u.specialize({name: roots[0]}).constant_value() != 0 for u in constraints[1:]
+            ):
                 break
-            assert candidate is not None
-            for u2 in constraints[1:]:
-                if u2.specialize({name: candidate}).constant_value() != 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-            values[name] = candidate
-        if not ok:
-            continue
-        point = tuple(values[name] for name in ring.variables)
-        if any(g.evaluate(values) != 0 for g in closure.generators):
-            continue
-        if any(h.evaluate(values) == 0 for h in cell.inequations):
-            continue
-        if point in seen:
-            continue
-        seen.add(point)
-        points.append(point)
+            values[name] = roots[0]
+        else:
+            point = tuple(values[name] for name in ring.variables)
+            if any(g.evaluate(values) != 0 for g in closure.generators):
+                continue
+            if any(h.evaluate(values) == 0 for h in cell.inequations):
+                continue
+            if point not in points:  # at most ``want`` points: a list scan is enough
+                points.append(point)
     return points

@@ -219,15 +219,14 @@ def _buchberger(seq: list[PolyDict], key) -> list[tuple[Monomial, PolyDict]]:
             continue
         add(_spoly_dict(lms[i], f[i], lms[j], f[j]))
 
-    # An element whose leading monomial another one divides reduces to zero;
-    # every other element keeps its monic leading term, so the result stays
-    # sorted descending.
+    # No leading monomial in G divides another (update() drops the elements
+    # the new one's divides, and the new one is reduced by all of G), so each
+    # element keeps its monic leading term and the result stays sorted.
     ids = sorted(G, key=lm_keys.__getitem__, reverse=True)
     reduced: list[tuple[Monomial, PolyDict]] = []
     for g in ids:
         r = _normal_form_dict(f[g], [(lms[o], f[o]) for o in ids if o != g], key, budget)
-        if r:
-            reduced.append((lms[g], r))
+        reduced.append((lms[g], r))
     return reduced
 
 

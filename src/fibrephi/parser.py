@@ -194,5 +194,4 @@ def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
 
 def parse_polynomial_list(text: str, ring: PolynomialRing) -> list[Polynomial]:
     """Parse a comma-separated list of polynomials."""
-    parts = [chunk for chunk in text.split(",")]
-    return [parse_polynomial(chunk, ring) for chunk in parts]
+    return [parse_polynomial(chunk, ring) for chunk in text.split(",")]

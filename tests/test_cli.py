@@ -66,7 +66,7 @@ def test_defaults_and_comments(tmp_path):
 
 def test_zero_source_generator_rejected(tmp_path):
     path = write(tmp_path, MINIMAL.replace("y*x - 1", "0"))
-    with pytest.raises(SetupError):
+    with pytest.raises(SetupError, match="at least one source generator is required"):
         load_setup(path)
 
 
@@ -105,6 +105,27 @@ def test_parse_error_carries_location(tmp_path):
     with pytest.raises(SetupError) as err:
         load_setup(path)
     assert "source_ideal" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("source_ideal: y1*x, y2 + z", "(source_ideal): unknown variable 'z' (column 26)"),
+        (
+            "ambient_target_ideal:  y1^2,  y2*w   # w is not a variable",
+            "(ambient_target_ideal): unknown variable 'w' (column 34)",
+        ),
+    ],
+    ids=["source", "ambient"],
+)
+def test_parse_error_reports_file_line_and_column(line, message, tmp_path):
+    text = "vars_target: y1 y2\nvars_source: x\n# comment\n\n" + line + "\n"
+    if not line.startswith("source_ideal"):
+        text += "source_ideal: y1*x\n"
+    path = write(tmp_path, text)
+    with pytest.raises(SetupError) as err:
+        load_setup(path)
+    assert str(err.value) == f"{path}:5 {message}"
 
 
 def test_expect_block_does_not_influence_computation(tmp_path):

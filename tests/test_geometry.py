@@ -301,6 +301,22 @@ def test_quadric_cone_has_no_vertical_component():
     assert has_vertical_component(setup.total_ideal, setup).verdict is False
 
 
+def test_vertical_absorbs_coefficients_vanishing_on_the_image():
+    # Over the target V(y1^2) the source is V(y1) x C, with image V(y1).  The
+    # leading coefficient y1 of y1*x vanishes on that image, so the
+    # stabilization absorbs it and no component is vertical.  Saturating by
+    # y1 without the absorption would empty the ideal and report witness 1.
+    ring = PolynomialRing(("y1", "y2"), ("x",))
+    setup = make_setup(
+        ring,
+        ambient_target_generators=[P("y1^2", ring)],
+        source_generators=[P("y1*x", ring)],
+        assert_target_locally_irreducible=True,
+        assert_target_pure_dimensional=True,
+    )
+    assert has_vertical_component(setup.total_ideal, setup).verdict is False
+
+
 def test_vertical_requires_attestation():
     ring = PolynomialRing(("y",), ("x",))
     setup = make_setup(ring, [], [P("y*x", ring)])

@@ -5,10 +5,15 @@ import pytest
 from fibrephi import (
     INFINITY,
     ExtendedNat,
+    PolynomialRing,
+    analyze,
     certify_multiplicity_query,
     exactness_rules,
     has_vertical_component,
+    invariant,
+    make_setup,
     multiplicity_bound,
+    parse_polynomial,
     phi_by_fibred_powers,
     phi_lower,
     phi_upper,
@@ -239,6 +244,32 @@ def test_power_summary_handles_inconclusive():
     exact, summary = summarize_power_verdicts([(1, False), (2, None)])
     assert exact is None
     assert "inconclusive" in summary
+
+
+def test_analyze_takes_the_exact_value_from_fibred_powers():
+    # A redundant second source generator leaves the cone's geometry alone
+    # but weakens the lower bound to 1, so no exactness rule fires and the
+    # fibred powers alone pin phi = 2.
+    ring = PolynomialRing(("y1", "y2", "y3", "y4"), ("x",))
+    g = "y1*x^2 + y4*x + y2 - y3"
+    setup = make_setup(
+        ring,
+        ambient_target_generators=[parse_polynomial("y1*y4 - y2*y3", ring)],
+        source_generators=[parse_polynomial(text, ring) for text in (g, f"x*({g})")],
+        assert_target_locally_irreducible=True,
+        assert_target_pure_dimensional=True,
+    )
+    report = analyze(setup, max_power=3)
+    assert (report.phi_upper, report.phi_lower) == (ExtendedNat(2), ExtendedNat(1))
+    assert report.phi_exact == ExtendedNat(2)
+    assert report.exactness_tag == "fibred-power-determined"
+    assert report.fibred_power_verdicts == ((1, False), (2, False), (3, True))
+
+
+def test_analyze_rejects_fibred_powers_that_contradict_the_rules(monkeypatch):
+    monkeypatch.setattr(invariant, "phi_by_fibred_powers", lambda setup, i: [(1, True)])
+    with pytest.raises(InternalInconsistencyError, match="fibred powers give phi = 0"):
+        analyze(quadric_cone_setup(), max_power=1)
 
 
 # ---------------------------------------------------------------------------
