@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from random import Random
 from typing import Iterable, Sequence
 
@@ -229,6 +230,33 @@ def relative_terms(J: Ideal) -> list[tuple[Monomial, Polynomial]]:
     return out
 
 
+def _stabilize(J: Ideal, locus: Ideal) -> tuple[Ideal, Ideal, list[tuple[Monomial, Polynomial]]]:
+    """Absorb the relative leading coefficients of J that vanish on V(locus).
+
+    ``locus`` is a target ideal whose zero set holds the image of V(J).  Each
+    round adds the flagged coefficients, in basis order, to ``locus`` and,
+    checked to vanish on V(J), to J: the zero sets stay, but the basis must
+    re-express the elements they led.  Once none is flagged the leading data
+    specialize faithfully off their zero sets (Kalkbrener, JSC 1997;
+    Weispfenning, JSC 1992).  Returns J, locus and ``relative_terms(J)``.
+    """
+    ring = J.ring
+    for _ in range(64):
+        rel = relative_terms(J)
+        flagged = [c for _, c in rel if not c.is_constant() and radical_member(c, locus)]
+        if not flagged:
+            return J, locus, rel
+        # c is in rad(J) iff it is in rad(J's target part), on the cached basis
+        target_part = elimination_ideal(J, ring.split)
+        if not all(radical_member(c, target_part) for c in flagged):
+            raise InternalInconsistencyError(
+                "a coefficient vanishing on the image fails to vanish on the source"
+            )
+        J = J.added(transport(c, ring) for c in flagged)
+        locus = locus.added(flagged)
+    raise InternalInconsistencyError("leading-coefficient stabilization did not settle")
+
+
 # ---------------------------------------------------------------------------
 # stratification by fibre dimension
 # ---------------------------------------------------------------------------
@@ -284,8 +312,9 @@ def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
 
     Each node carries a constraint ideal C of the target ring.  The
     block-order basis of J + C either adds target equations (cutting away a
-    locus of empty fibres), or exposes leading coefficients whose complement
-    is a cell of constant fibre dimension; recursion descends into each
+    locus of empty fibres), or, stabilized against C, exposes leading
+    coefficients whose complement is a cell of constant fibre dimension, its
+    closure one saturation of the grown C; recursion descends into each
     coefficient's zero locus.  Constraint ideals grow strictly, so the tree
     is finite.
     """
@@ -309,40 +338,21 @@ def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
         if constraint.is_unit():
             continue
 
-        # stabilize the node: absorb new target equations and vanishing
-        # leading coefficients into the constraint ideal
-        current = constraint
-        stable: list[tuple[Monomial, Polynomial]] | None = None
-        for _ in range(64):
-            Jc = J.added(transport(g, ring) for g in current.generators)
-            pure = elimination_ideal(Jc, ring.split).generators
-            new_equations = [g for g in pure if not radical_member(g, current)]
-            if new_equations:
-                # off V(new equations) the specialized ideal contains a unit,
-                # so fibres there are empty; only the refined locus survives
-                # (for a unit Jc, pure is [1] and the unit node is skipped)
-                pending.append(current.added(pure))
-                break
-            rel = relative_terms(Jc)
-            flagged = [c for _, c in rel if not c.is_constant() and radical_member(c, current)]
-            if not flagged:
-                stable = rel
-                break
-            # flagged coefficients vanish on V(current); adding them keeps the
-            # variety and forces the basis to re-express those elements
-            current = current.added(flagged)
-        else:
-            raise InternalInconsistencyError("stratification node failed to stabilize")
-        if stable is None:
-            continue  # an empty locus, or one refined into a pending node
+        Jc = J.added(transport(g, ring) for g in constraint.generators)
+        pure = elimination_ideal(Jc, ring.split).generators
+        if any(not radical_member(g, constraint) for g in pure):
+            # off V(new equations) fibres are empty; only the refined locus
+            # survives (a unit Jc has pure [1]: the unit node is skipped).
+            # Once per node suffices: absorbed coefficients vanish on V(Jc),
+            # so the image closure keeps its radical, already inside sqrt(C).
+            pending.append(constraint.added(pure))
+            continue
+        _, current, stable = _stabilize(Jc, constraint)
 
         fibre_dim = independent_set_dimension([x for x, _ in stable], k)
         lead_coeffs = sorted({c for _, c in stable if not c.is_constant()}, key=str)
-        closure = current
-        for h in lead_coeffs:
-            closure = saturation(closure, h)[0]
-            if closure.is_unit():
-                break
+        # (C : h1^inf) : h2^inf = C : (h1*h2)^inf, so one saturation serves
+        closure = saturation(current, prod(lead_coeffs))[0] if lead_coeffs else current
         if not closure.is_unit():
             cells.append(Cell(closure, tuple(lead_coeffs), fibre_dim))
         for h in lead_coeffs:
@@ -567,26 +577,8 @@ def _vertical(J: Ideal, n: int, depth: int) -> VerticalResult:
         witness = image.generators[0] if image.generators else None
         return VerticalResult(True, witness, f"image closure has dimension {image_dim} < {n}")
 
-    # stabilize: leading coefficients vanishing on the image closure are added
-    # to the ideal until none remain flagged.  Each one is checked to vanish
-    # on V(current), so V(current) stays V(J), its image closure keeps the
-    # radical of ``image``, and flags can be tested against ``image``.
-    current = J
-    rel: list[tuple[Monomial, Polynomial]] = []
-    for _ in range(64):
-        rel = relative_terms(current)
-        flagged = [c for _, c in rel if not c.is_constant() and radical_member(c, image)]
-        if not flagged:
-            break
-        lifted = [transport(c, ring) for c in flagged]
-        for c in lifted:
-            if not radical_member(c, current):
-                raise InternalInconsistencyError(
-                    "a coefficient vanishing on the image fails to vanish on the source"
-                )
-        current = current.added(lifted)
-    else:
-        raise InternalInconsistencyError("leading-coefficient stabilization did not settle")
+    # image + flagged has the radical of image, so every flag comes out the same
+    current, _, rel = _stabilize(J, image)
 
     lead_coeffs = sorted({c for _, c in rel if not c.is_constant()}, key=str)
     for h in lead_coeffs:

@@ -219,24 +219,24 @@ def exactness_rules(
                              pure-dimensional with an irreducible target.
       curve-target           one-dimensional attested-irreducible target.
       fibred-power-determined a vertical component in the source pins phi = 0.
+    All but the last need the upper bound, so a non-pure source gets only it.
     """
-    if upper is None:
-        return None, None
     fired: list[tuple[str, ExtendedNat]] = []
-    if setup.target_ideal.is_zero_ideal:
-        fired.append(("smooth-target", upper))
-    effective_lower = lower if lower is not None else ExtendedNat(0)
-    if effective_lower == upper:
-        fired.append(("bounds-meet", upper))
-    if (
-        purity.pure is True
-        and setup.r == (setup.n + setup.k) - setup.m
-        and setup.assert_target_locally_irreducible
-        and setup.assert_target_pure_dimensional
-    ):
-        fired.append(("complete-intersection", upper))
-    if setup.n == 1 and setup.assert_target_locally_irreducible:
-        fired.append(("curve-target", upper))
+    if upper is not None:
+        if setup.target_ideal.is_zero_ideal:
+            fired.append(("smooth-target", upper))
+        effective_lower = lower if lower is not None else ExtendedNat(0)
+        if effective_lower == upper:
+            fired.append(("bounds-meet", upper))
+        if (
+            purity.pure is True
+            and setup.r == (setup.n + setup.k) - setup.m
+            and setup.assert_target_locally_irreducible
+            and setup.assert_target_pure_dimensional
+        ):
+            fired.append(("complete-intersection", upper))
+        if setup.n == 1 and setup.assert_target_locally_irreducible:
+            fired.append(("curve-target", upper))
     if vertical.verdict is True:
         fired.append(("fibred-power-determined", ExtendedNat(0)))
     if not fired:
@@ -443,9 +443,7 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
     else:
         warnings.append("bounds unavailable: non-pure source")
 
-    exact = tag = None
-    if upper is not None:
-        exact, tag = exactness_rules(setup, upper, lower, vertical, purity)
+    exact, tag = exactness_rules(setup, upper, lower, vertical, purity)
 
     power_verdicts: list[tuple[int, bool | None]] = []
     power_summary = None

@@ -19,10 +19,20 @@ from typing import NamedTuple
 from .errors import ParseError
 from .poly import Polynomial, PolynomialRing
 
-# Resource cap, read per parse: the term products (len(p) * len(q) summed
-# over every product, each step of a power included) one parse may form.
-# Past it the parse fails with ParseError instead of expanding without bound.
+# Resource cap, read per parse: the term products one parse may form, summed
+# over every product, each step of a power included.  A term counts once per
+# 64-bit word of its coefficient's numerator and denominator, so a product
+# of p and q costs _weight(p) * _weight(q): len(p) * len(q) for word-sized
+# coefficients, and about the word multiplications for huge ones.  Past it
+# the parse fails with ParseError instead of expanding without bound.
 PARSE_MAX_TERM_PRODUCTS = 100_000
+
+
+def _weight(p: Polynomial) -> int:
+    return sum(
+        1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64
+        for c in p.as_dict().values()
+    )
 
 
 class _Token(NamedTuple):
@@ -101,9 +111,9 @@ class _Parser:
             raise AssertionError("unreachable")
 
     def product(self, p: Polynomial, q: Polynomial, op: _Token) -> Polynomial:
-        self.budget -= len(p) * len(q)
+        self.budget -= _weight(p) * _weight(q)
         if self.budget < 0:
-            self.error(f"expansion exceeds {PARSE_MAX_TERM_PRODUCTS} term products", op)
+            self.error(f"expansion exceeds {PARSE_MAX_TERM_PRODUCTS} weighted term products", op)
         return p * q
 
     def parse(self) -> Polynomial:

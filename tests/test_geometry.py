@@ -317,6 +317,41 @@ def test_vertical_absorbs_coefficients_vanishing_on_the_image():
     assert has_vertical_component(setup.total_ideal, setup).verdict is False
 
 
+def test_stabilization_takes_two_absorption_rounds(monkeypatch):
+    # Over the target V(y1^2*y2) the leading coefficients of this source
+    # vanish on the constraint one after another, so both the stratification
+    # and the vertical test absorb over two rounds before the data settle.
+    ring = PolynomialRing(("y1", "y2"), ("x1", "x2"))
+    setup = make_setup(
+        ring,
+        ambient_target_generators=[P("y1^2*y2", ring)],
+        source_generators=[P("y2^2*x1*x2 + y1*x1^2 + x1", ring)],
+        assert_target_locally_irreducible=True,
+        assert_target_pure_dimensional=True,
+    )
+    calls = []
+    read = geometry.relative_terms
+
+    def counted(J):
+        calls.append(J)
+        return read(J)
+
+    monkeypatch.setattr(geometry, "relative_terms", counted)
+    strat = stratify_by_fibre_dimension(setup)
+    assert len(calls) == 8
+    assert strat.fibre_dimensions == (1,)
+    stratum = strat.stratum(1)
+    assert [str(g) for g in stratum.image_ideal.generators] == ["y1*y2"]
+    assert len(stratum.cells) == 4
+
+    calls.clear()
+    result = has_vertical_component(setup.total_ideal, setup)
+    assert len(calls) == 3
+    assert result.verdict is True
+    assert str(result.witness) == "y1*x1^2 + x1"
+    assert result.detail == "component inside the zero set of y1"
+
+
 def test_vertical_requires_attestation():
     ring = PolynomialRing(("y",), ("x",))
     setup = make_setup(ring, [], [P("y*x", ring)])

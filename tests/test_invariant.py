@@ -272,6 +272,25 @@ def test_analyze_rejects_fibred_powers_that_contradict_the_rules(monkeypatch):
         analyze(quadric_cone_setup(), max_power=1)
 
 
+@pytest.mark.parametrize("max_power", [0, 1])
+def test_vertical_component_pins_phi_without_an_upper_bound(max_power):
+    # V(y*x1, y*x2) is the plane y = 0 with the y-line x = 0: not pure, so
+    # there is no upper bound, but the plane is vertical and phi = 0 whether
+    # or not the fibred powers are scanned
+    ring = PolynomialRing(("y",), ("x1", "x2"))
+    setup = make_setup(
+        ring,
+        ambient_target_generators=[],
+        source_generators=[parse_polynomial(text, ring) for text in ("y*x1", "y*x2")],
+        assert_target_locally_irreducible=True,
+        assert_target_pure_dimensional=True,
+    )
+    report = analyze(setup, max_power=max_power)
+    assert report.purity.pure is False and report.phi_upper is None
+    assert report.vertical.verdict is True
+    assert (report.phi_exact, report.exactness_tag) == (ExtendedNat(0), "fibred-power-determined")
+
+
 # ---------------------------------------------------------------------------
 # multiplicity bound
 # ---------------------------------------------------------------------------

@@ -141,6 +141,18 @@ def test_parse_caps_its_term_products():
     assert len(parse_polynomial("(x+y+1)^20 * (x+y+1)^20", ring)) == 861
 
 
+def test_parse_budget_weighs_coefficient_size():
+    # one term each, but squaring huge numbers is what costs: the budget
+    # counts the 64-bit words of every coefficient, not just the terms
+    ring = ring_xy()
+    for text in ["2^300000000", "(3/7)^300000"]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="term products"):
+            parse_polynomial(text, ring)
+        assert time.perf_counter() - start < 1
+    assert parse_polynomial("2^20000", ring).constant_value() == 2**20000
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
