@@ -345,13 +345,20 @@ def run_verify_power(setup_file: SetupFile, i: int) -> ReportDocument:
 # ---------------------------------------------------------------------------
 
 
+def _natural(text: str, least: int = 0) -> int:
+    value = int(text)
+    if value < least:
+        raise ValueError(f"{value} is below {least}")
+    return value
+
+
 def _parse_expected_phi(text: str):
     t = text.strip().lower()
     if t in ("infinity", "inf"):
         return "infinity"
     if t in ("none", "n/a", "not-applicable", "null"):
         return None
-    return int(t)
+    return _natural(t)
 
 
 def _parse_expected_verdict(text: str):
@@ -366,25 +373,28 @@ def _pairs(text: str) -> list[tuple[str, str]]:
 
 
 # expect key -> (parser of the stated value, reader of the reported value).  A
-# parser raises ValueError or SetupError on a malformed value.
+# parser raises ValueError or SetupError on a malformed value, a negative count
+# or a power index below 1 among them.
 _EXPECT = {
     "phi_upper": (_parse_expected_phi, lambda d: d.get("phi_upper")),
     "phi_lower": (_parse_expected_phi, lambda d: d.get("phi_lower")),
     "phi_exact": (_parse_expected_phi, lambda d: d.get("phi_exact")),
     "exactness_tag": (str.strip, lambda d: d.get("exactness_tag")),
     "strata": (
-        lambda t: {(int(j), int(dim)) for j, dim in _pairs(t)},
+        lambda t: {(_natural(j), _natural(dim)) for j, dim in _pairs(t)},
         lambda d: {(s["j"], s["image_dim"]) for s in d.get("strata", [])},
     ),
     "pure": (_parse_expected_verdict, lambda d: d.get("purity", {}).get("pure")),
-    "pure_dim": (int, lambda d: d.get("purity", {}).get("dim")),
-    "lambda": (int, lambda d: d.get("lambda")),
+    "pure_dim": (_natural, lambda d: d.get("purity", {}).get("dim")),
+    "lambda": (_natural, lambda d: d.get("lambda")),
     "vertical": (_parse_expected_verdict, lambda d: d.get("vertical", {}).get("verdict")),
     "fibred_powers": (
-        lambda t: [{"i": int(i), "verdict": _parse_expected_verdict(v)} for i, v in _pairs(t)],
+        lambda t: [
+            {"i": _natural(i, 1), "verdict": _parse_expected_verdict(v)} for i, v in _pairs(t)
+        ],
         lambda d: d.get("fibred_powers"),
     ),
-    "multiplicity_bound": (int, lambda d: d.get("multiplicity_bound")),
+    "multiplicity_bound": (_natural, lambda d: d.get("multiplicity_bound")),
 }
 
 

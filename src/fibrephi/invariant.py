@@ -200,6 +200,32 @@ class PhiReport:
         )
 
 
+def _routes(setup: ProjectionSetup, purity: PurityResult) -> list[str]:
+    """The structural exactness routes that hold, in ``EXACTNESS_TAGS`` order.
+
+    These are the paper's classes of mappings whose phi is the upper bound:
+      smooth-target          the target ideal is zero, so the target is affine
+                             space.
+      complete-intersection  r equals codimension and source and target are
+                             pure-dimensional with an irreducible target.
+      curve-target           one-dimensional attested-irreducible target.
+    """
+    irreducible = setup.assert_target_locally_irreducible
+    held = []
+    if setup.target_ideal.is_zero_ideal:
+        held.append("smooth-target")
+    if (
+        purity.pure is True
+        and setup.r == (setup.n + setup.k) - setup.m
+        and irreducible
+        and setup.assert_target_pure_dimensional
+    ):
+        held.append("complete-intersection")
+    if setup.n == 1 and irreducible:
+        held.append("curve-target")
+    return held
+
+
 def exactness_rules(
     setup: ProjectionSetup,
     upper: ExtendedNat | None,
@@ -209,34 +235,19 @@ def exactness_rules(
 ) -> tuple[ExtendedNat | None, str | None]:
     """Decide whether phi is known exactly, and under which rule.
 
-    Rules, in the priority used for the reported tag (the order of
-    ``EXACTNESS_TAGS``, in which they are tried):
-      smooth-target          the target ideal is zero, so the target is affine
-                             space; the upper bound is attained.
-      bounds-meet            lower equals upper (phi >= 0 stands in for an
-                             inapplicable lower bound).
-      complete-intersection  r equals codimension and source and target are
-                             pure-dimensional with an irreducible target.
-      curve-target           one-dimensional attested-irreducible target.
-      fibred-power-determined a vertical component in the source pins phi = 0.
-    All but the last need the upper bound, so a non-pure source gets only it.
+    Every structural route of ``_routes`` attains the upper bound, and so does
+    bounds-meet: lower equals upper (phi >= 0 stands in for an inapplicable
+    lower bound).  fibred-power-determined: a vertical component in the
+    source pins phi = 0.  All but the last need the upper bound, so a
+    non-pure source gets only it.  The reported tag is the first that fires
+    in the order of ``EXACTNESS_TAGS``.
     """
-    fired: list[tuple[str, ExtendedNat]] = []
+    held: set[str] = set()
     if upper is not None:
-        if setup.target_ideal.is_zero_ideal:
-            fired.append(("smooth-target", upper))
-        effective_lower = lower if lower is not None else ExtendedNat(0)
-        if effective_lower == upper:
-            fired.append(("bounds-meet", upper))
-        if (
-            purity.pure is True
-            and setup.r == (setup.n + setup.k) - setup.m
-            and setup.assert_target_locally_irreducible
-            and setup.assert_target_pure_dimensional
-        ):
-            fired.append(("complete-intersection", upper))
-        if setup.n == 1 and setup.assert_target_locally_irreducible:
-            fired.append(("curve-target", upper))
+        held.update(_routes(setup, purity))
+        if (lower if lower is not None else ExtendedNat(0)) == upper:
+            held.add("bounds-meet")
+    fired = [(tag, upper) for tag in EXACTNESS_TAGS if tag in held]
     if vertical.verdict is True:
         fired.append(("fibred-power-determined", ExtendedNat(0)))
     if not fired:
@@ -291,25 +302,16 @@ class MultiplicityQuery:
 
     ``common_dim`` is the shared pure dimension of source and target and
     ``special_fibre_dim`` the (positive) fibre dimension over the single
-    special point; ``premises`` records which certifications succeeded.
+    special point.  ``certify_multiplicity_query`` builds it only once every
+    premise of the bound is checked.
     """
 
     common_dim: int
     special_fibre_dim: int
-    premises: tuple[str, ...]
 
     def __post_init__(self):
         if self.common_dim < 1 or self.special_fibre_dim < 1:
             raise FibrephiError("multiplicity query needs positive dimensions")
-
-
-_MULTIPLICITY_PREMISES = (
-    "source-pure",
-    "dimensions-match",
-    "single-positive-stratum",
-    "point-image",
-    "route",
-)
 
 
 def certify_multiplicity_query(
@@ -319,50 +321,25 @@ def certify_multiplicity_query(
 ) -> MultiplicityQuery | None:
     """Check the premises of the fibre-cardinality bound against computed data.
 
-    Needs source and target of one common pure dimension, exactly one stratum
-    of positive fibre dimension whose image is a single rational point, and
-    one of the exactness routes (smooth target, curve target, or complete
-    intersection).  Returns None when any premise fails.
+    Needs source and target of one common pure dimension, one of the
+    structural exactness routes of ``_routes``, and exactly one stratum of
+    positive fibre dimension whose image is a single rational point.  Returns
+    None when any premise fails.
     """
-    premises: list[str] = []
-    if purity.pure is True and setup.assert_target_pure_dimensional:
-        premises.append("source-pure")
-    else:
+    if not (purity.pure is True and setup.assert_target_pure_dimensional):
         return None
-    if setup.m == setup.n and setup.m >= 1:
-        premises.append("dimensions-match")
-    else:
+    if setup.m != setup.n or setup.m < 1 or not _routes(setup, purity):
         return None
     positive = [s for s in strat.strata if s.fibre_dim > 0]
     if len(positive) != 1 or positive[0].image_dim != 0:
         return None
-    premises.append("single-positive-stratum")
-    special = positive[0]
-    if single_rational_point(special.image_ideal) is None:
+    if single_rational_point(positive[0].image_ideal) is None:
         return None  # the special image is not certified to be one rational point
-    premises.append("point-image")
-    smooth = setup.target_ideal.is_zero_ideal
-    curve = setup.n == 1 and setup.assert_target_locally_irreducible
-    complete = (
-        setup.r == (setup.n + setup.k) - setup.m
-        and setup.assert_target_locally_irreducible
-        and setup.assert_target_pure_dimensional
-    )
-    if not (smooth or curve or complete):
-        return None
-    premises.append("route")
-    return MultiplicityQuery(
-        common_dim=setup.m,
-        special_fibre_dim=special.fibre_dim,
-        premises=tuple(premises),
-    )
+    return MultiplicityQuery(common_dim=setup.m, special_fibre_dim=positive[0].fibre_dim)
 
 
 def multiplicity_bound(query: MultiplicityQuery) -> int:
     """Generic fibres have at least [(d - 1) / q] points under the certified premises."""
-    missing = set(_MULTIPLICITY_PREMISES) - set(query.premises)
-    if missing:
-        raise PreconditionError(f"uncertified premises: {sorted(missing)}")
     return (query.common_dim - 1) // query.special_fibre_dim
 
 
@@ -455,14 +432,12 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
         power_verdicts = timed("fibred_powers", lambda: phi_by_fibred_powers(setup, max_power))
         power_exact, power_summary = summarize_power_verdicts(power_verdicts)
         if power_exact is not None:
-            if exact is not None and exact != power_exact:
+            if exact is None:
+                exact, tag = power_exact, "fibred-power-determined"
+            elif exact != power_exact:
                 raise InternalInconsistencyError(
                     f"fibred powers give phi = {power_exact} but rules gave {exact}"
                 )
-            if exact is None:
-                if upper is not None and upper < power_exact:
-                    raise InternalInconsistencyError("power-determined value above upper bound")
-                exact, tag = power_exact, "fibred-power-determined"
 
     mquery = certify_multiplicity_query(setup, strat, purity)
     mbound = multiplicity_bound(mquery) if mquery is not None else None

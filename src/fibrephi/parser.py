@@ -117,7 +117,10 @@ class _Parser:
         return p * q
 
     def parse(self) -> Polynomial:
-        p = self.expr()
+        try:
+            p = self.expr()
+        except RecursionError:  # reported at the '(' the stack ran out on
+            self.error("parentheses nested too deeply")
         tok = self.peek()
         if tok.kind != "end":
             self.error(f"unexpected trailing {tok.text!r}")

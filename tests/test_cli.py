@@ -128,6 +128,20 @@ def test_parse_error_reports_file_line_and_column(line, message, tmp_path):
     assert str(err.value) == f"{path}:5 {message}"
 
 
+def test_deep_nesting_is_a_setup_error_at_its_column(tmp_path, capsys):
+    value = "(" * 400 + "y1*x - y2" + ")" * 400
+    path = write(tmp_path, f"vars_target: y1 y2\nvars_source: x\nsource_ideal: {value}\n")
+    with pytest.raises(SetupError) as err:
+        load_setup(path)
+    message = str(err.value)
+    prefix = f"{path}:3 (source_ideal): parentheses nested too deeply (column "
+    assert message.startswith(prefix) and message.endswith(")")
+    column = int(message[len(prefix) : -1])
+    assert f"source_ideal: {value}"[column - 1] == "("
+    assert main(["analyze", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {prefix}")
+
+
 def test_expect_block_does_not_influence_computation(tmp_path):
     plain = load_setup(write(tmp_path, MINIMAL))
     with_expect = load_setup(
@@ -294,6 +308,16 @@ def test_required_max_power():
         ("fibred_powers", "first:false"),
         ("fibred_powers", "1:unknown"),
         ("multiplicity_bound", "many"),
+        ("phi_exact", "-1"),
+        ("phi_upper", "-2"),
+        ("phi_lower", "-1"),
+        ("strata", "0:-1"),
+        ("strata", "-1:0"),
+        ("pure_dim", "-1"),
+        ("lambda", "-1"),
+        ("multiplicity_bound", "-1"),
+        ("fibred_powers", "0:false"),
+        ("fibred_powers", "1:false, -2:true"),
     ],
 )
 def test_malformed_expect_value_is_a_setup_error(key, value, tmp_path, capsys):

@@ -26,7 +26,7 @@ from fibrephi.errors import (
     InternalInconsistencyError,
     PreconditionError,
 )
-from fibrephi.geometry import PurityResult, VerticalResult
+from fibrephi.geometry import PurityResult, VerticalResult, single_rational_point
 from fibrephi.invariant import MultiplicityQuery, PhiReport
 
 from conftest import cyclic_family_setup, quadric_cone_setup, simple_setup
@@ -246,20 +246,24 @@ def test_power_summary_handles_inconclusive():
     assert "inconclusive" in summary
 
 
-def test_analyze_takes_the_exact_value_from_fibred_powers():
-    # A redundant second source generator leaves the cone's geometry alone
-    # but weakens the lower bound to 1, so no exactness rule fires and the
-    # fibred powers alone pin phi = 2.
+def redundant_cone_setup():
+    # the quadric cone with a redundant second source generator: the same
+    # geometry, but r = 2 is no longer the codimension 1
     ring = PolynomialRing(("y1", "y2", "y3", "y4"), ("x",))
     g = "y1*x^2 + y4*x + y2 - y3"
-    setup = make_setup(
+    return make_setup(
         ring,
         ambient_target_generators=[parse_polynomial("y1*y4 - y2*y3", ring)],
         source_generators=[parse_polynomial(text, ring) for text in (g, f"x*({g})")],
         assert_target_locally_irreducible=True,
         assert_target_pure_dimensional=True,
     )
-    report = analyze(setup, max_power=3)
+
+
+def test_analyze_takes_the_exact_value_from_fibred_powers():
+    # The redundant generator weakens the lower bound to 1, so no exactness
+    # rule fires and the fibred powers alone pin phi = 2.
+    report = analyze(redundant_cone_setup(), max_power=3)
     assert (report.phi_upper, report.phi_lower) == (ExtendedNat(2), ExtendedNat(1))
     assert report.phi_exact == ExtendedNat(2)
     assert report.exactness_tag == "fibred-power-determined"
@@ -319,24 +323,22 @@ def test_multiplicity_premises_fail_on_unequal_dimensions():
     assert certify_multiplicity_query(setup, strat, purity) is None
 
 
-def test_multiplicity_requires_certified_premises():
-    query = MultiplicityQuery(common_dim=1, special_fibre_dim=1, premises=("route",))
-    with pytest.raises(PreconditionError):
-        multiplicity_bound(query)
+def test_multiplicity_needs_a_structural_route():
+    # m = n = 3, a pure source and one positive stratum over the rational
+    # origin: every premise holds but the route (no smooth or curve target,
+    # and r = 2 is not the codimension)
+    setup = redundant_cone_setup()
+    strat, purity, _ = analyzed(setup)
+    assert (setup.m, setup.n, purity.pure) == (3, 3, True)
+    positive = [s for s in strat.strata if s.fibre_dim > 0]
+    assert [(s.fibre_dim, s.image_dim) for s in positive] == [(1, 0)]
+    assert single_rational_point(positive[0].image_ideal) is not None
+    assert certify_multiplicity_query(setup, strat, purity) is None
+    assert analyze(setup).multiplicity_bound is None
 
 
 def test_multiplicity_degenerate_dimension():
-    query = MultiplicityQuery(
-        common_dim=1,
-        special_fibre_dim=1,
-        premises=(
-            "source-pure",
-            "dimensions-match",
-            "single-positive-stratum",
-            "point-image",
-            "route",
-        ),
-    )
+    query = MultiplicityQuery(common_dim=1, special_fibre_dim=1)
     assert multiplicity_bound(query) == 0
 
 

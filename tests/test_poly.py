@@ -126,6 +126,18 @@ def test_parse_rejects_non_ascii_digits_and_overlong_literals(text, column):
     assert (err.value.line, err.value.column) == (1, column)
 
 
+def test_parse_reports_deep_nesting_at_its_position():
+    # the recursive descent runs out of stack before the closing parentheses
+    text = "(" * 400 + "x - y" + ")" * 400
+    with pytest.raises(ParseError, match="nested too deeply") as err:
+        parse_polynomial("\n" + text, ring_xy())
+    assert err.value.line == 2 and 1 < err.value.column <= 400
+    assert text[err.value.column - 1] == "("
+    assert parse_polynomial("(" * 50 + "x - y" + ")" * 50, ring_xy()) == parse_polynomial(
+        "x - y", ring_xy()
+    )
+
+
 def test_parse_caps_its_term_products():
     ring = ring_xy()
     start = time.perf_counter()
