@@ -329,7 +329,7 @@ def run_stratify(setup_file: SetupFile) -> ReportDocument:
 def run_verify_power(setup_file: SetupFile, i: int) -> ReportDocument:
     setup = setup_file.setup
     power = fibred_power(setup, i)
-    result = has_vertical_component(power, setup)
+    result = has_vertical_component(setup, i)
     document = {
         **_header("verify-power", setup_file),
         "power": i,

@@ -246,9 +246,10 @@ def _stabilize(J: Ideal, locus: Ideal) -> tuple[Ideal, Ideal, list[tuple[Monomia
         flagged = [c for _, c in rel if not c.is_constant() and radical_member(c, locus)]
         if not flagged:
             return J, locus, rel
-        # c is in rad(J) iff it is in rad(J's target part), on the cached basis
+        # c is in rad(J) iff it is in rad(J's target part), on the cached basis;
+        # a target part equal to locus was asked that question by the flag test
         target_part = elimination_ideal(J, ring.split)
-        if not all(radical_member(c, target_part) for c in flagged):
+        if target_part != locus and not all(radical_member(c, target_part) for c in flagged):
             raise InternalInconsistencyError(
                 "a coefficient vanishing on the image fails to vanish on the source"
             )
@@ -540,9 +541,14 @@ class VerticalResult:
     """Three-valued verdict on the existence of a vertical component.
 
     ``verdict`` True means some irreducible component of the source maps into
-    a proper closed subset of the target; the witness polynomial vanishes on
-    that component but not on the whole source.  None means the recursion
-    depth was exhausted before a decision; it is never coerced to False.
+    a proper closed subset of the target.  What the witness shows depends on
+    the route that decided.  A saturation witness vanishes on such a
+    component but not on the whole source.  A dimension witness is a relative
+    leading coefficient h of X, pulled back to the source: V(h o f) has a
+    larger dimension than any component that dominates the target can have
+    inside it, so h proves that a vertical component exists but need not
+    vanish on it.  None means the recursion depth was exhausted before a
+    decision; it is never coerced to False.
     """
 
     verdict: bool | None
@@ -550,24 +556,78 @@ class VerticalResult:
     detail: str = ""
 
 
-def has_vertical_component(J: Ideal, setup: ProjectionSetup) -> VerticalResult:
-    """Decide whether V(J) has a component with lower-dimensional image.
+def has_vertical_component(setup: ProjectionSetup, i: int) -> VerticalResult:
+    """Decide whether the fibred power X^(i) has a component with lower-dimensional image.
 
     Requires the target to be attested locally irreducible: the test reads
     "image inside a proper closed subset" as "empty interior", which needs an
-    irreducible target.  ``J`` may live in the setup's own ring or in a
-    fibred-power ring sharing the target block.  The recursion into
-    pseudo-components stops, inconclusive, after ``VERTICAL_DEPTH`` levels.
+    irreducible target.  Two dimension counts decide first
+    (``_vertical_by_dimension``: the generic fibre dimension, by Kalkbrener,
+    JSC 1997, and Weispfenning, JSC 1992, against Krull's height theorem,
+    Matsumura Thm 13.5); when neither fires, saturation and
+    pseudo-component splitting decide (``_vertical``), and that recursion
+    stops, inconclusive, after ``VERTICAL_DEPTH`` levels.
     """
     if not setup.assert_target_locally_irreducible:
         raise PreconditionError(
             "vertical-component detection requires the locally-irreducible attestation"
         )
-    if J.ring.target_vars != setup.ring.target_vars:
-        raise FibrephiError("ideal does not share the setup's target block")
-    if J.is_unit():
-        return VerticalResult(False, None, "empty space has no components")
+    J = fibred_power(setup, i)
+    certified = _vertical_by_dimension(setup, J, i)
+    if certified is not None:
+        return certified
     return _vertical(J, setup.n, VERTICAL_DEPTH)
+
+
+def _vertical_by_dimension(setup: ProjectionSetup, J: Ideal, i: int) -> VerticalResult | None:
+    """The vertical test on J, the ideal of X^(i), by two dimension counts.
+
+    Off the zero sets of the non-constant relative leading coefficients h_a
+    of X's block basis, every fibre of X is empty or has the dimension lambda
+    of its x-leading monomials (Kalkbrener, JSC 1997; Weispfenning, JSC
+    1992), so every fibre F_y^i of X^(i) has dimension at most i*lambda.
+    Returns None, for the saturation path to decide, when the image of X is
+    not dense in the irreducible target Y, when some h_a vanishes on Y, or
+    when neither count fires:
+
+    - A component of X^(i) that dominates Y has dimension at most
+      n + i*lambda, and no h_a o f vanishes on it, so it meets V(h_a o f) in
+      lower dimension.  ``dim V(J + (h_a)) >= n + i*lambda`` proves a vertical
+      component; h_a is the witness.
+    - Every component of V(J) has dimension at least c, the arity of J's ring
+      minus its number of generators (Krull's height theorem; Matsumura,
+      *Commutative Ring Theory*, Thm 13.5).  A vertical component inside no
+      V(h_a o f) has an open dense part off them, with an image of dimension
+      below n and fibres of dimension at most i*lambda, so its dimension is
+      below n + i*lambda; one inside V(h_a o f) has dimension at most
+      ``dim V(J + (h_a))``.  ``n + i*lambda <= c`` with every
+      ``dim V(J + (h_a)) < c`` proves there is none.
+    """
+    total = setup.total_ideal
+    if image_closure(total)[1] < setup.n:
+        return None
+    rel = relative_terms(total)
+    lead_coeffs = sorted({c for _, c in rel if not c.is_constant()}, key=str)
+    if any(radical_member(h, setup.target_ideal) for h in lead_coeffs):
+        return None
+    bound = setup.n + i * independent_set_dimension([x for x, _ in rel], setup.k)
+    for h in lead_coeffs:
+        witness = transport(h, J.ring)
+        d = krull_dimension(J.added([witness]))
+        if d >= bound:
+            return VerticalResult(
+                True, witness, f"zero set of {h} has dimension {d} >= n + i*lambda = {bound}"
+            )
+    c = J.ring.arity - len(J.generators)
+    if bound > c:
+        return None
+    # each dim V(J + (h_a)) is below bound, so below c
+    return VerticalResult(
+        False,
+        None,
+        f"every component has dimension >= {c} >= n + i*lambda = {bound}, "
+        "more than each leading-coefficient zero set",
+    )
 
 
 def _vertical(J: Ideal, n: int, depth: int) -> VerticalResult:
@@ -654,10 +714,13 @@ def fibred_power(setup: ProjectionSetup, i: int) -> Ideal:
 
     Its ring repeats the source block i times with renamed variables: copy t
     is the t-th k-wide slice of ``ring.source_vars``.  The ideal joins the
-    target equations with i renamed copies of the source equations.
+    target equations with i renamed copies of the source equations.  The
+    power 1 is X itself, ``setup.total_ideal``, whose cached bases then serve.
     """
     if i < 1:
         raise FibrephiError("fibred power index must be at least 1")
+    if i == 1:
+        return setup.total_ideal
     taken = set(setup.ring.target_vars)
     copies: list[tuple[str, ...]] = []
     for t in range(1, i + 1):

@@ -25,7 +25,6 @@ from .geometry import (
     Stratification,
     VerticalResult,
     fibre_at_point,
-    fibred_power,
     has_vertical_component,
     pure_dimension_check,
     sample_cell_points,
@@ -270,7 +269,7 @@ def phi_by_fibred_powers(setup: ProjectionSetup, i_max: int) -> list[tuple[int, 
         raise FibrephiError("i_max must be at least 1")
     verdicts: list[tuple[int, bool | None]] = []
     for i in range(1, i_max + 1):
-        result = has_vertical_component(fibred_power(setup, i), setup)
+        result = has_vertical_component(setup, i)
         verdicts.append((i, result.verdict))
         if result.verdict is not False:
             break
@@ -397,7 +396,7 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
     purity = timed("purity", lambda: pure_dimension_check(setup.total_ideal))
     attested = setup.assert_target_locally_irreducible
     if attested:
-        vertical = timed("vertical", lambda: has_vertical_component(setup.total_ideal, setup))
+        vertical = timed("vertical", lambda: has_vertical_component(setup, 1))
         if vertical.verdict is None:
             warnings.append("vertical-component test inconclusive at the configured depth")
     else:

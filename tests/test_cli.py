@@ -199,7 +199,11 @@ def test_analyze_vertical_fixture(fixture_dir):
     doc = report.document
     assert doc["phi_exact"] == 0
     assert doc["vertical"]["verdict"] is True
-    assert doc["vertical"]["witness"] == "x"
+    assert doc["vertical"]["witness"] == "y"
+    assert doc["vertical"]["detail"] == "zero set of y has dimension 1 >= n + i*lambda = 1"
+    setup = loaded.setup
+    slow = geometry._vertical(setup.total_ideal, setup.n, geometry.VERTICAL_DEPTH)
+    assert (str(slow.witness), slow.detail) == ("x", "component inside the zero set of y")
 
 
 def test_analyze_infinity_serialization(fixture_dir):
@@ -266,9 +270,18 @@ def analyze_to_json(path: Path, out: Path) -> tuple[int, dict]:
     return code, json.loads(out.read_text(encoding="utf-8"))
 
 
-def test_exhausted_vertical_depth_is_inconclusive(monkeypatch, fixture_dir, tmp_path):
+def test_exhausted_vertical_depth_is_inconclusive(monkeypatch, tmp_path):
+    # the leading coefficient y1 vanishes on the target V(y1^2), so the
+    # dimension counts decline and the saturation path runs out of depth
+    text = (
+        "vars_target: y1 y2\n"
+        "vars_source: x\n"
+        "ambient_target_ideal: y1^2\n"
+        "source_ideal: y1*x\n"
+        "assert_target_locally_irreducible: true\n"
+    )
     monkeypatch.setattr(geometry, "VERTICAL_DEPTH", 0)
-    code, doc = analyze_to_json(fixture_dir / "hyperbola.setup", tmp_path / "out.json")
+    code, doc = analyze_to_json(write(tmp_path, text), tmp_path / "out.json")
     assert code == EXIT_INCONCLUSIVE
     assert doc["vertical"]["verdict"] is None
     assert doc["vertical"]["detail"] == "recursion depth exhausted"

@@ -41,7 +41,7 @@ from fibrephi.geometry import (
     single_rational_point,
 )
 
-from conftest import cyclic_family_setup, quadric_cone_setup, simple_setup
+from conftest import FIXTURES, cyclic_family_setup, quadric_cone_setup, simple_setup
 
 
 def P(text, ring):
@@ -281,40 +281,99 @@ def test_stratification_matches_fibre_oracle():
 # ---------------------------------------------------------------------------
 
 
+def slow_vertical(setup, i):
+    """The saturation-and-splitting path alone, on the ideal of X^(i)."""
+    return geometry._vertical(fibred_power(setup, i), setup.n, geometry.VERTICAL_DEPTH)
+
+
 def test_vertical_line_over_origin():
     setup = simple_setup("y*x")
-    result = has_vertical_component(setup.total_ideal, setup)
+    slow = slow_vertical(setup, 1)
+    assert slow.verdict is True
+    assert str(slow.witness) == "x"
+    assert not radical_member(slow.witness, setup.total_ideal)
+    # V(y*x + (y)) is the whole line {y = 0}: dimension 1 = n + lambda
+    result = has_vertical_component(setup, 1)
     assert result.verdict is True
-    assert str(result.witness) == "x"
-    assert not radical_member(result.witness, setup.total_ideal)
+    assert str(result.witness) == "y"
+    assert result.detail == "zero set of y has dimension 1 >= n + i*lambda = 1"
 
 
 def test_vertical_point_component():
     setup = simple_setup("x*y1, x^2 - x", target_vars=("y1", "y2"), source_vars=("x",))
-    result = has_vertical_component(setup.total_ideal, setup)
+    result = has_vertical_component(setup, 1)
     assert result.verdict is True
     assert not radical_member(result.witness, setup.total_ideal)
 
 
 def test_quadric_cone_has_no_vertical_component():
     setup = quadric_cone_setup()
-    assert has_vertical_component(setup.total_ideal, setup).verdict is False
+    assert has_vertical_component(setup, 1).verdict is False
 
 
-def test_vertical_absorbs_coefficients_vanishing_on_the_image():
-    # Over the target V(y1^2) the source is V(y1) x C, with image V(y1).  The
-    # leading coefficient y1 of y1*x vanishes on that image, so the
-    # stabilization absorbs it and no component is vertical.  Saturating by
-    # y1 without the absorption would empty the ideal and report witness 1.
+def record_slow_path(monkeypatch) -> list[Ideal]:
+    """Record each ideal that reaches the saturation path ``_vertical``."""
+    reached = []
+    vertical = geometry._vertical
+
+    def recording(J, n, depth):
+        reached.append(J)
+        return vertical(J, n, depth)
+
+    monkeypatch.setattr(geometry, "_vertical", recording)
+    return reached
+
+
+def absorbing_setup():
+    """V(y1*x) over the target V(y1^2): the source is V(y1) x C, with image
+    V(y1), on which the leading coefficient y1 of y1*x vanishes."""
     ring = PolynomialRing(("y1", "y2"), ("x",))
-    setup = make_setup(
+    return make_setup(
         ring,
         ambient_target_generators=[P("y1^2", ring)],
         source_generators=[P("y1*x", ring)],
         assert_target_locally_irreducible=True,
         assert_target_pure_dimensional=True,
     )
-    assert has_vertical_component(setup.total_ideal, setup).verdict is False
+
+
+def test_vertical_absorbs_coefficients_vanishing_on_the_image(monkeypatch):
+    # The stabilization absorbs y1 and no component is vertical.  Saturating
+    # by y1 without the absorption would empty the ideal and report witness 1.
+    setup = absorbing_setup()
+    # y1 lies in the radical of the target ideal, so the dimension counts
+    # decline and the saturation path decides
+    reached = record_slow_path(monkeypatch)
+    assert has_vertical_component(setup, 1).verdict is False
+    assert reached[0] is setup.total_ideal
+
+
+def test_stabilize_asks_each_radical_question_once(monkeypatch):
+    # In the first absorbing round J's target part equals the image closure,
+    # so the flag test has already shown that y1 vanishes on V(J).
+    setup = absorbing_setup()
+    image, _ = image_closure(setup.total_ideal)
+    asked = []
+    member = geometry.radical_member
+
+    def counted(f, ideal):
+        asked.append((f, ideal))
+        return member(f, ideal)
+
+    monkeypatch.setattr(geometry, "radical_member", counted)
+    _, locus, rel = geometry._stabilize(setup.total_ideal, image)
+    assert [str(f) for f, _ in asked] == ["y1"]
+    assert [str(g) for g in locus.generators] == ["y1^2", "y1"]
+    assert rel == []
+
+
+def test_vertical_falls_back_when_the_image_is_not_dense(monkeypatch):
+    # X = {0} x C over the y-line: its image, the origin, is not dense
+    setup = simple_setup("y")
+    reached = record_slow_path(monkeypatch)
+    result = has_vertical_component(setup, 1)
+    assert reached == [setup.total_ideal]
+    assert (result.verdict, result.detail) == (True, "image closure has dimension 0 < 1")
 
 
 def test_stabilization_takes_two_absorption_rounds(monkeypatch):
@@ -345,26 +404,66 @@ def test_stabilization_takes_two_absorption_rounds(monkeypatch):
     assert len(stratum.cells) == 4
 
     calls.clear()
-    result = has_vertical_component(setup.total_ideal, setup)
+    result = slow_vertical(setup, 1)
     assert len(calls) == 3
     assert result.verdict is True
     assert str(result.witness) == "y1*x1^2 + x1"
     assert result.detail == "component inside the zero set of y1"
+    # the leading coefficient y1*y2^3 vanishes on the target V(y1^2*y2), so
+    # the dimension counts decline and the saturation path decides
+    assert geometry._vertical_by_dimension(setup, setup.total_ideal, 1) is None
+    assert has_vertical_component(setup, 1) == result
 
 
 def test_vertical_requires_attestation():
     ring = PolynomialRing(("y",), ("x",))
     setup = make_setup(ring, [], [P("y*x", ring)])
     with pytest.raises(PreconditionError):
-        has_vertical_component(setup.total_ideal, setup)
+        has_vertical_component(setup, 1)
 
 
 def test_vertical_monotone_across_powers():
     setup = simple_setup("y*x")
-    first = has_vertical_component(fibred_power(setup, 1), setup)
-    second = has_vertical_component(fibred_power(setup, 2), setup)
+    first = has_vertical_component(setup, 1)
+    second = has_vertical_component(setup, 2)
     assert first.verdict is True
     assert second.verdict is True
+
+
+REPLAYED = [
+    path.stem
+    for path in sorted(FIXTURES.glob("*.setup"))
+    if load_setup(path).setup.assert_target_locally_irreducible
+] + ["cyclic_4_3", "cyclic_4_4"]
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+@pytest.mark.parametrize("name", REPLAYED)
+def test_dimension_certificates_agree_with_the_saturation_path(name, i):
+    # The dimension counts decide every attested fixture and cyclic (4, 3)
+    # and (4, 4) at powers 1-3; each verdict is replayed on the slow path.
+    if name.startswith("cyclic_4_"):
+        setup = cyclic_family_setup(4, int(name[-1]))
+    else:
+        setup = load_setup(FIXTURES / f"{name}.setup").setup
+    certified = geometry._vertical_by_dimension(setup, fibred_power(setup, i), i)
+    assert certified is not None
+    assert slow_vertical(setup, i).verdict is certified.verdict
+
+
+def test_dimension_certificates_make_no_saturation(monkeypatch, fixture_dir):
+    setup = load_setup(fixture_dir / "cyclic_forms_n3_l3.setup").setup
+    calls = []
+    saturate = geometry.saturation
+
+    def counted(ideal, h):
+        calls.append(h)
+        return saturate(ideal, h)
+
+    monkeypatch.setattr(geometry, "saturation", counted)
+    verdicts = [has_vertical_component(setup, i).verdict for i in (1, 2, 3)]
+    assert verdicts == [False, False, True]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +473,7 @@ def test_vertical_monotone_across_powers():
 
 def test_fibred_power_one_matches_original():
     setup = quadric_cone_setup()
-    power = fibred_power(setup, 1)
-    rename = dict(zip(power.ring.source_vars, setup.ring.source_vars))
-    back = Ideal(setup.ring, [transport(g, setup.ring, rename) for g in power.generators])
-    assert back.equals(setup.total_ideal)
+    assert fibred_power(setup, 1) is setup.total_ideal
 
 
 def test_fibred_power_generators_by_construction():
@@ -506,9 +602,9 @@ def test_unmixed_skips_agree_with_saturation(monkeypatch, fixture_dir):
         setup = loaded.setup
         pure_dimension_check(setup.total_ideal)
         if setup.assert_target_locally_irreducible:
-            has_vertical_component(setup.total_ideal, setup)
+            has_vertical_component(setup, 1)
             for i in range(1, required_max_power(loaded.expect) + 1):
-                has_vertical_component(fibred_power(setup, i), setup)
+                has_vertical_component(setup, i)
     monkeypatch.undo()
 
     skipped = 0
@@ -638,7 +734,7 @@ def test_vertical_detector_consistency_on_random_setups():
     for setup in _random_projection_setups(424242, 60):
         strat = stratify_by_fibre_dimension(setup)
         purity = pure_dimension_check(setup.total_ideal)
-        vert = has_vertical_component(setup.total_ideal, setup)
+        vert = has_vertical_component(setup, 1)
         if vert.verdict is None:
             continue
         decided += 1

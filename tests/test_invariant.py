@@ -35,7 +35,7 @@ from conftest import cyclic_family_setup, quadric_cone_setup, simple_setup
 def analyzed(setup):
     strat = stratify_by_fibre_dimension(setup)
     purity = pure_dimension_check(setup.total_ideal)
-    vertical = has_vertical_component(setup.total_ideal, setup)
+    vertical = has_vertical_component(setup, 1)
     return strat, purity, vertical
 
 
