@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .errors import FibrephiError, ParseError, SetupError
+from .errors import FibrephiError, ParseError, ResourceLimitError, SetupError
 from .geometry import (
     ProjectionSetup,
     Stratification,
@@ -329,7 +329,11 @@ def run_stratify(setup_file: SetupFile) -> ReportDocument:
 def run_verify_power(setup_file: SetupFile, i: int) -> ReportDocument:
     setup = setup_file.setup
     power = fibred_power(setup, i)
-    result = has_vertical_component(setup, i)
+    try:
+        strat = stratify_by_fibre_dimension(setup)
+    except ResourceLimitError:
+        strat = None  # the dimension counts decline; the saturation path decides
+    result = has_vertical_component(setup, i, strat)
     document = {
         **_header("verify-power", setup_file),
         "power": i,

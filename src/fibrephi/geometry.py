@@ -14,7 +14,7 @@ fibre dimension is constant on such cells and can be read off combinatorially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 from random import Random
@@ -33,6 +33,7 @@ from .orders import GREVLEX, LEX, Monomial, monomial_gcd
 from .poly import Polynomial, PolynomialRing, transport
 from .groebner import (
     Ideal,
+    _inverted,
     elimination_ideal,
     ideal_intersection,
     independent_set_dimension,
@@ -289,9 +290,15 @@ class Stratum:
 @dataclass(frozen=True)
 class Stratification:
     """The target-side partition of the image by fibre dimension, one stratum
-    per fibre dimension in increasing order."""
+    per fibre dimension in increasing order.
+
+    The vertical test's dimension counts keep what they read off X and these
+    cells in ``_counts``, one entry per setup, so that every fibred power of
+    one run shares them (``_dimension_counts``).
+    """
 
     strata: tuple[Stratum, ...]
+    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def fibre_dimensions(self) -> tuple[int, ...]:
@@ -339,7 +346,13 @@ def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
         if constraint.is_unit():
             continue
 
-        Jc = J.added(transport(g, ring) for g in constraint.generators)
+        # J already holds the root constraint's target equations: keeping J
+        # builds X's block basis once, cached for relative_terms(J) and
+        # image_closure(J) in the purity check and the vertical counts
+        if constraint is setup.target_ideal:
+            Jc = J
+        else:
+            Jc = J.added(transport(g, ring) for g in constraint.generators)
         pure = elimination_ideal(Jc, ring.split).generators
         if any(not radical_member(g, constraint) for g in pure):
             # off V(new equations) fibres are empty; only the refined locus
@@ -556,7 +569,9 @@ class VerticalResult:
     detail: str = ""
 
 
-def has_vertical_component(setup: ProjectionSetup, i: int) -> VerticalResult:
+def has_vertical_component(
+    setup: ProjectionSetup, i: int, strat: Stratification | None
+) -> VerticalResult:
     """Decide whether the fibred power X^(i) has a component with lower-dimensional image.
 
     Requires the target to be attested locally irreducible: the test reads
@@ -564,22 +579,72 @@ def has_vertical_component(setup: ProjectionSetup, i: int) -> VerticalResult:
     irreducible target.  Two dimension counts decide first
     (``_vertical_by_dimension``: the generic fibre dimension, by Kalkbrener,
     JSC 1997, and Weispfenning, JSC 1992, against Krull's height theorem,
-    Matsumura Thm 13.5); when neither fires, saturation and
-    pseudo-component splitting decide (``_vertical``), and that recursion
-    stops, inconclusive, after ``VERTICAL_DEPTH`` levels.
+    Matsumura Thm 13.5).  They read each dim V(J_i + (h)) off ``strat``,
+    X's stratification, as the largest dim(C meet V(h)) + i*C.fibre_dim over
+    its cells C (the fibre-dimension theorem, Hartshorne, *Algebraic
+    Geometry*, Ex. II.3.22), so no power needs a basis in its own ring.
+    When ``strat`` is None (it could not be computed) or neither count fires,
+    saturation and pseudo-component splitting decide (``_vertical``), and
+    that recursion stops, inconclusive, after ``VERTICAL_DEPTH`` levels.
     """
     if not setup.assert_target_locally_irreducible:
         raise PreconditionError(
             "vertical-component detection requires the locally-irreducible attestation"
         )
     J = fibred_power(setup, i)
-    certified = _vertical_by_dimension(setup, J, i)
-    if certified is not None:
-        return certified
+    if strat is not None:
+        certified = _vertical_by_dimension(setup, J, i, strat)
+        if certified is not None:
+            return certified
     return _vertical(J, setup.n, VERTICAL_DEPTH)
 
 
-def _vertical_by_dimension(setup: ProjectionSetup, J: Ideal, i: int) -> VerticalResult | None:
+def _meet_dimension(cell: Cell, h: Polynomial) -> int:
+    """dim(C meet V(h)) for the cell C, -1 when they do not meet.
+
+    C is V(closure) minus V(q), q the product of its inequations, and
+    V(closure + (h), 1 - t*q) maps isomorphically onto (V(closure) meet V(h))
+    minus V(q) (Rabinowitsch), so its dimension is the one sought.
+    """
+    inside = cell.closure.added([h])
+    if cell.inequations:
+        inside = _inverted(inside, prod(cell.inequations))
+    return krull_dimension(inside)
+
+
+def _dimension_counts(
+    setup: ProjectionSetup, strat: Stratification
+) -> tuple[int, list[tuple[Polynomial, list[tuple[int, int]]]]] | None:
+    """What the dimension counts read off X alone, computed once per setup
+    and kept in ``strat``.
+
+    None when the counts decline: the image of X is not dense in the
+    target, or some non-constant relative leading coefficient h_a of X's
+    block basis vanishes on the target.  Otherwise lambda, the dimension of
+    the x-leading monomials, and for each h_a (sorted by text) the pairs
+    (dim(C meet V(h_a)), C.fibre_dim) over the cells C of ``strat``.
+    """
+    if setup in strat._counts:
+        return strat._counts[setup]
+    counts = None
+    total = setup.total_ideal
+    if image_closure(total)[1] >= setup.n:
+        rel = relative_terms(total)
+        lead_coeffs = sorted({c for _, c in rel if not c.is_constant()}, key=str)
+        if not any(radical_member(h, setup.target_ideal) for h in lead_coeffs):
+            cells = [cell for stratum in strat.strata for cell in stratum.cells]
+            lam = independent_set_dimension([x for x, _ in rel], setup.k)
+            counts = lam, [
+                (h, [(_meet_dimension(cell, h), cell.fibre_dim) for cell in cells])
+                for h in lead_coeffs
+            ]
+    strat._counts[setup] = counts
+    return counts
+
+
+def _vertical_by_dimension(
+    setup: ProjectionSetup, J: Ideal, i: int, strat: Stratification
+) -> VerticalResult | None:
     """The vertical test on J, the ideal of X^(i), by two dimension counts.
 
     Off the zero sets of the non-constant relative leading coefficients h_a
@@ -588,35 +653,42 @@ def _vertical_by_dimension(setup: ProjectionSetup, J: Ideal, i: int) -> Vertical
     1992), so every fibre F_y^i of X^(i) has dimension at most i*lambda.
     Returns None, for the saturation path to decide, when the image of X is
     not dense in the irreducible target Y, when some h_a vanishes on Y, or
-    when neither count fires:
+    when neither count fires.
+
+    Each ``d = dim V(J + (h_a))`` is read off X's stratification ``strat``:
+    over a cell C every fibre of X is nonempty of dimension C.fibre_dim, so
+    every fibre of X^(i) there has dimension i*C.fibre_dim, and the preimage
+    of the constructible set C meet V(h_a) has dimension
+    dim(C meet V(h_a)) + i*C.fibre_dim (the fibre-dimension theorem;
+    Hartshorne, *Algebraic Geometry*, Ex. II.3.22).  The cells cover every
+    point of Y with a nonempty fibre, so d is the largest of these over the
+    cells that meet V(h_a), and -1 when none does.  Everything but i comes
+    from ``_dimension_counts``, so a power costs integer arithmetic only.
 
     - A component of X^(i) that dominates Y has dimension at most
       n + i*lambda, and no h_a o f vanishes on it, so it meets V(h_a o f) in
-      lower dimension.  ``dim V(J + (h_a)) >= n + i*lambda`` proves a vertical
-      component; h_a is the witness.
+      lower dimension.  ``d >= n + i*lambda`` proves a vertical component;
+      h_a is the witness.
     - Every component of V(J) has dimension at least c, the arity of J's ring
       minus its number of generators (Krull's height theorem; Matsumura,
       *Commutative Ring Theory*, Thm 13.5).  A vertical component inside no
       V(h_a o f) has an open dense part off them, with an image of dimension
       below n and fibres of dimension at most i*lambda, so its dimension is
-      below n + i*lambda; one inside V(h_a o f) has dimension at most
-      ``dim V(J + (h_a))``.  ``n + i*lambda <= c`` with every
-      ``dim V(J + (h_a)) < c`` proves there is none.
+      below n + i*lambda; one inside V(h_a o f) has dimension at most d.
+      ``n + i*lambda <= c`` with every d below c proves there is none.
     """
-    total = setup.total_ideal
-    if image_closure(total)[1] < setup.n:
+    counts = _dimension_counts(setup, strat)
+    if counts is None:
         return None
-    rel = relative_terms(total)
-    lead_coeffs = sorted({c for _, c in rel if not c.is_constant()}, key=str)
-    if any(radical_member(h, setup.target_ideal) for h in lead_coeffs):
-        return None
-    bound = setup.n + i * independent_set_dimension([x for x, _ in rel], setup.k)
-    for h in lead_coeffs:
-        witness = transport(h, J.ring)
-        d = krull_dimension(J.added([witness]))
+    lam, meets = counts
+    bound = setup.n + i * lam
+    for h, pairs in meets:
+        d = max((e + i * j for e, j in pairs if e >= 0), default=-1)
         if d >= bound:
             return VerticalResult(
-                True, witness, f"zero set of {h} has dimension {d} >= n + i*lambda = {bound}"
+                True,
+                transport(h, J.ring),
+                f"zero set of {h} has dimension {d} >= n + i*lambda = {bound}",
             )
     c = J.ring.arity - len(J.generators)
     if bound > c:

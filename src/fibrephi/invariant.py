@@ -258,21 +258,27 @@ def exactness_rules(
     return value, tag
 
 
-def phi_by_fibred_powers(setup: ProjectionSetup, i_max: int) -> list[tuple[int, bool | None]]:
+def phi_by_fibred_powers(
+    setup: ProjectionSetup,
+    i_max: int,
+    strat: Stratification,
+    first: VerticalResult,
+) -> list[tuple[int, bool | None]]:
     """Vertical-component verdicts on the fibred powers, in increasing order.
 
     phi is the largest i whose i-fold power is vertical-free, so the verdict
     sequence False,...,False,True pins it exactly; the scan stops at the
-    first non-False verdict.
+    first non-False verdict.  The power 1 is X itself: its verdict is
+    ``first``, the vertical test's result on X, and is not asked again.
+    Every power reads its dimension counts off ``strat``, X's stratification.
     """
     if i_max < 1:
         raise FibrephiError("i_max must be at least 1")
-    verdicts: list[tuple[int, bool | None]] = []
-    for i in range(1, i_max + 1):
-        result = has_vertical_component(setup, i)
-        verdicts.append((i, result.verdict))
-        if result.verdict is not False:
+    verdicts: list[tuple[int, bool | None]] = [(1, first.verdict)]
+    for i in range(2, i_max + 1):
+        if verdicts[-1][1] is not False:
             break
+        verdicts.append((i, has_vertical_component(setup, i, strat).verdict))
     return verdicts
 
 
@@ -396,7 +402,7 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
     purity = timed("purity", lambda: pure_dimension_check(setup.total_ideal))
     attested = setup.assert_target_locally_irreducible
     if attested:
-        vertical = timed("vertical", lambda: has_vertical_component(setup, 1))
+        vertical = timed("vertical", lambda: has_vertical_component(setup, 1, strat))
         if vertical.verdict is None:
             warnings.append("vertical-component test inconclusive at the configured depth")
     else:
@@ -428,7 +434,9 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
             "fibred-power verification skipped: requires the locally-irreducible attestation"
         )
     elif max_power >= 1:
-        power_verdicts = timed("fibred_powers", lambda: phi_by_fibred_powers(setup, max_power))
+        power_verdicts = timed(
+            "fibred_powers", lambda: phi_by_fibred_powers(setup, max_power, strat, vertical)
+        )
         power_exact, power_summary = summarize_power_verdicts(power_verdicts)
         if power_exact is not None:
             if exact is None:

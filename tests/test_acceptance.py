@@ -15,7 +15,6 @@ from fibrephi import (
     certify_multiplicity_query,
     fibre_at_point,
     multiplicity_bound,
-    phi_by_fibred_powers,
     pure_dimension_check,
     sample_cell_points,
     stratify_by_fibre_dimension,
@@ -25,7 +24,7 @@ from fibrephi import geometry
 from fibrephi.cli import load_setup, run_corpus
 from fibrephi.poly import Polynomial
 
-from conftest import FIXTURES, cyclic_family_setup, quadric_cone_setup, simple_setup
+from conftest import FIXTURES, cyclic_family_setup, power_scan, quadric_cone_setup, simple_setup
 
 
 @contextmanager
@@ -72,7 +71,7 @@ def test_criterion_2_cyclic_family():
 def test_criterion_3_fibred_power_cross_check():
     with criterion(3, "fibred-power cross-check", budget_seconds=300.0):
         setup = quadric_cone_setup()
-        verdicts = phi_by_fibred_powers(setup, 3)
+        verdicts = power_scan(setup, 3)
         assert verdicts == [(1, False), (2, False), (3, True)]
         exact, _ = summarize_power_verdicts(verdicts)
         assert exact == ExtendedNat(2)

@@ -21,7 +21,7 @@ from fibrephi.cli import (
     run_stratify,
     run_verify_power,
 )
-from fibrephi.errors import FibrephiError, SetupError
+from fibrephi.errors import FibrephiError, ResourceLimitError, SetupError
 
 
 def write(tmp_path: Path, text: str, name="case.setup") -> Path:
@@ -238,6 +238,24 @@ def test_verify_power_document(fixture_dir):
     assert doc["vertical"]["verdict"] is True
     assert doc["power"] == 3
     assert run_verify_power(loaded, 2).document["vertical"]["verdict"] is False
+
+
+@pytest.mark.parametrize("i", [2, 3])
+def test_verify_power_without_a_stratification_takes_the_saturation_path(
+    fixture_dir, monkeypatch, i
+):
+    # The dimension counts decide the quadric cone's powers 2 and 3.  A
+    # stratification that runs out of nodes leaves them nothing to read, so
+    # the saturation path decides, with the same verdict.
+    loaded = load_setup(fixture_dir / "quadric_cone.setup")
+    counted = run_verify_power(loaded, i).document["vertical"]
+    assert "n + i*lambda" in counted["detail"]
+    monkeypatch.setattr(geometry, "STRATIFY_MAX_NODES", 0)
+    with pytest.raises(ResourceLimitError):
+        geometry.stratify_by_fibre_dimension(loaded.setup)
+    saturated = run_verify_power(loaded, i).document["vertical"]
+    assert "n + i*lambda" not in saturated["detail"]
+    assert saturated["verdict"] is counted["verdict"]
 
 
 def test_missing_attestation_yields_inconclusive_exit(tmp_path):

@@ -8,12 +8,14 @@ import pytest
 
 from fibrephi import (
     Ideal,
+    groebner,
     PolynomialRing,
     fibre_at_point,
     fibred_power,
     geometry,
     has_vertical_component,
     image_closure,
+    krull_dimension,
     make_setup,
     parse_polynomial,
     pure_dimension_check,
@@ -41,7 +43,7 @@ from fibrephi.geometry import (
     single_rational_point,
 )
 
-from conftest import FIXTURES, cyclic_family_setup, quadric_cone_setup, simple_setup
+from conftest import FIXTURES, cyclic_family_setup, quadric_cone_setup, simple_setup, vertical
 
 
 def P(text, ring):
@@ -293,7 +295,7 @@ def test_vertical_line_over_origin():
     assert str(slow.witness) == "x"
     assert not radical_member(slow.witness, setup.total_ideal)
     # V(y*x + (y)) is the whole line {y = 0}: dimension 1 = n + lambda
-    result = has_vertical_component(setup, 1)
+    result = vertical(setup, 1)
     assert result.verdict is True
     assert str(result.witness) == "y"
     assert result.detail == "zero set of y has dimension 1 >= n + i*lambda = 1"
@@ -301,14 +303,14 @@ def test_vertical_line_over_origin():
 
 def test_vertical_point_component():
     setup = simple_setup("x*y1, x^2 - x", target_vars=("y1", "y2"), source_vars=("x",))
-    result = has_vertical_component(setup, 1)
+    result = vertical(setup, 1)
     assert result.verdict is True
     assert not radical_member(result.witness, setup.total_ideal)
 
 
 def test_quadric_cone_has_no_vertical_component():
     setup = quadric_cone_setup()
-    assert has_vertical_component(setup, 1).verdict is False
+    assert vertical(setup, 1).verdict is False
 
 
 def record_slow_path(monkeypatch) -> list[Ideal]:
@@ -344,7 +346,7 @@ def test_vertical_absorbs_coefficients_vanishing_on_the_image(monkeypatch):
     # y1 lies in the radical of the target ideal, so the dimension counts
     # decline and the saturation path decides
     reached = record_slow_path(monkeypatch)
-    assert has_vertical_component(setup, 1).verdict is False
+    assert vertical(setup, 1).verdict is False
     assert reached[0] is setup.total_ideal
 
 
@@ -371,7 +373,7 @@ def test_vertical_falls_back_when_the_image_is_not_dense(monkeypatch):
     # X = {0} x C over the y-line: its image, the origin, is not dense
     setup = simple_setup("y")
     reached = record_slow_path(monkeypatch)
-    result = has_vertical_component(setup, 1)
+    result = vertical(setup, 1)
     assert reached == [setup.total_ideal]
     assert (result.verdict, result.detail) == (True, "image closure has dimension 0 < 1")
 
@@ -411,21 +413,23 @@ def test_stabilization_takes_two_absorption_rounds(monkeypatch):
     assert result.detail == "component inside the zero set of y1"
     # the leading coefficient y1*y2^3 vanishes on the target V(y1^2*y2), so
     # the dimension counts decline and the saturation path decides
-    assert geometry._vertical_by_dimension(setup, setup.total_ideal, 1) is None
-    assert has_vertical_component(setup, 1) == result
+    strat = stratify_by_fibre_dimension(setup)
+    assert geometry._vertical_by_dimension(setup, setup.total_ideal, 1, strat) is None
+    assert has_vertical_component(setup, 1, strat) == result
 
 
 def test_vertical_requires_attestation():
     ring = PolynomialRing(("y",), ("x",))
     setup = make_setup(ring, [], [P("y*x", ring)])
     with pytest.raises(PreconditionError):
-        has_vertical_component(setup, 1)
+        vertical(setup, 1)
 
 
 def test_vertical_monotone_across_powers():
     setup = simple_setup("y*x")
-    first = has_vertical_component(setup, 1)
-    second = has_vertical_component(setup, 2)
+    strat = stratify_by_fibre_dimension(setup)
+    first = has_vertical_component(setup, 1, strat)
+    second = has_vertical_component(setup, 2, strat)
     assert first.verdict is True
     assert second.verdict is True
 
@@ -437,33 +441,70 @@ REPLAYED = [
 ] + ["cyclic_4_3", "cyclic_4_4"]
 
 
+def replayed_setup(name):
+    if name.startswith("cyclic_4_"):
+        return cyclic_family_setup(4, int(name[-1]))
+    return load_setup(FIXTURES / f"{name}.setup").setup
+
+
 @pytest.mark.parametrize("i", [1, 2, 3])
 @pytest.mark.parametrize("name", REPLAYED)
 def test_dimension_certificates_agree_with_the_saturation_path(name, i):
     # The dimension counts decide every attested fixture and cyclic (4, 3)
     # and (4, 4) at powers 1-3; each verdict is replayed on the slow path.
-    if name.startswith("cyclic_4_"):
-        setup = cyclic_family_setup(4, int(name[-1]))
-    else:
-        setup = load_setup(FIXTURES / f"{name}.setup").setup
-    certified = geometry._vertical_by_dimension(setup, fibred_power(setup, i), i)
+    setup = replayed_setup(name)
+    strat = stratify_by_fibre_dimension(setup)
+    certified = geometry._vertical_by_dimension(setup, fibred_power(setup, i), i, strat)
     assert certified is not None
     assert slow_vertical(setup, i).verdict is certified.verdict
 
 
-def test_dimension_certificates_make_no_saturation(monkeypatch, fixture_dir):
+def probe_polynomials(setup):
+    """The relative leading coefficients of X, each target variable,
+    1 + 2*y1 + 3*y2 + ... and y1*yn - y1, in the target ring."""
+    yring = setup.ring.target_ring()
+    ys = [yring.variable(name) for name in yring.variables]
+    probes = {c for _, c in relative_terms(setup.total_ideal) if not c.is_constant()}
+    probes.update(ys)
+    probes.add(sum((yring.constant(a) * y for a, y in enumerate(ys, start=2)), yring.one()))
+    probes.add(ys[0] * ys[-1] - ys[0])
+    return sorted(probes, key=str)
+
+
+@pytest.mark.parametrize("name", REPLAYED)
+def test_cell_formula_gives_the_fibred_power_zero_set_dimension(name):
+    # dim V(J_i + (h)) is the largest dim(C meet V(h)) + i*C.fibre_dim over
+    # the cells C of X's stratification, -1 when no cell meets V(h): checked
+    # against a basis of J_i + (h) in the power's own ring
+    setup = replayed_setup(name)
+    powers = (1, 2) if name == "cyclic_4_4" else (1, 2, 3)
+    strat = stratify_by_fibre_dimension(setup)
+    cells = [cell for stratum in strat.strata for cell in stratum.cells]
+    for h in probe_polynomials(setup):
+        meets = [(geometry._meet_dimension(cell, h), cell.fibre_dim) for cell in cells]
+        for i in powers:
+            J = fibred_power(setup, i)
+            formula = max((e + i * j for e, j in meets if e >= 0), default=-1)
+            assert formula == krull_dimension(J.added([transport(h, J.ring)])), (h, i)
+
+
+def test_dimension_counts_build_no_basis_in_the_power_ring(monkeypatch, fixture_dir):
+    # Given X's stratification, each power's counts come from bases in the
+    # target ring and in that ring plus one Rabinowitsch variable; none is in
+    # the ring of J_i (7, 11 and 15 variables here).
     setup = load_setup(fixture_dir / "cyclic_forms_n3_l3.setup").setup
-    calls = []
-    saturate = geometry.saturation
+    strat = stratify_by_fibre_dimension(setup)
+    arities = set()
+    buchberger = groebner._buchberger
 
-    def counted(ideal, h):
-        calls.append(h)
-        return saturate(ideal, h)
+    def recording(seq, key):
+        arities.update(len(m) for p in seq for m in p)
+        return buchberger(seq, key)
 
-    monkeypatch.setattr(geometry, "saturation", counted)
-    verdicts = [has_vertical_component(setup, i).verdict for i in (1, 2, 3)]
+    monkeypatch.setattr(groebner, "_buchberger", recording)
+    verdicts = [has_vertical_component(setup, i, strat).verdict for i in (1, 2, 3)]
     assert verdicts == [False, False, True]
-    assert calls == []
+    assert arities and max(arities) <= setup.n + 1
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +643,9 @@ def test_unmixed_skips_agree_with_saturation(monkeypatch, fixture_dir):
         setup = loaded.setup
         pure_dimension_check(setup.total_ideal)
         if setup.assert_target_locally_irreducible:
-            has_vertical_component(setup, 1)
+            strat = stratify_by_fibre_dimension(setup)
             for i in range(1, required_max_power(loaded.expect) + 1):
-                has_vertical_component(setup, i)
+                has_vertical_component(setup, i, strat)
     monkeypatch.undo()
 
     skipped = 0
@@ -734,7 +775,7 @@ def test_vertical_detector_consistency_on_random_setups():
     for setup in _random_projection_setups(424242, 60):
         strat = stratify_by_fibre_dimension(setup)
         purity = pure_dimension_check(setup.total_ideal)
-        vert = has_vertical_component(setup, 1)
+        vert = has_vertical_component(setup, 1, strat)
         if vert.verdict is None:
             continue
         decided += 1

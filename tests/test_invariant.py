@@ -9,12 +9,12 @@ from fibrephi import (
     analyze,
     certify_multiplicity_query,
     exactness_rules,
+    geometry,
     has_vertical_component,
     invariant,
     make_setup,
     multiplicity_bound,
     parse_polynomial,
-    phi_by_fibred_powers,
     phi_lower,
     phi_upper,
     pure_dimension_check,
@@ -29,13 +29,13 @@ from fibrephi.errors import (
 from fibrephi.geometry import PurityResult, VerticalResult, single_rational_point
 from fibrephi.invariant import MultiplicityQuery, PhiReport
 
-from conftest import cyclic_family_setup, quadric_cone_setup, simple_setup
+from conftest import cyclic_family_setup, power_scan, quadric_cone_setup, simple_setup
 
 
 def analyzed(setup):
     strat = stratify_by_fibre_dimension(setup)
     purity = pure_dimension_check(setup.total_ideal)
-    vertical = has_vertical_component(setup, 1)
+    vertical = has_vertical_component(setup, 1, strat)
     return strat, purity, vertical
 
 
@@ -216,7 +216,7 @@ def test_conflicting_rules_abort():
 
 def test_power_scan_on_quadric_cone():
     setup = quadric_cone_setup()
-    verdicts = phi_by_fibred_powers(setup, 3)
+    verdicts = power_scan(setup, 3)
     assert verdicts == [(1, False), (2, False), (3, True)]
     exact, summary = summarize_power_verdicts(verdicts)
     assert exact == ExtendedNat(2)
@@ -225,7 +225,7 @@ def test_power_scan_on_quadric_cone():
 
 def test_power_scan_stops_at_first_vertical():
     setup = simple_setup("y*x")
-    verdicts = phi_by_fibred_powers(setup, 3)
+    verdicts = power_scan(setup, 3)
     assert verdicts == [(1, True)]
     exact, _ = summarize_power_verdicts(verdicts)
     assert exact == ExtendedNat(0)
@@ -233,7 +233,7 @@ def test_power_scan_stops_at_first_vertical():
 
 def test_power_scan_open_map_reports_lower_bound_only():
     setup = simple_setup("x - y")
-    verdicts = phi_by_fibred_powers(setup, 2)
+    verdicts = power_scan(setup, 2)
     assert verdicts == [(1, False), (2, False)]
     exact, summary = summarize_power_verdicts(verdicts)
     assert exact is None
@@ -270,8 +270,35 @@ def test_analyze_takes_the_exact_value_from_fibred_powers():
     assert report.fibred_power_verdicts == ((1, False), (2, False), (3, True))
 
 
+def test_analyze_asks_each_power_once_and_reads_x_once(monkeypatch):
+    # The scan takes power 1 from the vertical stage, and the X-side data of
+    # the dimension counts (one image closure among them) serve every power.
+    asked = []
+    decide = invariant.has_vertical_component
+
+    def recording(setup, i, strat):
+        asked.append(i)
+        return decide(setup, i, strat)
+
+    closures = []
+    closure = geometry.image_closure
+
+    def counted(J):
+        closures.append(J)
+        return closure(J)
+
+    monkeypatch.setattr(invariant, "has_vertical_component", recording)
+    monkeypatch.setattr(geometry, "image_closure", counted)
+    report = analyze(cyclic_family_setup(3, 3), max_power=3)
+    assert report.fibred_power_verdicts == ((1, False), (2, False), (3, True))
+    assert asked == [1, 2, 3]
+    assert len(closures) == 1
+
+
 def test_analyze_rejects_fibred_powers_that_contradict_the_rules(monkeypatch):
-    monkeypatch.setattr(invariant, "phi_by_fibred_powers", lambda setup, i: [(1, True)])
+    monkeypatch.setattr(
+        invariant, "phi_by_fibred_powers", lambda setup, i, strat, first: [(1, True)]
+    )
     with pytest.raises(InternalInconsistencyError, match="fibred powers give phi = 0"):
         analyze(quadric_cone_setup(), max_power=1)
 
