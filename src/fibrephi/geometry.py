@@ -14,9 +14,10 @@ fibre dimension is constant on such cells and can be read off combinatorially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from functools import cached_property
+from math import isqrt, prod
 from random import Random
 from typing import Iterable, Sequence
 
@@ -148,9 +149,9 @@ def make_setup(
         raise InternalInconsistencyError("ambient dimension below target dimension")
 
     total = Ideal(ring, [transport(g, ring) for g in target.generators] + list(sources))
-    if total.is_unit():
-        raise EmptySpaceError("the source space X is empty (unit ideal)")
     total_dim = krull_dimension(total)
+    if total_dim < 0:
+        raise EmptySpaceError("the source space X is empty (unit ideal)")
 
     return ProjectionSetup(
         ring=ring,
@@ -292,13 +293,17 @@ class Stratification:
     """The target-side partition of the image by fibre dimension, one stratum
     per fibre dimension in increasing order.
 
-    The vertical test's dimension counts keep what they read off X and these
-    cells in ``_counts``, one entry per setup, so that every fibred power of
-    one run shares them (``_dimension_counts``).
+    ``generic`` is the root node's cell when that node, constrained by the
+    target ideal alone, was neither refined (the image of X is dense in every
+    component of the target) nor absorbed (no relative leading coefficient of
+    X's block basis vanishes on the target).  Its ``fibre_dim`` is then the
+    generic fibre dimension lambda of X, and its ``inequations`` are the
+    non-constant leading coefficients h_a of that basis, sorted by text
+    (Kalkbrener, JSC 1997).  Otherwise ``generic`` is None.
     """
 
     strata: tuple[Stratum, ...]
-    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    generic: Cell | None
 
     @property
     def fibre_dimensions(self) -> tuple[int, ...]:
@@ -313,6 +318,17 @@ class Stratification:
             if s.fibre_dim == j:
                 return s
         return None
+
+    @cached_property
+    def generic_meets(self) -> list[tuple[Polynomial, list[tuple[int, int]]]]:
+        """For each inequation h_a of the generic cell, the pairs
+        (dim(C meet V(h_a)), C.fibre_dim) over every cell C; computed once,
+        for the vertical test's dimension counts at every fibred power."""
+        cells = [cell for stratum in self.strata for cell in stratum.cells]
+        return [
+            (h, [(_meet_dimension(cell, h), cell.fibre_dim) for cell in cells])
+            for h in self.generic.inequations
+        ]
 
 
 def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
@@ -330,6 +346,7 @@ def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
     k = setup.k
     J = setup.total_ideal
     cells: list[Cell] = []
+    generic = None
     seen: set[tuple] = set()
     pending: list[Ideal] = [setup.target_ideal]
     nodes = 0
@@ -369,6 +386,8 @@ def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
         closure = saturation(current, prod(lead_coeffs))[0] if lead_coeffs else current
         if not closure.is_unit():
             cells.append(Cell(closure, tuple(lead_coeffs), fibre_dim))
+            if current is setup.target_ideal:
+                generic = cells[-1]  # the root node, neither refined nor absorbed
         for h in lead_coeffs:
             pending.append(current.added([h]))
 
@@ -395,7 +414,7 @@ def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
                 cells=tuple(group),
             )
         )
-    return Stratification(tuple(strata))
+    return Stratification(tuple(strata), generic)
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +552,9 @@ class PurityResult:
 
 def pure_dimension_check(J: Ideal) -> PurityResult:
     """Split into pseudo-components and compare their dimensions."""
-    if J.is_unit():
-        raise PreconditionError("pure_dimension_check needs a proper ideal")
     dim = krull_dimension(J)
+    if dim < 0:
+        raise PreconditionError("pure_dimension_check needs a proper ideal")
     try:
         pieces = split_components(J)
     except ResourceLimitError:
@@ -579,11 +598,13 @@ def has_vertical_component(
     irreducible target.  Two dimension counts decide first
     (``_vertical_by_dimension``: the generic fibre dimension, by Kalkbrener,
     JSC 1997, and Weispfenning, JSC 1992, against Krull's height theorem,
-    Matsumura Thm 13.5).  They read each dim V(J_i + (h)) off ``strat``,
-    X's stratification, as the largest dim(C meet V(h)) + i*C.fibre_dim over
-    its cells C (the fibre-dimension theorem, Hartshorne, *Algebraic
-    Geometry*, Ex. II.3.22), so no power needs a basis in its own ring.
-    When ``strat`` is None (it could not be computed) or neither count fires,
+    Matsumura Thm 13.5).  They take lambda and the leading coefficients h_a
+    from ``strat.generic``, the root cell of X's stratification, and read
+    each dim V(J_i + (h_a)) off ``strat`` as the largest
+    dim(C meet V(h_a)) + i*C.fibre_dim over its cells C (the fibre-dimension
+    theorem, Hartshorne, *Algebraic Geometry*, Ex. II.3.22), so no power
+    needs a basis in its own ring.  When ``strat`` is None (it could not be
+    computed), when it has no generic cell, or when neither count fires,
     saturation and pseudo-component splitting decide (``_vertical``), and
     that recursion stops, inconclusive, after ``VERTICAL_DEPTH`` levels.
     """
@@ -612,36 +633,6 @@ def _meet_dimension(cell: Cell, h: Polynomial) -> int:
     return krull_dimension(inside)
 
 
-def _dimension_counts(
-    setup: ProjectionSetup, strat: Stratification
-) -> tuple[int, list[tuple[Polynomial, list[tuple[int, int]]]]] | None:
-    """What the dimension counts read off X alone, computed once per setup
-    and kept in ``strat``.
-
-    None when the counts decline: the image of X is not dense in the
-    target, or some non-constant relative leading coefficient h_a of X's
-    block basis vanishes on the target.  Otherwise lambda, the dimension of
-    the x-leading monomials, and for each h_a (sorted by text) the pairs
-    (dim(C meet V(h_a)), C.fibre_dim) over the cells C of ``strat``.
-    """
-    if setup in strat._counts:
-        return strat._counts[setup]
-    counts = None
-    total = setup.total_ideal
-    if image_closure(total)[1] >= setup.n:
-        rel = relative_terms(total)
-        lead_coeffs = sorted({c for _, c in rel if not c.is_constant()}, key=str)
-        if not any(radical_member(h, setup.target_ideal) for h in lead_coeffs):
-            cells = [cell for stratum in strat.strata for cell in stratum.cells]
-            lam = independent_set_dimension([x for x, _ in rel], setup.k)
-            counts = lam, [
-                (h, [(_meet_dimension(cell, h), cell.fibre_dim) for cell in cells])
-                for h in lead_coeffs
-            ]
-    strat._counts[setup] = counts
-    return counts
-
-
 def _vertical_by_dimension(
     setup: ProjectionSetup, J: Ideal, i: int, strat: Stratification
 ) -> VerticalResult | None:
@@ -651,9 +642,14 @@ def _vertical_by_dimension(
     of X's block basis, every fibre of X is empty or has the dimension lambda
     of its x-leading monomials (Kalkbrener, JSC 1997; Weispfenning, JSC
     1992), so every fibre F_y^i of X^(i) has dimension at most i*lambda.
-    Returns None, for the saturation path to decide, when the image of X is
-    not dense in the irreducible target Y, when some h_a vanishes on Y, or
-    when neither count fires.
+    lambda and the h_a are the ``fibre_dim`` and ``inequations`` of
+    ``strat.generic``, the stratification's root cell.  Returns None, for the
+    saturation path to decide, when there is no such cell, or when neither
+    count fires.  There is none when the root node was refined, because the
+    image of X misses part of the target Y, or absorbed, because some h_a
+    vanishes on Y.  On an irreducible Y the first is exactly a non-dense
+    image; on a reducible Y it also covers an image of full dimension that
+    misses a component.
 
     Each ``d = dim V(J + (h_a))`` is read off X's stratification ``strat``:
     over a cell C every fibre of X is nonempty of dimension C.fibre_dim, so
@@ -663,7 +659,8 @@ def _vertical_by_dimension(
     Hartshorne, *Algebraic Geometry*, Ex. II.3.22).  The cells cover every
     point of Y with a nonempty fibre, so d is the largest of these over the
     cells that meet V(h_a), and -1 when none does.  Everything but i comes
-    from ``_dimension_counts``, so a power costs integer arithmetic only.
+    from ``strat.generic_meets``, computed once per stratification, so a
+    power costs integer arithmetic only.
 
     - A component of X^(i) that dominates Y has dimension at most
       n + i*lambda, and no h_a o f vanishes on it, so it meets V(h_a o f) in
@@ -677,12 +674,10 @@ def _vertical_by_dimension(
       below n + i*lambda; one inside V(h_a o f) has dimension at most d.
       ``n + i*lambda <= c`` with every d below c proves there is none.
     """
-    counts = _dimension_counts(setup, strat)
-    if counts is None:
+    if strat.generic is None:
         return None
-    lam, meets = counts
-    bound = setup.n + i * lam
-    for h, pairs in meets:
+    bound = setup.n + i * strat.generic.fibre_dim
+    for h, pairs in strat.generic_meets:
         d = max((e + i * j for e, j in pairs if e >= 0), default=-1)
         if d >= bound:
             return VerticalResult(
@@ -831,10 +826,8 @@ def _univariate_coefficients(p: Polynomial, index: int) -> list[Fraction]:
 def _rational_sqrt(value: Fraction) -> Fraction | None:
     if value < 0:
         return None
-    import math
-
-    num = math.isqrt(value.numerator)
-    den = math.isqrt(value.denominator)
+    num = isqrt(value.numerator)
+    den = isqrt(value.denominator)
     if num * num == value.numerator and den * den == value.denominator:
         return Fraction(num, den)
     return None
@@ -854,11 +847,7 @@ def _rational_roots(u: Polynomial, index: int) -> list[Fraction]:
     return []
 
 
-def sample_cell_points(
-    cell: Cell,
-    rng: Random,
-    want: int = 20,
-) -> list[tuple[Fraction, ...]]:
+def sample_cell_points(cell: Cell, rng: Random, want: int) -> list[tuple[Fraction, ...]]:
     """Exact rational points on a cell: on its closure, off its inequations.
 
     Free coordinates get random integers of height at most 100.  A

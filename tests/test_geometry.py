@@ -42,6 +42,7 @@ from fibrephi.geometry import (
     relative_terms,
     single_rational_point,
 )
+from fibrephi.groebner import independent_set_dimension
 
 from conftest import FIXTURES, cyclic_family_setup, quadric_cone_setup, simple_setup, vertical
 
@@ -378,18 +379,23 @@ def test_vertical_falls_back_when_the_image_is_not_dense(monkeypatch):
     assert (result.verdict, result.detail) == (True, "image closure has dimension 0 < 1")
 
 
-def test_stabilization_takes_two_absorption_rounds(monkeypatch):
-    # Over the target V(y1^2*y2) the leading coefficients of this source
-    # vanish on the constraint one after another, so both the stratification
-    # and the vertical test absorb over two rounds before the data settle.
+def two_round_setup():
+    """Over the target V(y1^2*y2) the leading coefficients of this source
+    vanish on the constraint one after another."""
     ring = PolynomialRing(("y1", "y2"), ("x1", "x2"))
-    setup = make_setup(
+    return make_setup(
         ring,
         ambient_target_generators=[P("y1^2*y2", ring)],
         source_generators=[P("y2^2*x1*x2 + y1*x1^2 + x1", ring)],
         assert_target_locally_irreducible=True,
         assert_target_pure_dimensional=True,
     )
+
+
+def test_stabilization_takes_two_absorption_rounds(monkeypatch):
+    # Both the stratification and the vertical test absorb over two rounds
+    # before the data settle.
+    setup = two_round_setup()
     calls = []
     read = geometry.relative_terms
 
@@ -457,6 +463,64 @@ def test_dimension_certificates_agree_with_the_saturation_path(name, i):
     certified = geometry._vertical_by_dimension(setup, fibred_power(setup, i), i, strat)
     assert certified is not None
     assert slow_vertical(setup, i).verdict is certified.verdict
+
+
+def direct_generic_reading(setup):
+    """lambda and the sorted non-constant h_a read off X's block basis, or
+    None when the image of X is not dense or some h_a vanishes on the target:
+    the reading the root cell of the stratification replaces."""
+    total = setup.total_ideal
+    if image_closure(total)[1] < setup.n:
+        return None
+    rel = relative_terms(total)
+    lead_coeffs = sorted({c for _, c in rel if not c.is_constant()}, key=str)
+    if any(radical_member(h, setup.target_ideal) for h in lead_coeffs):
+        return None
+    return independent_set_dimension([x for x, _ in rel], setup.k), lead_coeffs
+
+
+def generic_reference_setups(name):
+    if name == "absorbing":
+        return [absorbing_setup()]
+    if name == "two_rounds":
+        return [two_round_setup()]
+    if name == "not_dense":
+        return [simple_setup("y")]
+    if name == "random":
+        return list(_random_projection_setups(2718, 40))
+    return [replayed_setup(name)]
+
+
+@pytest.mark.parametrize("name", REPLAYED + ["absorbing", "two_rounds", "not_dense", "random"])
+def test_generic_cell_matches_the_direct_reading(name):
+    # On an irreducible target the root cell is recorded exactly when the
+    # image is dense and no h_a vanishes on the target, and then carries
+    # lambda and the h_a of X's block basis.
+    for setup in generic_reference_setups(name):
+        strat = stratify_by_fibre_dimension(setup)
+        expected = direct_generic_reading(setup)
+        if expected is None:
+            assert strat.generic is None, setup.source_generators
+        else:
+            generic = strat.generic
+            assert generic is not None, setup.source_generators
+            assert (generic.fibre_dim, list(generic.inequations)) == expected
+
+
+def test_dimension_counts_decline_when_the_image_misses_a_target_component():
+    # The image of X is V(y2), one of the two components of V(y1*y2): its
+    # dimension is n, but the root node refines, so there is no generic cell
+    # and the counts leave the decision to the saturation path.
+    ring = PolynomialRing(("y1", "y2"), ("x1", "x2"))
+    setup = make_setup(
+        ring,
+        ambient_target_generators=[P("y1*y2", ring)],
+        source_generators=[P("2*x2^2", ring), P("y2 + 3*y1*x2", ring)],
+    )
+    assert image_closure(setup.total_ideal)[1] == setup.n
+    strat = stratify_by_fibre_dimension(setup)
+    assert strat.generic is None
+    assert geometry._vertical_by_dimension(setup, setup.total_ideal, 1, strat) is None
 
 
 def probe_polynomials(setup):
