@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .errors import FibrephiError, ParseError, ResourceLimitError, SetupError
+from .errors import FibrephiError, ParseError, SetupError
 from .geometry import (
     ProjectionSetup,
     Stratification,
@@ -34,7 +34,6 @@ from .geometry import (
     fibred_power,
     has_vertical_component,
     make_setup,
-    stratify_by_fibre_dimension,
 )
 from .invariant import ExtendedNat, PhiReport, analyze
 from .parser import parse_polynomial
@@ -315,7 +314,7 @@ def analysis_document(
 
 def run_stratify(setup_file: SetupFile) -> ReportDocument:
     setup = setup_file.setup
-    strat = stratify_by_fibre_dimension(setup)
+    strat = setup.stratification
     document = {
         **_header("stratify", setup_file),
         "dims": setup.dims(),
@@ -329,11 +328,7 @@ def run_stratify(setup_file: SetupFile) -> ReportDocument:
 def run_verify_power(setup_file: SetupFile, i: int) -> ReportDocument:
     setup = setup_file.setup
     power = fibred_power(setup, i)
-    try:
-        strat = stratify_by_fibre_dimension(setup)
-    except ResourceLimitError:
-        strat = None  # the dimension counts decline; the saturation path decides
-    result = has_vertical_component(setup, i, strat)
+    result = has_vertical_component(setup, i)
     document = {
         **_header("verify-power", setup_file),
         "power": i,

@@ -69,6 +69,8 @@ class ProjectionSetup:
     number is recomputed from the ideals, never trusted from input.  The
     dimensions carry the paper's letters: ``N`` of the ambient target, ``n``
     of Y, ``m`` of X, ``k`` of Omega and ``r`` the number of source generators.
+    The bounds, the vertical test and every fibred power read one
+    ``stratification`` of X by fibre dimension, computed once per setup.
     """
 
     ring: PolynomialRing
@@ -91,6 +93,13 @@ class ProjectionSetup:
 
     def dims(self) -> dict[str, int]:
         return {"N": self.N, "n": self.n, "k": self.k, "r": self.r, "m": self.m}
+
+    @cached_property
+    def stratification(self) -> Stratification:
+        """``stratify_by_fibre_dimension(self)``, computed on first access and
+        kept in the instance.  A ``ResourceLimitError`` is not cached; a cap
+        lowered after a stratification is cached has no effect on it."""
+        return stratify_by_fibre_dimension(self)
 
 
 def make_setup(
@@ -322,8 +331,8 @@ class Stratification:
     @cached_property
     def generic_meets(self) -> list[tuple[Polynomial, list[tuple[int, int]]]]:
         """For each inequation h_a of the generic cell, the pairs
-        (dim(C meet V(h_a)), C.fibre_dim) over every cell C; computed once,
-        for the vertical test's dimension counts at every fibred power."""
+        (dim(C meet V(h_a)), C.fibre_dim) over every cell C; computed once per
+        setup, for the vertical test's dimension counts at every fibred power."""
         cells = [cell for stratum in self.strata for cell in stratum.cells]
         return [
             (h, [(_meet_dimension(cell, h), cell.fibre_dim) for cell in cells])
@@ -588,9 +597,7 @@ class VerticalResult:
     detail: str = ""
 
 
-def has_vertical_component(
-    setup: ProjectionSetup, i: int, strat: Stratification | None
-) -> VerticalResult:
+def has_vertical_component(setup: ProjectionSetup, i: int) -> VerticalResult:
     """Decide whether the fibred power X^(i) has a component with lower-dimensional image.
 
     Requires the target to be attested locally irreducible: the test reads
@@ -599,22 +606,26 @@ def has_vertical_component(
     (``_vertical_by_dimension``: the generic fibre dimension, by Kalkbrener,
     JSC 1997, and Weispfenning, JSC 1992, against Krull's height theorem,
     Matsumura Thm 13.5).  They take lambda and the leading coefficients h_a
-    from ``strat.generic``, the root cell of X's stratification, and read
-    each dim V(J_i + (h_a)) off ``strat`` as the largest
-    dim(C meet V(h_a)) + i*C.fibre_dim over its cells C (the fibre-dimension
-    theorem, Hartshorne, *Algebraic Geometry*, Ex. II.3.22), so no power
-    needs a basis in its own ring.  When ``strat`` is None (it could not be
-    computed), when it has no generic cell, or when neither count fires,
-    saturation and pseudo-component splitting decide (``_vertical``), and
-    that recursion stops, inconclusive, after ``VERTICAL_DEPTH`` levels.
+    from the root cell of ``setup.stratification`` and read each
+    dim V(J_i + (h_a)) off its cells C as the largest
+    dim(C meet V(h_a)) + i*C.fibre_dim (the fibre-dimension theorem,
+    Hartshorne, *Algebraic Geometry*, Ex. II.3.22), so no power needs a basis
+    in its own ring.  When the stratification hits a cap, when it has no
+    generic cell, or when neither count fires, saturation and
+    pseudo-component splitting decide (``_vertical``), and that recursion
+    stops, inconclusive, after ``VERTICAL_DEPTH`` levels.
     """
     if not setup.assert_target_locally_irreducible:
         raise PreconditionError(
             "vertical-component detection requires the locally-irreducible attestation"
         )
     J = fibred_power(setup, i)
-    if strat is not None:
-        certified = _vertical_by_dimension(setup, J, i, strat)
+    try:
+        setup.stratification
+    except ResourceLimitError:
+        pass  # nothing to read the counts off: the saturation path decides
+    else:
+        certified = _vertical_by_dimension(setup, J, i)
         if certified is not None:
             return certified
     return _vertical(J, setup.n, VERTICAL_DEPTH)
@@ -625,33 +636,33 @@ def _meet_dimension(cell: Cell, h: Polynomial) -> int:
 
     C is V(closure) minus V(q), q the product of its inequations, and
     V(closure + (h), 1 - t*q) maps isomorphically onto (V(closure) meet V(h))
-    minus V(q) (Rabinowitsch), so its dimension is the one sought.
+    minus V(q) (Rabinowitsch), so its dimension is the one sought.  An
+    inequation h of C does not vanish on C, so no basis is needed for it.
     """
+    if h in cell.inequations:
+        return -1
     inside = cell.closure.added([h])
     if cell.inequations:
         inside = _inverted(inside, prod(cell.inequations))
     return krull_dimension(inside)
 
 
-def _vertical_by_dimension(
-    setup: ProjectionSetup, J: Ideal, i: int, strat: Stratification
-) -> VerticalResult | None:
+def _vertical_by_dimension(setup: ProjectionSetup, J: Ideal, i: int) -> VerticalResult | None:
     """The vertical test on J, the ideal of X^(i), by two dimension counts.
 
     Off the zero sets of the non-constant relative leading coefficients h_a
     of X's block basis, every fibre of X is empty or has the dimension lambda
     of its x-leading monomials (Kalkbrener, JSC 1997; Weispfenning, JSC
     1992), so every fibre F_y^i of X^(i) has dimension at most i*lambda.
-    lambda and the h_a are the ``fibre_dim`` and ``inequations`` of
-    ``strat.generic``, the stratification's root cell.  Returns None, for the
-    saturation path to decide, when there is no such cell, or when neither
-    count fires.  There is none when the root node was refined, because the
+    lambda and the h_a are the ``fibre_dim`` and ``inequations`` of the root
+    cell ``setup.stratification.generic``.  Returns None, for the saturation
+    path to decide, when there is no such cell, or when neither count fires.  There is none when the root node was refined, because the
     image of X misses part of the target Y, or absorbed, because some h_a
     vanishes on Y.  On an irreducible Y the first is exactly a non-dense
     image; on a reducible Y it also covers an image of full dimension that
     misses a component.
 
-    Each ``d = dim V(J + (h_a))`` is read off X's stratification ``strat``:
+    Each ``d = dim V(J + (h_a))`` is read off X's stratification:
     over a cell C every fibre of X is nonempty of dimension C.fibre_dim, so
     every fibre of X^(i) there has dimension i*C.fibre_dim, and the preimage
     of the constructible set C meet V(h_a) has dimension
@@ -659,8 +670,8 @@ def _vertical_by_dimension(
     Hartshorne, *Algebraic Geometry*, Ex. II.3.22).  The cells cover every
     point of Y with a nonempty fibre, so d is the largest of these over the
     cells that meet V(h_a), and -1 when none does.  Everything but i comes
-    from ``strat.generic_meets``, computed once per stratification, so a
-    power costs integer arithmetic only.
+    from its ``generic_meets``, computed once per setup, so a power costs
+    integer arithmetic only.
 
     - A component of X^(i) that dominates Y has dimension at most
       n + i*lambda, and no h_a o f vanishes on it, so it meets V(h_a o f) in
@@ -674,6 +685,7 @@ def _vertical_by_dimension(
       below n + i*lambda; one inside V(h_a o f) has dimension at most d.
       ``n + i*lambda <= c`` with every d below c proves there is none.
     """
+    strat = setup.stratification
     if strat.generic is None:
         return None
     bound = setup.n + i * strat.generic.fibre_dim

@@ -29,7 +29,6 @@ from .geometry import (
     pure_dimension_check,
     sample_cell_points,
     single_rational_point,
-    stratify_by_fibre_dimension,
 )
 
 
@@ -67,23 +66,19 @@ def _floor_min(values: Sequence[int]) -> ExtendedNat:
     return ExtendedNat(min(values))
 
 
-def phi_upper(
-    strat: Stratification,
-    m: int,
-    n: int,
-    purity: PurityResult,
-) -> ExtendedNat:
+def phi_upper(setup: ProjectionSetup, purity: PurityResult) -> ExtendedNat:
     """Upper bound from the stratification of a pure-dimensional source.
 
-    For every stratum of fibre dimension j exceeding the generic value m - n,
-    take the integer part of (n - image_dim - 1) / (j - (m - n)); the bound is
-    the minimum, and an empty minimand set (an equidimensional map) gives
-    infinity.
+    For every stratum of ``setup.stratification`` with fibre dimension j
+    exceeding the generic value m - n, take the integer part of
+    (n - image_dim - 1) / (j - (m - n)); the bound is the minimum, and an
+    empty minimand set (an equidimensional map) gives infinity.
     """
     if purity.pure is not True:
         raise PreconditionError("the upper bound needs the source confirmed pure-dimensional")
+    m, n = setup.m, setup.n
     values = []
-    for stratum in strat.strata:
+    for stratum in setup.stratification.strata:
         j = stratum.fibre_dim
         if j <= m - n:
             continue
@@ -96,25 +91,21 @@ def phi_upper(
     return _floor_min(values)
 
 
-def phi_lower(
-    strat: Stratification,
-    ambient_dim: int,
-    k: int,
-    r: int,
-    no_vertical: bool | None,
-) -> ExtendedNat | None:
-    """Lower bound for phi from the presentation data (ambient_dim, k, r).
+def phi_lower(setup: ProjectionSetup, no_vertical: bool | None) -> ExtendedNat | None:
+    """Lower bound for phi from the presentation data (N, k, r) of ``setup``.
 
     Valid when the source has no vertical components (certified by the
     caller): minimize the integer part of (N - image_dim - 1) / (j - (k - r))
-    over the non-minimal fibre dimensions j.  When a vertical component is
-    certified instead, phi is exactly 0, so 0 is returned as the (tight)
-    lower bound.  An uncertified verdict yields None: not applicable.
+    over the non-minimal fibre dimensions j of ``setup.stratification``.
+    When a vertical component is certified instead, phi is exactly 0, so 0
+    is returned as the (tight) lower bound.  An uncertified verdict yields
+    None: not applicable.
     """
     if no_vertical is None:
         return None
     if no_vertical is False:
         return ExtendedNat(0)
+    strat, k, r = setup.stratification, setup.k, setup.r
     lam = strat.min_fibre_dim
     if lam < k - r:
         raise InternalInconsistencyError(
@@ -130,7 +121,7 @@ def phi_lower(
             raise InternalInconsistencyError(
                 f"non-positive denominator for stratum j={j} with k={k}, r={r}"
             )
-        numerator = ambient_dim - stratum.image_dim - 1
+        numerator = setup.N - stratum.image_dim - 1
         if numerator < 0:
             raise InternalInconsistencyError(
                 f"stratum j={j} image dimension exceeds the ambient dimension"
@@ -259,10 +250,7 @@ def exactness_rules(
 
 
 def phi_by_fibred_powers(
-    setup: ProjectionSetup,
-    i_max: int,
-    strat: Stratification,
-    first: VerticalResult,
+    setup: ProjectionSetup, i_max: int, first: VerticalResult
 ) -> list[tuple[int, bool | None]]:
     """Vertical-component verdicts on the fibred powers, in increasing order.
 
@@ -270,7 +258,7 @@ def phi_by_fibred_powers(
     sequence False,...,False,True pins it exactly; the scan stops at the
     first non-False verdict.  The power 1 is X itself: its verdict is
     ``first``, the vertical test's result on X, and is not asked again.
-    Every power reads its dimension counts off ``strat``, X's stratification.
+    Every power reads its dimension counts off ``setup.stratification``.
     """
     if i_max < 1:
         raise FibrephiError("i_max must be at least 1")
@@ -278,7 +266,7 @@ def phi_by_fibred_powers(
     for i in range(2, i_max + 1):
         if verdicts[-1][1] is not False:
             break
-        verdicts.append((i, has_vertical_component(setup, i, strat).verdict))
+        verdicts.append((i, has_vertical_component(setup, i).verdict))
     return verdicts
 
 
@@ -320,22 +308,20 @@ class MultiplicityQuery:
 
 
 def certify_multiplicity_query(
-    setup: ProjectionSetup,
-    strat: Stratification,
-    purity: PurityResult,
+    setup: ProjectionSetup, purity: PurityResult
 ) -> MultiplicityQuery | None:
     """Check the premises of the fibre-cardinality bound against computed data.
 
     Needs source and target of one common pure dimension, one of the
     structural exactness routes of ``_routes``, and exactly one stratum of
-    positive fibre dimension whose image is a single rational point.  Returns
-    None when any premise fails.
+    ``setup.stratification`` with positive fibre dimension, whose image is a
+    single rational point.  Returns None when any premise fails.
     """
     if not (purity.pure is True and setup.assert_target_pure_dimensional):
         return None
     if setup.m != setup.n or setup.m < 1 or not _routes(setup, purity):
         return None
-    positive = [s for s in strat.strata if s.fibre_dim > 0]
+    positive = [s for s in setup.stratification.strata if s.fibre_dim > 0]
     if len(positive) != 1 or positive[0].image_dim != 0:
         return None
     if single_rational_point(positive[0].image_ideal) is None:
@@ -355,11 +341,12 @@ def multiplicity_bound(query: MultiplicityQuery) -> int:
 ORACLE_POINTS_PER_CELL = 5
 
 
-def _run_oracle(setup: ProjectionSetup, strat: Stratification, seed: int) -> dict[str, int]:
-    """Sample rational points on every cell and compare fibre dimensions."""
+def _run_oracle(setup: ProjectionSetup, seed: int) -> dict[str, int]:
+    """Sample rational points on every cell of ``setup.stratification`` and
+    compare fibre dimensions."""
     rng = Random(seed)
     cells = points = skipped = mismatches = 0
-    for stratum in strat.strata:
+    for stratum in setup.stratification.strata:
         for cell in stratum.cells:
             cells += 1
             found = sample_cell_points(cell, rng, want=ORACLE_POINTS_PER_CELL)
@@ -398,11 +385,11 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
         timings[name] = round(time.perf_counter() - start, 3)
         return result
 
-    strat = timed("stratify", lambda: stratify_by_fibre_dimension(setup))
+    strat = timed("stratify", lambda: setup.stratification)
     purity = timed("purity", lambda: pure_dimension_check(setup.total_ideal))
     attested = setup.assert_target_locally_irreducible
     if attested:
-        vertical = timed("vertical", lambda: has_vertical_component(setup, 1, strat))
+        vertical = timed("vertical", lambda: has_vertical_component(setup, 1))
         if vertical.verdict is None:
             warnings.append("vertical-component test inconclusive at the configured depth")
     else:
@@ -415,9 +402,9 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
 
     upper = lower = None
     if purity.pure is True:
-        upper = phi_upper(strat, setup.m, setup.n, purity)
+        upper = phi_upper(setup, purity)
         no_vertical = None if vertical.verdict is None else not vertical.verdict
-        lower = phi_lower(strat, setup.N, setup.k, setup.r, no_vertical)
+        lower = phi_lower(setup, no_vertical)
         notes.append(
             "the lower bound uses the presentation as given; fewer generators or a "
             "smaller ambient target would strengthen it"
@@ -435,7 +422,7 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
         )
     elif max_power >= 1:
         power_verdicts = timed(
-            "fibred_powers", lambda: phi_by_fibred_powers(setup, max_power, strat, vertical)
+            "fibred_powers", lambda: phi_by_fibred_powers(setup, max_power, vertical)
         )
         power_exact, power_summary = summarize_power_verdicts(power_verdicts)
         if power_exact is not None:
@@ -446,10 +433,10 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
                     f"fibred powers give phi = {power_exact} but rules gave {exact}"
                 )
 
-    mquery = certify_multiplicity_query(setup, strat, purity)
+    mquery = certify_multiplicity_query(setup, purity)
     mbound = multiplicity_bound(mquery) if mquery is not None else None
 
-    oracle = timed("oracle", lambda: _run_oracle(setup, strat, seed))
+    oracle = timed("oracle", lambda: _run_oracle(setup, seed))
 
     return PhiReport(
         phi_upper=upper,

@@ -6,14 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fibrephi import (
-    PolynomialRing,
-    has_vertical_component,
-    make_setup,
-    parse_polynomial,
-    phi_by_fibred_powers,
-    stratify_by_fibre_dimension,
-)
+from fibrephi import PolynomialRing, make_setup, parse_polynomial
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -76,13 +69,3 @@ def simple_setup(source_text: str, target_vars=("y",), source_vars=("x",)):
         assert_target_pure_dimensional=True,
     )
 
-
-def vertical(setup, i: int):
-    """The vertical test on X^(i), given X's stratification as ``analyze`` does."""
-    return has_vertical_component(setup, i, stratify_by_fibre_dimension(setup))
-
-
-def power_scan(setup, i_max: int):
-    """The fibred-power scan as ``analyze`` runs it: power 1 from the vertical test."""
-    strat = stratify_by_fibre_dimension(setup)
-    return phi_by_fibred_powers(setup, i_max, strat, has_vertical_component(setup, 1, strat))

@@ -14,7 +14,9 @@ from fibrephi import (
     analyze,
     certify_multiplicity_query,
     fibre_at_point,
+    has_vertical_component,
     multiplicity_bound,
+    phi_by_fibred_powers,
     pure_dimension_check,
     sample_cell_points,
     stratify_by_fibre_dimension,
@@ -24,7 +26,7 @@ from fibrephi import geometry
 from fibrephi.cli import load_setup, run_corpus
 from fibrephi.poly import Polynomial
 
-from conftest import FIXTURES, cyclic_family_setup, power_scan, quadric_cone_setup, simple_setup
+from conftest import FIXTURES, cyclic_family_setup, quadric_cone_setup, simple_setup
 
 
 @contextmanager
@@ -71,7 +73,7 @@ def test_criterion_2_cyclic_family():
 def test_criterion_3_fibred_power_cross_check():
     with criterion(3, "fibred-power cross-check", budget_seconds=300.0):
         setup = quadric_cone_setup()
-        verdicts = power_scan(setup, 3)
+        verdicts = phi_by_fibred_powers(setup, 3, has_vertical_component(setup, 1))
         assert verdicts == [(1, False), (2, False), (3, True)]
         exact, _ = summarize_power_verdicts(verdicts)
         assert exact == ExtendedNat(2)
@@ -184,13 +186,11 @@ def test_criterion_6_invariant_suite(monkeypatch):
 def test_criterion_7_multiplicity_bounds():
     with criterion(7, "generic fibre cardinality bounds", budget_seconds=30.0):
         setup = quadric_cone_setup()
-        strat = stratify_by_fibre_dimension(setup)
         purity = pure_dimension_check(setup.total_ideal)
-        query = certify_multiplicity_query(setup, strat, purity)
+        query = certify_multiplicity_query(setup, purity)
         assert query is not None and multiplicity_bound(query) == 2
 
         blowup = simple_setup("y1*x - y2", target_vars=("y1", "y2"), source_vars=("x",))
-        bstrat = stratify_by_fibre_dimension(blowup)
         bpurity = pure_dimension_check(blowup.total_ideal)
-        bquery = certify_multiplicity_query(blowup, bstrat, bpurity)
+        bquery = certify_multiplicity_query(blowup, bpurity)
         assert bquery is not None and multiplicity_bound(bquery) == 1

@@ -246,13 +246,15 @@ def test_verify_power_without_a_stratification_takes_the_saturation_path(
 ):
     # The dimension counts decide the quadric cone's powers 2 and 3.  A
     # stratification that runs out of nodes leaves them nothing to read, so
-    # the saturation path decides, with the same verdict.
-    loaded = load_setup(fixture_dir / "quadric_cone.setup")
-    counted = run_verify_power(loaded, i).document["vertical"]
+    # the saturation path decides, with the same verdict.  The lowered cap
+    # needs a fresh setup: the first one keeps its stratification.
+    path = fixture_dir / "quadric_cone.setup"
+    counted = run_verify_power(load_setup(path), i).document["vertical"]
     assert "n + i*lambda" in counted["detail"]
     monkeypatch.setattr(geometry, "STRATIFY_MAX_NODES", 0)
+    loaded = load_setup(path)
     with pytest.raises(ResourceLimitError):
-        geometry.stratify_by_fibre_dimension(loaded.setup)
+        loaded.setup.stratification
     saturated = run_verify_power(loaded, i).document["vertical"]
     assert "n + i*lambda" not in saturated["detail"]
     assert saturated["verdict"] is counted["verdict"]

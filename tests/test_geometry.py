@@ -31,6 +31,7 @@ from fibrephi.errors import (
     EmptySpaceError,
     OffTargetError,
     PreconditionError,
+    ResourceLimitError,
     SetupError,
 )
 from fibrephi.geometry import (
@@ -44,7 +45,7 @@ from fibrephi.geometry import (
 )
 from fibrephi.groebner import independent_set_dimension
 
-from conftest import FIXTURES, cyclic_family_setup, quadric_cone_setup, simple_setup, vertical
+from conftest import FIXTURES, cyclic_family_setup, quadric_cone_setup, simple_setup
 
 
 def P(text, ring):
@@ -296,7 +297,7 @@ def test_vertical_line_over_origin():
     assert str(slow.witness) == "x"
     assert not radical_member(slow.witness, setup.total_ideal)
     # V(y*x + (y)) is the whole line {y = 0}: dimension 1 = n + lambda
-    result = vertical(setup, 1)
+    result = has_vertical_component(setup, 1)
     assert result.verdict is True
     assert str(result.witness) == "y"
     assert result.detail == "zero set of y has dimension 1 >= n + i*lambda = 1"
@@ -304,14 +305,14 @@ def test_vertical_line_over_origin():
 
 def test_vertical_point_component():
     setup = simple_setup("x*y1, x^2 - x", target_vars=("y1", "y2"), source_vars=("x",))
-    result = vertical(setup, 1)
+    result = has_vertical_component(setup, 1)
     assert result.verdict is True
     assert not radical_member(result.witness, setup.total_ideal)
 
 
 def test_quadric_cone_has_no_vertical_component():
     setup = quadric_cone_setup()
-    assert vertical(setup, 1).verdict is False
+    assert has_vertical_component(setup, 1).verdict is False
 
 
 def record_slow_path(monkeypatch) -> list[Ideal]:
@@ -347,7 +348,7 @@ def test_vertical_absorbs_coefficients_vanishing_on_the_image(monkeypatch):
     # y1 lies in the radical of the target ideal, so the dimension counts
     # decline and the saturation path decides
     reached = record_slow_path(monkeypatch)
-    assert vertical(setup, 1).verdict is False
+    assert has_vertical_component(setup, 1).verdict is False
     assert reached[0] is setup.total_ideal
 
 
@@ -374,7 +375,7 @@ def test_vertical_falls_back_when_the_image_is_not_dense(monkeypatch):
     # X = {0} x C over the y-line: its image, the origin, is not dense
     setup = simple_setup("y")
     reached = record_slow_path(monkeypatch)
-    result = vertical(setup, 1)
+    result = has_vertical_component(setup, 1)
     assert reached == [setup.total_ideal]
     assert (result.verdict, result.detail) == (True, "image closure has dimension 0 < 1")
 
@@ -404,7 +405,7 @@ def test_stabilization_takes_two_absorption_rounds(monkeypatch):
         return read(J)
 
     monkeypatch.setattr(geometry, "relative_terms", counted)
-    strat = stratify_by_fibre_dimension(setup)
+    strat = setup.stratification
     assert len(calls) == 8
     assert strat.fibre_dimensions == (1,)
     stratum = strat.stratum(1)
@@ -419,23 +420,21 @@ def test_stabilization_takes_two_absorption_rounds(monkeypatch):
     assert result.detail == "component inside the zero set of y1"
     # the leading coefficient y1*y2^3 vanishes on the target V(y1^2*y2), so
     # the dimension counts decline and the saturation path decides
-    strat = stratify_by_fibre_dimension(setup)
-    assert geometry._vertical_by_dimension(setup, setup.total_ideal, 1, strat) is None
-    assert has_vertical_component(setup, 1, strat) == result
+    assert geometry._vertical_by_dimension(setup, setup.total_ideal, 1) is None
+    assert has_vertical_component(setup, 1) == result
 
 
 def test_vertical_requires_attestation():
     ring = PolynomialRing(("y",), ("x",))
     setup = make_setup(ring, [], [P("y*x", ring)])
     with pytest.raises(PreconditionError):
-        vertical(setup, 1)
+        has_vertical_component(setup, 1)
 
 
 def test_vertical_monotone_across_powers():
     setup = simple_setup("y*x")
-    strat = stratify_by_fibre_dimension(setup)
-    first = has_vertical_component(setup, 1, strat)
-    second = has_vertical_component(setup, 2, strat)
+    first = has_vertical_component(setup, 1)
+    second = has_vertical_component(setup, 2)
     assert first.verdict is True
     assert second.verdict is True
 
@@ -459,8 +458,7 @@ def test_dimension_certificates_agree_with_the_saturation_path(name, i):
     # The dimension counts decide every attested fixture and cyclic (4, 3)
     # and (4, 4) at powers 1-3; each verdict is replayed on the slow path.
     setup = replayed_setup(name)
-    strat = stratify_by_fibre_dimension(setup)
-    certified = geometry._vertical_by_dimension(setup, fibred_power(setup, i), i, strat)
+    certified = geometry._vertical_by_dimension(setup, fibred_power(setup, i), i)
     assert certified is not None
     assert slow_vertical(setup, i).verdict is certified.verdict
 
@@ -518,9 +516,8 @@ def test_dimension_counts_decline_when_the_image_misses_a_target_component():
         source_generators=[P("2*x2^2", ring), P("y2 + 3*y1*x2", ring)],
     )
     assert image_closure(setup.total_ideal)[1] == setup.n
-    strat = stratify_by_fibre_dimension(setup)
-    assert strat.generic is None
-    assert geometry._vertical_by_dimension(setup, setup.total_ideal, 1, strat) is None
+    assert setup.stratification.generic is None
+    assert geometry._vertical_by_dimension(setup, setup.total_ideal, 1) is None
 
 
 def probe_polynomials(setup):
@@ -552,12 +549,48 @@ def test_cell_formula_gives_the_fibred_power_zero_set_dimension(name):
             assert formula == krull_dimension(J.added([transport(h, J.ring)])), (h, i)
 
 
+def test_meet_dimension_with_a_cell_inequation_builds_no_basis(monkeypatch):
+    # An inequation h of a cell C does not vanish on C, so C meet V(h) is
+    # empty: the answer -1 needs no Groebner basis.
+    cells = [
+        cell
+        for name in REPLAYED
+        for stratum in replayed_setup(name).stratification.strata
+        for cell in stratum.cells
+    ]
+    runs = []
+    buchberger = groebner._buchberger
+
+    def recording(seq, key):
+        runs.append(seq)
+        return buchberger(seq, key)
+
+    monkeypatch.setattr(groebner, "_buchberger", recording)
+    asked = [geometry._meet_dimension(cell, h) for cell in cells for h in cell.inequations]
+    assert asked and set(asked) == {-1}
+    assert runs == []
+
+
+def test_stratification_is_kept_and_a_cap_hit_is_not(monkeypatch):
+    setup = quadric_cone_setup()
+    monkeypatch.setattr(geometry, "STRATIFY_MAX_NODES", 0)
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            setup.stratification
+    monkeypatch.undo()
+    strat = setup.stratification
+    assert strat.fibre_dimensions == (0, 1)
+    # once kept, a cap lowered afterwards has no effect on this setup
+    monkeypatch.setattr(geometry, "STRATIFY_MAX_NODES", 0)
+    assert setup.stratification is strat
+
+
 def test_dimension_counts_build_no_basis_in_the_power_ring(monkeypatch, fixture_dir):
     # Given X's stratification, each power's counts come from bases in the
     # target ring and in that ring plus one Rabinowitsch variable; none is in
     # the ring of J_i (7, 11 and 15 variables here).
     setup = load_setup(fixture_dir / "cyclic_forms_n3_l3.setup").setup
-    strat = stratify_by_fibre_dimension(setup)
+    setup.stratification  # X's own bases, built before recording
     arities = set()
     buchberger = groebner._buchberger
 
@@ -566,7 +599,7 @@ def test_dimension_counts_build_no_basis_in_the_power_ring(monkeypatch, fixture_
         return buchberger(seq, key)
 
     monkeypatch.setattr(groebner, "_buchberger", recording)
-    verdicts = [has_vertical_component(setup, i, strat).verdict for i in (1, 2, 3)]
+    verdicts = [has_vertical_component(setup, i).verdict for i in (1, 2, 3)]
     assert verdicts == [False, False, True]
     assert arities and max(arities) <= setup.n + 1
 
@@ -707,9 +740,8 @@ def test_unmixed_skips_agree_with_saturation(monkeypatch, fixture_dir):
         setup = loaded.setup
         pure_dimension_check(setup.total_ideal)
         if setup.assert_target_locally_irreducible:
-            strat = stratify_by_fibre_dimension(setup)
             for i in range(1, required_max_power(loaded.expect) + 1):
-                has_vertical_component(setup, i, strat)
+                has_vertical_component(setup, i)
     monkeypatch.undo()
 
     skipped = 0
@@ -837,9 +869,9 @@ def test_vertical_detector_consistency_on_random_setups():
 
     decided = 0
     for setup in _random_projection_setups(424242, 60):
-        strat = stratify_by_fibre_dimension(setup)
+        strat = setup.stratification
         purity = pure_dimension_check(setup.total_ideal)
-        vert = has_vertical_component(setup, 1, strat)
+        vert = has_vertical_component(setup, 1)
         if vert.verdict is None:
             continue
         decided += 1
@@ -849,7 +881,7 @@ def test_vertical_detector_consistency_on_random_setups():
                 assert not radical_member(vert.witness, setup.total_ideal)
         elif purity.pure is True:
             assert strat.min_fibre_dim == setup.m - setup.n
-            upper = phi_upper(strat, setup.m, setup.n, purity)
+            upper = phi_upper(setup, purity)
             assert upper.is_infinite or upper.value >= 1
     assert decided > 40
 

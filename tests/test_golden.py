@@ -5,6 +5,7 @@ must reproduce the committed document in ``tests/golden``, and
 The documents were written from the repository root by
 
     fibrephi analyze fixtures/<name>.setup --max-power 3 --json tests/golden/<name>.json
+    fibrephi verify-power fixtures/<name>.setup --i 1 --json tests/golden/verify-power/<name>_i1.json
     fibrephi verify-power fixtures/<name>.setup --i 2 --json tests/golden/verify-power/<name>_i2.json
     fibrephi verify-power fixtures/quadric_cone.setup --i 3 --json tests/golden/verify-power/quadric_cone_i3.json
 
@@ -30,7 +31,7 @@ from conftest import FIXTURES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 NAMES = sorted(p.stem for p in FIXTURES.glob("*.setup"))
-POWERS = [(name, 2) for name in NAMES] + [("quadric_cone", 3)]
+POWERS = [(name, i) for name in NAMES for i in (1, 2)] + [("quadric_cone", 3)]
 
 
 def assert_matches_golden(command, options, name, golden, tmp_path, capsys):

@@ -15,10 +15,10 @@ from fibrephi import (
     make_setup,
     multiplicity_bound,
     parse_polynomial,
+    phi_by_fibred_powers,
     phi_lower,
     phi_upper,
     pure_dimension_check,
-    stratify_by_fibre_dimension,
     summarize_power_verdicts,
 )
 from fibrephi.errors import (
@@ -29,14 +29,12 @@ from fibrephi.errors import (
 from fibrephi.geometry import PurityResult, VerticalResult, single_rational_point
 from fibrephi.invariant import MultiplicityQuery, PhiReport
 
-from conftest import cyclic_family_setup, power_scan, quadric_cone_setup, simple_setup
+from conftest import cyclic_family_setup, quadric_cone_setup, simple_setup
 
 
 def analyzed(setup):
-    strat = stratify_by_fibre_dimension(setup)
     purity = pure_dimension_check(setup.total_ideal)
-    vertical = has_vertical_component(setup, 1, strat)
-    return strat, purity, vertical
+    return purity, has_vertical_component(setup, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -68,32 +66,31 @@ def test_extended_nat_serialization():
 
 def test_upper_bound_quadric_cone():
     setup = quadric_cone_setup()
-    strat, purity, _ = analyzed(setup)
-    assert phi_upper(strat, setup.m, setup.n, purity) == ExtendedNat(2)
+    purity, _ = analyzed(setup)
+    assert phi_upper(setup, purity) == ExtendedNat(2)
 
 
 @pytest.mark.parametrize("n,l", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
 def test_upper_bound_family(n, l):
     setup = cyclic_family_setup(n, l)
-    strat, purity, _ = analyzed(setup)
-    assert phi_upper(strat, setup.m, setup.n, purity) == ExtendedNat(l - 1)
+    purity, _ = analyzed(setup)
+    assert phi_upper(setup, purity) == ExtendedNat(l - 1)
 
 
 def test_upper_bound_equidimensional_map_is_infinite():
     setup = simple_setup("x - y")
-    strat, purity, _ = analyzed(setup)
-    assert phi_upper(strat, setup.m, setup.n, purity).is_infinite
+    purity, _ = analyzed(setup)
+    assert phi_upper(setup, purity).is_infinite
 
 
 def test_upper_bound_requires_purity():
     setup = quadric_cone_setup()
-    strat, _, _ = analyzed(setup)
     unconfirmed = PurityResult(None, 3, ())
     with pytest.raises(PreconditionError):
-        phi_upper(strat, setup.m, setup.n, unconfirmed)
+        phi_upper(setup, unconfirmed)
     with pytest.raises(PreconditionError):
-        phi_upper(strat, setup.m, setup.n, PurityResult(False, 3, (3, 0)))
-    assert phi_upper(strat, setup.m, setup.n, PurityResult(True, 3, (3,))) == ExtendedNat(2)
+        phi_upper(setup, PurityResult(False, 3, (3, 0)))
+    assert phi_upper(setup, PurityResult(True, 3, (3,))) == ExtendedNat(2)
 
 
 # ---------------------------------------------------------------------------
@@ -103,40 +100,39 @@ def test_upper_bound_requires_purity():
 
 def test_lower_bound_quadric_cone():
     setup = quadric_cone_setup()
-    strat, _, vertical = analyzed(setup)
+    _, vertical = analyzed(setup)
     assert vertical.verdict is False
-    value = phi_lower(strat, setup.N, setup.k, setup.r, True)
+    value = phi_lower(setup, True)
     assert value == ExtendedNat(2)
 
 
 def test_lower_bound_singleton_fibre_dimension_set():
     setup = simple_setup("x - y")
-    strat, _, vertical = analyzed(setup)
+    _, vertical = analyzed(setup)
     assert vertical.verdict is False
-    value = phi_lower(strat, setup.N, setup.k, setup.r, True)
+    value = phi_lower(setup, True)
     assert value is not None and value.is_infinite
 
 
 @pytest.mark.parametrize("n,l", [(2, 2), (3, 2), (3, 3)])
 def test_lower_bound_family_no_vertical(n, l):
     setup = cyclic_family_setup(n, l)
-    strat, _, vertical = analyzed(setup)
+    _, vertical = analyzed(setup)
     assert vertical.verdict is False
-    value = phi_lower(strat, setup.N, setup.k, setup.r, True)
+    value = phi_lower(setup, True)
     assert value == ExtendedNat(l - 1)
 
 
 def test_lower_bound_with_vertical_component_is_zero():
     setup = simple_setup("y*x")
-    strat, _, vertical = analyzed(setup)
+    _, vertical = analyzed(setup)
     assert vertical.verdict is True
-    assert phi_lower(strat, setup.N, setup.k, setup.r, False) == ExtendedNat(0)
+    assert phi_lower(setup, False) == ExtendedNat(0)
 
 
 def test_lower_bound_not_applicable_when_uncertified():
     setup = quadric_cone_setup()
-    strat, _, _ = analyzed(setup)
-    assert phi_lower(strat, setup.N, setup.k, setup.r, None) is None
+    assert phi_lower(setup, None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -146,34 +142,34 @@ def test_lower_bound_not_applicable_when_uncertified():
 
 def test_bounds_meet_beats_complete_intersection():
     setup = quadric_cone_setup()
-    strat, purity, vertical = analyzed(setup)
-    upper = phi_upper(strat, setup.m, setup.n, purity)
-    lower = phi_lower(strat, setup.N, setup.k, setup.r, True)
+    purity, vertical = analyzed(setup)
+    upper = phi_upper(setup, purity)
+    lower = phi_lower(setup, True)
     exact, tag = exactness_rules(setup, upper, lower, vertical, purity)
     assert exact == ExtendedNat(2) and tag == "bounds-meet"
 
 
 def test_complete_intersection_fires_without_lower_bound():
     setup = quadric_cone_setup()
-    strat, purity, vertical = analyzed(setup)
-    upper = phi_upper(strat, setup.m, setup.n, purity)
+    purity, vertical = analyzed(setup)
+    upper = phi_upper(setup, purity)
     exact, tag = exactness_rules(setup, upper, None, vertical, purity)
     assert exact == ExtendedNat(2) and tag == "complete-intersection"
 
 
 def test_smooth_target_has_priority():
     setup = cyclic_family_setup(2, 2)
-    strat, purity, vertical = analyzed(setup)
-    upper = phi_upper(strat, setup.m, setup.n, purity)
-    lower = phi_lower(strat, setup.N, setup.k, setup.r, True)
+    purity, vertical = analyzed(setup)
+    upper = phi_upper(setup, purity)
+    lower = phi_lower(setup, True)
     exact, tag = exactness_rules(setup, upper, lower, vertical, purity)
     assert exact == ExtendedNat(1) and tag == "smooth-target"
 
 
 def test_zero_upper_bound_forces_zero():
     setup = simple_setup("y*x")
-    strat, purity, vertical = analyzed(setup)
-    upper = phi_upper(strat, setup.m, setup.n, purity)
+    purity, vertical = analyzed(setup)
+    upper = phi_upper(setup, purity)
     assert upper == ExtendedNat(0)
     exact, tag = exactness_rules(setup, upper, None, vertical, purity)
     assert exact == ExtendedNat(0) and tag == "smooth-target"
@@ -194,16 +190,16 @@ def test_curve_target_rule():
         assert_target_pure_dimensional=True,
     )
     assert (setup.N, setup.n, setup.r) == (2, 1, 2)
-    strat, purity, vertical = analyzed(setup)
-    upper = phi_upper(strat, setup.m, setup.n, purity)
+    purity, vertical = analyzed(setup)
+    upper = phi_upper(setup, purity)
     exact, tag = exactness_rules(setup, upper, None, vertical, purity)
     assert exact == upper and tag == "curve-target"
 
 
 def test_conflicting_rules_abort():
     setup = cyclic_family_setup(2, 2)
-    strat, purity, vertical = analyzed(setup)
-    upper = phi_upper(strat, setup.m, setup.n, purity)
+    purity, vertical = analyzed(setup)
+    upper = phi_upper(setup, purity)
     wrong_vertical = VerticalResult(True, None, "forged")
     with pytest.raises(InternalInconsistencyError):
         exactness_rules(setup, upper, None, wrong_vertical, purity)
@@ -216,7 +212,7 @@ def test_conflicting_rules_abort():
 
 def test_power_scan_on_quadric_cone():
     setup = quadric_cone_setup()
-    verdicts = power_scan(setup, 3)
+    verdicts = phi_by_fibred_powers(setup, 3, has_vertical_component(setup, 1))
     assert verdicts == [(1, False), (2, False), (3, True)]
     exact, summary = summarize_power_verdicts(verdicts)
     assert exact == ExtendedNat(2)
@@ -225,7 +221,7 @@ def test_power_scan_on_quadric_cone():
 
 def test_power_scan_stops_at_first_vertical():
     setup = simple_setup("y*x")
-    verdicts = power_scan(setup, 3)
+    verdicts = phi_by_fibred_powers(setup, 3, has_vertical_component(setup, 1))
     assert verdicts == [(1, True)]
     exact, _ = summarize_power_verdicts(verdicts)
     assert exact == ExtendedNat(0)
@@ -233,7 +229,7 @@ def test_power_scan_stops_at_first_vertical():
 
 def test_power_scan_open_map_reports_lower_bound_only():
     setup = simple_setup("x - y")
-    verdicts = power_scan(setup, 2)
+    verdicts = phi_by_fibred_powers(setup, 2, has_vertical_component(setup, 1))
     assert verdicts == [(1, False), (2, False)]
     exact, summary = summarize_power_verdicts(verdicts)
     assert exact is None
@@ -277,9 +273,9 @@ def test_analyze_asks_each_power_once_and_reads_x_once(monkeypatch):
     asked = []
     decide = invariant.has_vertical_component
 
-    def recording(setup, i, strat):
+    def recording(setup, i):
         asked.append(i)
-        return decide(setup, i, strat)
+        return decide(setup, i)
 
     closures = []
     closure = geometry.image_closure
@@ -296,9 +292,29 @@ def test_analyze_asks_each_power_once_and_reads_x_once(monkeypatch):
     assert len(closures) == 0
 
 
+def test_a_setup_is_stratified_once(monkeypatch):
+    # analyze, a later vertical test and a later power scan on the same
+    # setup all read the one stratification the setup keeps
+    calls = []
+    stratify = geometry.stratify_by_fibre_dimension
+
+    def counted(setup):
+        calls.append(setup)
+        return stratify(setup)
+
+    monkeypatch.setattr(geometry, "stratify_by_fibre_dimension", counted)
+    setup = cyclic_family_setup(3, 3)
+    report = analyze(setup, max_power=3)
+    assert report.stratification is setup.stratification
+    assert has_vertical_component(setup, 2).verdict is False
+    verdicts = phi_by_fibred_powers(setup, 3, report.vertical)
+    assert verdicts == [(1, False), (2, False), (3, True)]
+    assert calls == [setup]
+
+
 def test_analyze_rejects_fibred_powers_that_contradict_the_rules(monkeypatch):
     monkeypatch.setattr(
-        invariant, "phi_by_fibred_powers", lambda setup, i, strat, first: [(1, True)]
+        invariant, "phi_by_fibred_powers", lambda setup, i, first: [(1, True)]
     )
     with pytest.raises(InternalInconsistencyError, match="fibred powers give phi = 0"):
         analyze(quadric_cone_setup(), max_power=1)
@@ -330,8 +346,8 @@ def test_vertical_component_pins_phi_without_an_upper_bound(max_power):
 
 def test_multiplicity_on_quadric_cone():
     setup = quadric_cone_setup()
-    strat, purity, _ = analyzed(setup)
-    query = certify_multiplicity_query(setup, strat, purity)
+    purity, _ = analyzed(setup)
+    query = certify_multiplicity_query(setup, purity)
     assert query is not None
     assert (query.common_dim, query.special_fibre_dim) == (3, 1)
     assert multiplicity_bound(query) == 2
@@ -339,16 +355,16 @@ def test_multiplicity_on_quadric_cone():
 
 def test_multiplicity_on_blowup_chart():
     setup = simple_setup("y1*x - y2", target_vars=("y1", "y2"), source_vars=("x",))
-    strat, purity, _ = analyzed(setup)
-    query = certify_multiplicity_query(setup, strat, purity)
+    purity, _ = analyzed(setup)
+    query = certify_multiplicity_query(setup, purity)
     assert query is not None
     assert multiplicity_bound(query) == 1
 
 
 def test_multiplicity_premises_fail_on_unequal_dimensions():
     setup = cyclic_family_setup(2, 2)  # m = 3 but n = 2
-    strat, purity, _ = analyzed(setup)
-    assert certify_multiplicity_query(setup, strat, purity) is None
+    purity, _ = analyzed(setup)
+    assert certify_multiplicity_query(setup, purity) is None
 
 
 def test_multiplicity_needs_a_structural_route():
@@ -356,12 +372,12 @@ def test_multiplicity_needs_a_structural_route():
     # origin: every premise holds but the route (no smooth or curve target,
     # and r = 2 is not the codimension)
     setup = redundant_cone_setup()
-    strat, purity, _ = analyzed(setup)
+    purity, _ = analyzed(setup)
     assert (setup.m, setup.n, purity.pure) == (3, 3, True)
-    positive = [s for s in strat.strata if s.fibre_dim > 0]
+    positive = [s for s in setup.stratification.strata if s.fibre_dim > 0]
     assert [(s.fibre_dim, s.image_dim) for s in positive] == [(1, 0)]
     assert single_rational_point(positive[0].image_ideal) is not None
-    assert certify_multiplicity_query(setup, strat, purity) is None
+    assert certify_multiplicity_query(setup, purity) is None
     assert analyze(setup).multiplicity_bound is None
 
 
@@ -383,16 +399,16 @@ def test_no_vertical_forces_positive_upper_bound():
         simple_setup("x - y"),
         simple_setup("y*x - 1"),
     ):
-        strat, purity, vertical = analyzed(setup)
+        purity, vertical = analyzed(setup)
         if vertical.verdict is False:
-            upper = phi_upper(strat, setup.m, setup.n, purity)
+            upper = phi_upper(setup, purity)
             assert upper >= ExtendedNat(1)
 
 
 def test_zero_upper_bound_comes_with_a_vertical_verdict():
     for setup in (simple_setup("y*x"), cyclic_family_setup(2, 1)):
-        strat, purity, vertical = analyzed(setup)
-        upper = phi_upper(strat, setup.m, setup.n, purity)
+        purity, vertical = analyzed(setup)
+        upper = phi_upper(setup, purity)
         if upper == ExtendedNat(0):
             assert vertical.verdict is not False
 
@@ -404,7 +420,7 @@ def test_zero_upper_bound_comes_with_a_vertical_verdict():
 
 def _report(**overrides):
     setup = quadric_cone_setup()
-    strat, purity, vertical = analyzed(setup)
+    purity, vertical = analyzed(setup)
     fields = dict(
         phi_upper=ExtendedNat(2),
         phi_lower=ExtendedNat(2),
@@ -412,7 +428,7 @@ def _report(**overrides):
         exactness_tag="bounds-meet",
         vertical=vertical,
         purity=purity,
-        stratification=strat,
+        stratification=setup.stratification,
         fibred_power_verdicts=((1, False),),
         fibred_power_summary=None,
         multiplicity_bound=2,
