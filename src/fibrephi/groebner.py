@@ -9,9 +9,10 @@ a given (ideal, order) pair is unique, so it doubles as a canonical form.
 Each piece of bookkeeping is done once.  A pending pair's lcm is computed when
 the pair is made and the pair enters a heap keyed by the lcm's order key; the
 selection loop pops the smallest and skips pairs the criteria have dropped
-since.  A reduction computes each monomial's order key when the monomial first
-enters its working set.  A basis keeps its leading monomials, so membership
-tests divide by it directly.
+since.  One Buchberger run keeps one dict of order keys, filled as monomials
+first appear, which the generator sort, every reduction, every leading-term
+choice and every pair's lcm read.  A basis keeps its leading monomials, so
+membership tests divide by it directly.
 """
 
 from __future__ import annotations
@@ -97,16 +98,21 @@ def _normal_form_dict(
     f: PolyDict,
     divisors: Sequence[tuple[Monomial, PolyDict]],
     key,
+    keys: dict,
     budget: _ReductionBudget | None = None,
 ) -> PolyDict:
     """Full normal form of ``f`` against monic ``divisors``.
 
-    Each monomial's order key is computed once, when the monomial first
-    enters the working set, so picking the leading term does no key work.
+    ``keys`` maps monomials to their order keys under ``key``; a monomial
+    missing from it gets its key when it first enters the working set, so
+    picking the leading term does no key work.  A Buchberger run passes one
+    dict to all its reductions.
     """
     rem: PolyDict = {}
     work = dict(f)
-    keys = {m: key(m) for m in work}
+    for m in work:
+        if m not in keys:
+            keys[m] = key(m)
     while work:
         m = max(work, key=keys.__getitem__)
         c = work.pop(m)
@@ -145,17 +151,20 @@ def _buchberger(seq: list[PolyDict], key) -> list[tuple[Monomial, PolyDict]]:
     leading monomial.
     """
     budget = _ReductionBudget(GROEBNER_MAX_REDUCTIONS)
+    keys: dict = {}
+    key_of = keys.__getitem__
     f: list[PolyDict] = []
     lms: list[Monomial] = []
     lm_keys: list = []
 
     # No two installed polynomials share a leading monomial: every one, a
-    # generator or an S-polynomial, is first reduced by the current basis.
+    # generator or an S-polynomial, is first reduced by the current basis,
+    # which also gave each of its monomials its key.
     def install(p: PolyDict) -> int:
-        lm, p = _monic_dict(p, key)
+        lm, p = _monic_dict(p, key_of)
         f.append(p)
         lms.append(lm)
-        lm_keys.append(key(lm))
+        lm_keys.append(keys[lm])
         if len(f) > GROEBNER_MAX_BASIS:
             raise ResourceLimitError("Groebner basis size cap exceeded")
         return len(f) - 1
@@ -193,7 +202,10 @@ def _buchberger(seq: list[PolyDict], key) -> list[tuple[Monomial, PolyDict]]:
             lcm_hg = lcm_h[ig]
             if monomial_mul(mh, lms[ig]) != lcm_hg:
                 kept[ih, ig] = lcm_hg
-                heapq.heappush(heap, (key(lcm_hg), ih, ig))
+                k = keys.get(lcm_hg)
+                if k is None:
+                    k = keys[lcm_hg] = key(lcm_hg)
+                heapq.heappush(heap, (k, ih, ig))
         CP = kept
         G_new = {ig for ig in G if not monomial_divides(mh, lms[ig])}
         G_new.add(ih)
@@ -204,14 +216,19 @@ def _buchberger(seq: list[PolyDict], key) -> list[tuple[Monomial, PolyDict]]:
 
     def add(p: PolyDict):
         nonlocal G, reducers
-        h = _normal_form_dict(p, reducers, key, budget)
+        h = _normal_form_dict(p, reducers, key, keys, budget)
         if h:
             G = update(G, install(h))
             reducers = [(lms[g], f[g]) for g in sorted(G, key=lm_keys.__getitem__)]
 
     # generators enter the way S-polynomials do, smallest leading monomial
     # first (a stable sort, so ties keep generator order)
-    for p in sorted((p for p in seq if p), key=lambda p: max(map(key, p))):
+    gens = [p for p in seq if p]
+    for p in gens:
+        for m in p:
+            if m not in keys:
+                keys[m] = key(m)
+    for p in sorted(gens, key=lambda p: max(map(key_of, p))):
         add(p)
     while CP:
         _, i, j = heapq.heappop(heap)
@@ -225,7 +242,7 @@ def _buchberger(seq: list[PolyDict], key) -> list[tuple[Monomial, PolyDict]]:
     ids = sorted(G, key=lm_keys.__getitem__, reverse=True)
     reduced: list[tuple[Monomial, PolyDict]] = []
     for g in ids:
-        r = _normal_form_dict(f[g], [(lms[o], f[o]) for o in ids if o != g], key, budget)
+        r = _normal_form_dict(f[g], [(lms[o], f[o]) for o in ids if o != g], key, keys, budget)
         reduced.append((lms[g], r))
     return reduced
 
@@ -261,7 +278,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
         if b.ring != f.ring:
             raise RingMismatchError("division basis must share the ring")
         divisors.append(_monic_dict(b.as_dict(), key))
-    return Polynomial(f.ring, _normal_form_dict(f.as_dict(), divisors, key))
+    return Polynomial(f.ring, _normal_form_dict(f.as_dict(), divisors, key, {}))
 
 
 @dataclass(frozen=True)
@@ -354,7 +371,7 @@ class Ideal:
         if f.is_zero:
             return True
         basis = self.groebner_basis(GREVLEX)
-        return not _normal_form_dict(f.as_dict(), basis.divisors, GREVLEX.key)
+        return not _normal_form_dict(f.as_dict(), basis.divisors, GREVLEX.key, {})
 
     def is_unit(self) -> bool:
         if any(g.is_constant() for g in self.generators):
@@ -464,37 +481,40 @@ def independent_set_dimension(monomials: Iterable[Monomial], nvars: int) -> int:
     inputs generate; the unit ideal (a constant monomial present) gives -1
     and an empty input gives ``nvars``.
     """
-    supports: list[frozenset[int]] = []
+    # each support is a bitmask: bit i is set when variable i occurs
+    supports: set[int] = set()
     for m in monomials:
-        s = frozenset(i for i, e in enumerate(m) if e)
+        s = 0
+        for i, e in enumerate(m):
+            if e:
+                s |= 1 << i
         if not s:
             return -1
-        supports.append(s)
+        supports.add(s)
     if not supports:
         return nvars
     # only inclusion-minimal supports constrain the search
-    supports = sorted(set(supports), key=len)
-    minimal: list[frozenset[int]] = []
-    for s in supports:
-        if not any(t <= s for t in minimal):
+    minimal: list[int] = []
+    for s in sorted(supports, key=int.bit_count):
+        if not any(t & s == t for t in minimal):
             minimal.append(s)
 
     best = 0
     n = nvars
 
-    def extend(start: int, chosen: set[int]):
+    # ``chosen`` is a bitmask of ``size`` variables, all below ``start``
+    def extend(start: int, chosen: int, size: int):
         nonlocal best
-        if len(chosen) + (n - start) <= best:
+        if size + (n - start) <= best:
             return
         for v in range(start, n):
-            nxt = chosen | {v}
-            if any(s <= nxt for s in minimal):
+            nxt = chosen | 1 << v
+            if any(s & nxt == s for s in minimal):
                 continue
-            if len(nxt) > best:
-                best = len(nxt)
-            extend(v + 1, nxt)
+            best = max(best, size + 1)
+            extend(v + 1, nxt, size + 1)
 
-    extend(0, set())
+    extend(0, 0, 0)
     return best
 
 

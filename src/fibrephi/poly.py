@@ -168,9 +168,13 @@ class Polynomial:
     def _trusted(cls, ring: PolynomialRing, terms: dict[Monomial, Fraction]) -> "Polynomial":
         """Wrap ``terms`` without checking or copying it.
 
-        Only for Groebner-engine output: tuple exponents of the ring's arity,
-        none negative, nonzero ``Fraction`` coefficients, and a dict that is
-        never mutated afterwards, so the element may share it.
+        For terms built from already validated polynomials: Groebner-engine
+        output and the results of arithmetic, substitution and transport.
+        ``terms`` must hold tuple exponents of the ring's arity, none
+        negative, nonzero ``Fraction`` coefficients, and must never be mutated
+        afterwards, so the element may share it.  Values from outside (a
+        scalar factor, a substituted value, a constant) still pass through
+        ``_exact`` first.
         """
         p = object.__new__(cls)
         object.__setattr__(p, "ring", ring)
@@ -254,13 +258,21 @@ class Polynomial:
         self._check_ring(other)
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return Polynomial(self.ring, out)
+            c = out.get(mono)
+            if c is None:
+                out[mono] = coeff
+            else:
+                c += coeff
+                if c:
+                    out[mono] = c
+                else:
+                    del out[mono]
+        return Polynomial._trusted(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {m: -c for m, c in self._terms.items()})
+        return Polynomial._trusted(self.ring, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -278,8 +290,9 @@ class Polynomial:
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
                 m = monomial_mul(ma, mb)
-                out[m] = out.get(m, Fraction(0)) + ca * cb
-        return Polynomial(self.ring, out)
+                c = out.get(m)
+                out[m] = ca * cb if c is None else c + ca * cb
+        return Polynomial._trusted(self.ring, {m: c for m, c in out.items() if c})
 
     def __rmul__(self, other: Scalar) -> "Polynomial":
         return self.scale(other)
@@ -288,7 +301,7 @@ class Polynomial:
         c = _exact(c)
         if c == 0:
             return self.ring.zero()
-        return Polynomial(self.ring, {m: c * co for m, co in self._terms.items()})
+        return Polynomial._trusted(self.ring, {m: c * co for m, co in self._terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if isinstance(n, bool) or not isinstance(n, int):
@@ -333,24 +346,34 @@ class Polynomial:
         if not assignment:
             return self
         idx = {self.ring.index(name): _exact(v) for name, v in assignment.items()}
+        powers: dict[tuple[int, int], Fraction] = {}
         out: dict[Monomial, Fraction] = {}
         for mono, coeff in self._terms.items():
             c = coeff
-            new = list(mono)
+            new = None
             for i, v in idx.items():
                 e = mono[i]
                 if e:
-                    c *= v**e
+                    ve = powers.get((i, e))
+                    if ve is None:
+                        ve = powers[i, e] = v**e
+                    c *= ve
+                    if new is None:
+                        new = list(mono)
                     new[i] = 0
-            if c == 0:
+            if not c:
                 continue
-            key = tuple(new)
-            total = out.get(key, Fraction(0)) + c
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
-        return Polynomial(self.ring, out)
+            key = mono if new is None else tuple(new)
+            total = out.get(key)
+            if total is None:
+                out[key] = c
+            else:
+                total += c
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
+        return Polynomial._trusted(self.ring, out)
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Full evaluation to a rational number."""
@@ -407,17 +430,19 @@ def transport(p: Polynomial, ring: PolynomialRing, rename: Mapping[str, str] | N
     """Re-express ``p`` in another ring, optionally renaming variables.
 
     Every variable actually used must map to a variable of the new ring;
-    dropping a used variable is an error.
+    dropping a used variable is an error.  Without a renaming, ``p`` in its
+    own ring is returned as it is.
     """
-    rename = rename or {}
     old = p.ring
+    if not rename:
+        if ring == old:
+            return p
+        rename = {}
     out: dict[Monomial, Fraction] = {}
-    column: list[int | None] = []
-    for name in old.variables:
-        target = rename.get(name, name)
-        column.append(ring._index.get(target))
-    for mono, coeff in p.as_dict().items():
-        new = [0] * ring.arity
+    column = [ring._index.get(rename.get(name, name)) for name in old.variables]
+    arity = ring.arity
+    for mono, coeff in p._terms.items():
+        new = [0] * arity
         for i, e in enumerate(mono):
             if not e:
                 continue
@@ -428,5 +453,13 @@ def transport(p: Polynomial, ring: PolynomialRing, rename: Mapping[str, str] | N
                 )
             new[j] += e
         key = tuple(new)
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return Polynomial(ring, out)
+        c = out.get(key)
+        if c is None:
+            out[key] = coeff
+        else:
+            c += coeff
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return Polynomial._trusted(ring, out)

@@ -2,11 +2,13 @@
 component splitting, purity, fibred powers and rational sampling."""
 
 from fractions import Fraction
+from math import prod
 from random import Random
 
 import pytest
 
 from fibrephi import (
+    GREVLEX,
     Ideal,
     groebner,
     PolynomialRing,
@@ -43,9 +45,10 @@ from fibrephi.geometry import (
     relative_terms,
     single_rational_point,
 )
-from fibrephi.groebner import independent_set_dimension
+from fibrephi.groebner import _inverted, independent_set_dimension
 
 from conftest import FIXTURES, cyclic_family_setup, quadric_cone_setup, simple_setup
+from test_groebner import _assert_basis_matches_sympy
 
 
 def P(text, ring):
@@ -547,6 +550,33 @@ def test_cell_formula_gives_the_fibred_power_zero_set_dimension(name):
             J = fibred_power(setup, i)
             formula = max((e + i * j for e, j in meets if e >= 0), default=-1)
             assert formula == krull_dimension(J.added([transport(h, J.ring)])), (h, i)
+
+
+def cell_meet_ideals(setup):
+    """The ideals whose dimensions are the generic meets: for each generic
+    inequation h and each cell C without h among its inequations, C's
+    closure plus h, with the product of C's inequations inverted."""
+    strat = setup.stratification
+    if strat.generic is None:
+        return []
+    cells = [cell for stratum in strat.strata for cell in stratum.cells]
+    ideals = []
+    for h in strat.generic.inequations:
+        for cell in cells:
+            if h in cell.inequations:
+                continue
+            inside = cell.closure.added([h])
+            if cell.inequations:
+                inside = _inverted(inside, prod(cell.inequations))
+            ideals.append(inside)
+    return ideals
+
+
+@pytest.mark.parametrize("name", REPLAYED)
+def test_cell_meet_bases_against_sympy_oracle(name):
+    # the grevlex bases behind the fibred-power dimension counts
+    for ideal in cell_meet_ideals(replayed_setup(name)):
+        _assert_basis_matches_sympy(ideal, GREVLEX, "grevlex")
 
 
 def test_meet_dimension_with_a_cell_inequation_builds_no_basis(monkeypatch):

@@ -1,11 +1,14 @@
 """Groebner engine: bases, normal forms, membership, elimination, saturation,
 dimension.  sympy serves as an independent oracle for basis computations."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.orderings import ProductOrder, grevlex
 
 from fibrephi import (
@@ -528,6 +531,39 @@ def test_independent_set_dimension_edge_cases():
     assert independent_set_dimension([], 4) == 4
     assert independent_set_dimension([(0, 0)], 2) == -1
     assert independent_set_dimension([(1, 0), (0, 2)], 2) == 0
+
+
+def _largest_independent_set(monomials, nvars):
+    """Size of the largest variable subset containing no monomial's support,
+    by trying every subset; -1 when there is none (a constant monomial)."""
+    supports = [{i for i, e in enumerate(m) if e} for m in monomials]
+    for size in range(nvars, -1, -1):
+        for chosen in itertools.combinations(range(nvars), size):
+            if not any(s <= set(chosen) for s in supports):
+                return size
+    return -1
+
+
+_monomial_sets = st.integers(1, 8).flatmap(
+    lambda nvars: st.tuples(
+        st.lists(st.tuples(*[st.integers(0, 2)] * nvars), max_size=8),
+        st.just(nvars),
+    )
+)
+
+
+@given(_monomial_sets)
+@settings(max_examples=200)
+def test_independent_set_dimension_matches_brute_force(case):
+    monomials, nvars = case
+    assert independent_set_dimension(monomials, nvars) == _largest_independent_set(
+        monomials, nvars
+    )
+    # a constant monomial makes the unit ideal; no monomial leaves every variable free
+    constant = (0,) * nvars
+    assert independent_set_dimension(monomials + [constant], nvars) == -1
+    assert _largest_independent_set(monomials + [constant], nvars) == -1
+    assert independent_set_dimension([], nvars) == _largest_independent_set([], nvars) == nvars
 
 
 def test_unit_detection_on_specialized_fibre():

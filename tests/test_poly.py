@@ -360,6 +360,63 @@ def test_evaluate_needs_all_variables():
 
 
 # ---------------------------------------------------------------------------
+# internally built results are canonical
+# ---------------------------------------------------------------------------
+
+
+def _assert_canonical(p):
+    # what arithmetic, substitution and transport build without validation is
+    # what the validating constructor would build from the same terms
+    terms = p.as_dict()
+    assert all(type(c) is Fraction and c != 0 for c in terms.values())
+    assert all(type(m) is tuple and len(m) == p.ring.arity for m in terms)
+    rebuilt = Polynomial(p.ring, terms)
+    assert p == rebuilt
+    assert hash(p) == hash(rebuilt)
+
+
+def test_cancelling_arithmetic_is_canonical():
+    ring = ring_xy()
+    x, y = ring.variable("x"), ring.variable("y")
+    total = (x + y) + (-x - y)
+    _assert_canonical(total)
+    assert total.is_zero
+    product = (x - y) * (x + y)
+    _assert_canonical(product)
+    assert (1, 1) not in product.as_dict()
+    assert product == parse_polynomial("x^2 - y^2", ring)
+    for p in [x - y, -(x - y), x - x, product - product, x.scale(Fraction(2, 3)), x.scale(3), 2 * x]:
+        _assert_canonical(p)
+
+
+def test_cancelling_substitution_is_canonical():
+    ring = ring_xy()
+    p = parse_polynomial("x^2*y - 4*y + x - 2", ring)
+    at_two = p.specialize({"x": 2})
+    _assert_canonical(at_two)
+    assert at_two.is_zero
+    at_minus_one = parse_polynomial("x*y + y - 3", ring).specialize({"x": -1})
+    _assert_canonical(at_minus_one)
+    assert at_minus_one == ring.constant(-3)
+    at_zero = p.specialize({"y": 0})
+    _assert_canonical(at_zero)
+    assert at_zero == parse_polynomial("x - 2", ring)
+
+
+def test_merging_transport_is_canonical():
+    ring = ring_xy()
+    merged = PolynomialRing((), ("z",))
+    p = parse_polynomial("x - y", ring)
+    gone = transport(p, merged, {"x": "z", "y": "z"})
+    _assert_canonical(gone)
+    assert gone.is_zero
+    summed = transport(parse_polynomial("x + 2*y - x*y", ring), merged, {"x": "z", "y": "z"})
+    _assert_canonical(summed)
+    assert summed == parse_polynomial("3*z - z^2", merged)
+    assert transport(p, ring) is p
+
+
+# ---------------------------------------------------------------------------
 # property tests
 # ---------------------------------------------------------------------------
 
@@ -386,6 +443,17 @@ def test_ring_axioms(p, q, r):
     assert (p + q) + r == p + (q + r)
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+
+
+@given(_polys, _polys)
+@settings(max_examples=60)
+def test_internal_results_are_canonical(p, q):
+    point = {"y": Fraction(-1), "x2": Fraction(0)}
+    flat = PolynomialRing(("y",), ("x",))
+    results = [p + q, p - q, p * q, -p, p.scale(Fraction(-3, 4)), p.specialize(point)]
+    results.append(transport(p, flat, {"x1": "x", "x2": "x"}))
+    for r in results:
+        _assert_canonical(r)
 
 
 @given(_polys, _polys)
