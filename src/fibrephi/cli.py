@@ -36,7 +36,7 @@ from .geometry import (
     make_setup,
 )
 from .invariant import ExtendedNat, PhiReport, analyze
-from .parser import parse_polynomial
+from .parser import parse_polynomial_list
 from .poly import PolynomialRing
 
 EXIT_OK = 0
@@ -162,16 +162,12 @@ def load_setup(path: str | Path) -> SetupFile:
             return []
         line = lines[lineno - 1]
         start = line.index(value, line.index(":") + 1)  # columns before the value
-        polys = []
-        for chunk in value.split(","):
-            try:
-                polys.append(parse_polynomial(chunk, ring))
-            except ParseError as exc:
-                raise SetupError(
-                    f"{path}:{lineno} ({key}): {exc.args[0]} (column {start + exc.column})"
-                ) from exc
-            start += len(chunk) + 1
-        return polys
+        try:
+            return parse_polynomial_list(value, ring)
+        except ParseError as exc:
+            raise SetupError(
+                f"{path}:{lineno} ({key}): {exc.args[0]} (column {start + exc.column})"
+            ) from exc
 
     ambient = poly_list("ambient_target_ideal")
     if flag("target_equals_ambient", "true") == ("target_ideal" in keys):
@@ -277,15 +273,15 @@ def analysis_document(
     setup_file: SetupFile, report: PhiReport, include_timings: bool = False
 ) -> ReportDocument:
     """The ``analyze`` document of ``report``; wall-clock timings only on request."""
-    purity = report.purity
-    strat = report.stratification
+    setup = report.setup
+    purity, strat = setup.purity, setup.stratification
     document = {
         **_header("analyze", setup_file),
         "seed": report.seed,
-        "dims": setup_file.setup.dims(),
+        "dims": setup.dims(),
         "attestations": {
-            "target_locally_irreducible": setup_file.setup.assert_target_locally_irreducible,
-            "target_pure_dimensional": setup_file.setup.assert_target_pure_dimensional,
+            "target_locally_irreducible": setup.assert_target_locally_irreducible,
+            "target_pure_dimensional": setup.assert_target_pure_dimensional,
         },
         "purity": {
             "pure": purity.pure,
@@ -295,7 +291,7 @@ def analysis_document(
         "strata": _strata_json(strat),
         "fibre_dimensions": list(strat.fibre_dimensions),
         "lambda": strat.min_fibre_dim,
-        "vertical": _vertical_json(report.vertical),
+        "vertical": _vertical_json(setup.vertical),
         "phi_upper": _ext(report.phi_upper),
         "phi_lower": _ext(report.phi_lower),
         "phi_exact": _ext(report.phi_exact),

@@ -69,8 +69,9 @@ class ProjectionSetup:
     number is recomputed from the ideals, never trusted from input.  The
     dimensions carry the paper's letters: ``N`` of the ambient target, ``n``
     of Y, ``m`` of X, ``k`` of Omega and ``r`` the number of source generators.
-    The bounds, the vertical test and every fibred power read one
-    ``stratification`` of X by fibre dimension, computed once per setup.
+    X's ``stratification`` by fibre dimension, ``purity`` and ``vertical``
+    verdict are computed once per setup, on first access; the bounds, the
+    exactness rules, every fibred power and the multiplicity bound read them.
     """
 
     ring: PolynomialRing
@@ -100,6 +101,18 @@ class ProjectionSetup:
         kept in the instance.  A ``ResourceLimitError`` is not cached; a cap
         lowered after a stratification is cached has no effect on it."""
         return stratify_by_fibre_dimension(self)
+
+    @cached_property
+    def purity(self) -> PurityResult:
+        """``pure_dimension_check(self.total_ideal)``, computed once."""
+        return pure_dimension_check(self.total_ideal)
+
+    @cached_property
+    def vertical(self) -> VerticalResult:
+        """``has_vertical_component(self, 1)``, once; undecided without the attestation."""
+        if not self.assert_target_locally_irreducible:
+            return VerticalResult(None, None, "target irreducibility not attested")
+        return has_vertical_component(self, 1)
 
 
 def make_setup(
@@ -656,11 +669,12 @@ def _vertical_by_dimension(setup: ProjectionSetup, J: Ideal, i: int) -> Vertical
     1992), so every fibre F_y^i of X^(i) has dimension at most i*lambda.
     lambda and the h_a are the ``fibre_dim`` and ``inequations`` of the root
     cell ``setup.stratification.generic``.  Returns None, for the saturation
-    path to decide, when there is no such cell, or when neither count fires.  There is none when the root node was refined, because the
-    image of X misses part of the target Y, or absorbed, because some h_a
-    vanishes on Y.  On an irreducible Y the first is exactly a non-dense
-    image; on a reducible Y it also covers an image of full dimension that
-    misses a component.
+    path to decide, when there is no such cell or when neither count fires.
+    There is no such cell when the root node was refined, because the image
+    of X misses part of the target Y, or absorbed, because some h_a vanishes
+    on Y.  On an irreducible Y the first is exactly a non-dense image; on a
+    reducible Y it also covers an image of full dimension that misses a
+    component.
 
     Each ``d = dim V(J + (h_a))`` is read off X's stratification:
     over a cell C every fibre of X is nonempty of dimension C.fibre_dim, so

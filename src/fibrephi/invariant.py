@@ -7,8 +7,9 @@ the source itself has one and infinity exactly for open maps.
 
 This module evaluates the two closed-form bounds read off the fibre-dimension
 stratification, decides exactness from structural side conditions, and
-cross-validates through fibred powers.  ``analyze`` runs the whole pipeline
-and returns one ``PhiReport``.
+cross-validates through fibred powers, each from a ``ProjectionSetup`` alone:
+X's stratification, purity and vertical verdict are computed once and cached
+on it.  ``analyze`` runs the whole pipeline and returns one ``PhiReport``.
 """
 
 from __future__ import annotations
@@ -18,15 +19,11 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Sequence
 
-from .errors import FibrephiError, InternalInconsistencyError, PreconditionError
+from .errors import FibrephiError, InternalInconsistencyError
 from .geometry import (
     ProjectionSetup,
-    PurityResult,
-    Stratification,
-    VerticalResult,
     fibre_at_point,
     has_vertical_component,
-    pure_dimension_check,
     sample_cell_points,
     single_rational_point,
 )
@@ -66,16 +63,17 @@ def _floor_min(values: Sequence[int]) -> ExtendedNat:
     return ExtendedNat(min(values))
 
 
-def phi_upper(setup: ProjectionSetup, purity: PurityResult) -> ExtendedNat:
+def phi_upper(setup: ProjectionSetup) -> ExtendedNat | None:
     """Upper bound from the stratification of a pure-dimensional source.
 
     For every stratum of ``setup.stratification`` with fibre dimension j
     exceeding the generic value m - n, take the integer part of
     (n - image_dim - 1) / (j - (m - n)); the bound is the minimum, and an
-    empty minimand set (an equidimensional map) gives infinity.
+    empty minimand set (an equidimensional map) gives infinity.  None unless
+    ``setup.purity`` confirms X pure-dimensional.
     """
-    if purity.pure is not True:
-        raise PreconditionError("the upper bound needs the source confirmed pure-dimensional")
+    if setup.purity.pure is not True:
+        return None
     m, n = setup.m, setup.n
     values = []
     for stratum in setup.stratification.strata:
@@ -91,19 +89,21 @@ def phi_upper(setup: ProjectionSetup, purity: PurityResult) -> ExtendedNat:
     return _floor_min(values)
 
 
-def phi_lower(setup: ProjectionSetup, no_vertical: bool | None) -> ExtendedNat | None:
+def phi_lower(setup: ProjectionSetup) -> ExtendedNat | None:
     """Lower bound for phi from the presentation data (N, k, r) of ``setup``.
 
-    Valid when the source has no vertical components (certified by the
-    caller): minimize the integer part of (N - image_dim - 1) / (j - (k - r))
-    over the non-minimal fibre dimensions j of ``setup.stratification``.
-    When a vertical component is certified instead, phi is exactly 0, so 0
-    is returned as the (tight) lower bound.  An uncertified verdict yields
-    None: not applicable.
+    Valid for a pure-dimensional source (``setup.purity``) that
+    ``setup.vertical`` certifies free of vertical components: minimize the
+    integer part of (N - image_dim - 1) / (j - (k - r)) over the non-minimal
+    fibre dimensions j of ``setup.stratification``.  When a vertical
+    component is certified instead, phi is exactly 0, so 0 is returned as
+    the (tight) lower bound.  A non-pure source or an undecided vertical
+    verdict yields None: not applicable.
     """
-    if no_vertical is None:
+    verdict = setup.vertical.verdict if setup.purity.pure is True else None
+    if verdict is None:
         return None
-    if no_vertical is False:
+    if verdict is True:
         return ExtendedNat(0)
     strat, k, r = setup.stratification, setup.k, setup.r
     lam = strat.min_fibre_dim
@@ -145,16 +145,15 @@ class PhiReport:
 
     ``oracle`` counts the sampled cells and points (drawn with ``seed``) and
     the fibre-dimension mismatches among them; ``timings`` holds the wall
-    time in seconds of each timed stage.
+    time in seconds of each timed stage.  X's stratification, purity and
+    vertical verdict are read through ``setup``.
     """
 
     phi_upper: ExtendedNat | None
     phi_lower: ExtendedNat | None
     phi_exact: ExtendedNat | None
     exactness_tag: str | None
-    vertical: VerticalResult
-    purity: PurityResult
-    stratification: Stratification
+    setup: ProjectionSetup
     fibred_power_verdicts: tuple[tuple[int, bool | None], ...]
     fibred_power_summary: str | None
     multiplicity_bound: int | None
@@ -184,13 +183,13 @@ class PhiReport:
     def inconclusive(self) -> bool:
         """True when purity, the vertical test or a fibred power stayed undecided."""
         return (
-            self.purity.pure is None
-            or self.vertical.verdict is None
+            self.setup.purity.pure is None
+            or self.setup.vertical.verdict is None
             or any(v is None for _, v in self.fibred_power_verdicts)
         )
 
 
-def _routes(setup: ProjectionSetup, purity: PurityResult) -> list[str]:
+def _routes(setup: ProjectionSetup) -> list[str]:
     """The structural exactness routes that hold, in ``EXACTNESS_TAGS`` order.
 
     These are the paper's classes of mappings whose phi is the upper bound:
@@ -205,7 +204,7 @@ def _routes(setup: ProjectionSetup, purity: PurityResult) -> list[str]:
     if setup.target_ideal.is_zero_ideal:
         held.append("smooth-target")
     if (
-        purity.pure is True
+        setup.purity.pure is True
         and setup.r == (setup.n + setup.k) - setup.m
         and irreducible
         and setup.assert_target_pure_dimensional
@@ -216,29 +215,24 @@ def _routes(setup: ProjectionSetup, purity: PurityResult) -> list[str]:
     return held
 
 
-def exactness_rules(
-    setup: ProjectionSetup,
-    upper: ExtendedNat | None,
-    lower: ExtendedNat | None,
-    vertical: VerticalResult,
-    purity: PurityResult,
-) -> tuple[ExtendedNat | None, str | None]:
+def exactness_rules(setup: ProjectionSetup) -> tuple[ExtendedNat | None, str | None]:
     """Decide whether phi is known exactly, and under which rule.
 
     Every structural route of ``_routes`` attains the upper bound, and so does
     bounds-meet: lower equals upper (phi >= 0 stands in for an inapplicable
     lower bound).  fibred-power-determined: a vertical component in the
-    source pins phi = 0.  All but the last need the upper bound, so a
-    non-pure source gets only it.  The reported tag is the first that fires
-    in the order of ``EXACTNESS_TAGS``.
+    source (``setup.vertical``) pins phi = 0.  All but the last need the
+    upper bound, so a non-pure source gets only it.  The reported tag is the
+    first that fires in the order of ``EXACTNESS_TAGS``.
     """
+    upper, lower = phi_upper(setup), phi_lower(setup)
     held: set[str] = set()
     if upper is not None:
-        held.update(_routes(setup, purity))
+        held.update(_routes(setup))
         if (lower if lower is not None else ExtendedNat(0)) == upper:
             held.add("bounds-meet")
     fired = [(tag, upper) for tag in EXACTNESS_TAGS if tag in held]
-    if vertical.verdict is True:
+    if setup.vertical.verdict is True:
         fired.append(("fibred-power-determined", ExtendedNat(0)))
     if not fired:
         return None, None
@@ -249,20 +243,18 @@ def exactness_rules(
     return value, tag
 
 
-def phi_by_fibred_powers(
-    setup: ProjectionSetup, i_max: int, first: VerticalResult
-) -> list[tuple[int, bool | None]]:
+def phi_by_fibred_powers(setup: ProjectionSetup, i_max: int) -> list[tuple[int, bool | None]]:
     """Vertical-component verdicts on the fibred powers, in increasing order.
 
     phi is the largest i whose i-fold power is vertical-free, so the verdict
     sequence False,...,False,True pins it exactly; the scan stops at the
     first non-False verdict.  The power 1 is X itself: its verdict is
-    ``first``, the vertical test's result on X, and is not asked again.
-    Every power reads its dimension counts off ``setup.stratification``.
+    ``setup.vertical``, and is not asked again.  Every power reads its
+    dimension counts off ``setup.stratification``.
     """
     if i_max < 1:
         raise FibrephiError("i_max must be at least 1")
-    verdicts: list[tuple[int, bool | None]] = [(1, first.verdict)]
+    verdicts: list[tuple[int, bool | None]] = [(1, setup.vertical.verdict)]
     for i in range(2, i_max + 1):
         if verdicts[-1][1] is not False:
             break
@@ -307,19 +299,18 @@ class MultiplicityQuery:
             raise FibrephiError("multiplicity query needs positive dimensions")
 
 
-def certify_multiplicity_query(
-    setup: ProjectionSetup, purity: PurityResult
-) -> MultiplicityQuery | None:
+def certify_multiplicity_query(setup: ProjectionSetup) -> MultiplicityQuery | None:
     """Check the premises of the fibre-cardinality bound against computed data.
 
-    Needs source and target of one common pure dimension, one of the
-    structural exactness routes of ``_routes``, and exactly one stratum of
-    ``setup.stratification`` with positive fibre dimension, whose image is a
-    single rational point.  Returns None when any premise fails.
+    Needs source and target of one common pure dimension (X's from
+    ``setup.purity``, Y's attested), one of the structural exactness routes
+    of ``_routes``, and exactly one stratum of ``setup.stratification`` with
+    positive fibre dimension, whose image is a single rational point.
+    Returns None when any premise fails.
     """
-    if not (purity.pure is True and setup.assert_target_pure_dimensional):
+    if not (setup.purity.pure is True and setup.assert_target_pure_dimensional):
         return None
-    if setup.m != setup.n or setup.m < 1 or not _routes(setup, purity):
+    if setup.m != setup.n or setup.m < 1 or not _routes(setup):
         return None
     positive = [s for s in setup.stratification.strata if s.fibre_dim > 0]
     if len(positive) != 1 or positive[0].image_dim != 0:
@@ -370,8 +361,10 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
     fibred powers up to ``max_power``, the multiplicity bound and the
     sampling oracle (seeded by ``seed``).
 
-    The vertical test and the fibred powers need the locally-irreducible
-    attestation; without it they are skipped with a warning.
+    The stages read X's stratification, purity and vertical verdict off
+    ``setup``, in that order.  The vertical test and the fibred powers need
+    the locally-irreducible attestation; without it they are skipped with a
+    warning.
     """
     if max_power < 0:
         raise FibrephiError(f"max_power must be non-negative, got {max_power}")
@@ -385,26 +378,20 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
         timings[name] = round(time.perf_counter() - start, 3)
         return result
 
-    strat = timed("stratify", lambda: setup.stratification)
-    purity = timed("purity", lambda: pure_dimension_check(setup.total_ideal))
+    timed("stratify", lambda: setup.stratification)
+    pure = timed("purity", lambda: setup.purity).pure
     attested = setup.assert_target_locally_irreducible
-    if attested:
-        vertical = timed("vertical", lambda: has_vertical_component(setup, 1))
-        if vertical.verdict is None:
-            warnings.append("vertical-component test inconclusive at the configured depth")
-    else:
-        vertical = VerticalResult(None, None, "target irreducibility not attested")
+    if not attested:
         warnings.append(
             "vertical-component test skipped: assert_target_locally_irreducible is false"
         )
-    if purity.pure is None:
+    elif timed("vertical", lambda: setup.vertical).verdict is None:
+        warnings.append("vertical-component test inconclusive at the configured depth")
+    if pure is None:
         warnings.append("purity of the source is unconfirmed (splitting cap)")
 
-    upper = lower = None
-    if purity.pure is True:
-        upper = phi_upper(setup, purity)
-        no_vertical = None if vertical.verdict is None else not vertical.verdict
-        lower = phi_lower(setup, no_vertical)
+    upper, lower = phi_upper(setup), phi_lower(setup)
+    if pure is True:
         notes.append(
             "the lower bound uses the presentation as given; fewer generators or a "
             "smaller ambient target would strengthen it"
@@ -412,7 +399,7 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
     else:
         warnings.append("bounds unavailable: non-pure source")
 
-    exact, tag = exactness_rules(setup, upper, lower, vertical, purity)
+    exact, tag = exactness_rules(setup)
 
     power_verdicts: list[tuple[int, bool | None]] = []
     power_summary = None
@@ -421,9 +408,7 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
             "fibred-power verification skipped: requires the locally-irreducible attestation"
         )
     elif max_power >= 1:
-        power_verdicts = timed(
-            "fibred_powers", lambda: phi_by_fibred_powers(setup, max_power, vertical)
-        )
+        power_verdicts = timed("fibred_powers", lambda: phi_by_fibred_powers(setup, max_power))
         power_exact, power_summary = summarize_power_verdicts(power_verdicts)
         if power_exact is not None:
             if exact is None:
@@ -433,7 +418,7 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
                     f"fibred powers give phi = {power_exact} but rules gave {exact}"
                 )
 
-    mquery = certify_multiplicity_query(setup, purity)
+    mquery = certify_multiplicity_query(setup)
     mbound = multiplicity_bound(mquery) if mquery is not None else None
 
     oracle = timed("oracle", lambda: _run_oracle(setup, seed))
@@ -443,9 +428,7 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
         phi_lower=lower,
         phi_exact=exact,
         exactness_tag=tag,
-        vertical=vertical,
-        purity=purity,
-        stratification=strat,
+        setup=setup,
         fibred_power_verdicts=tuple(power_verdicts),
         fibred_power_summary=power_summary,
         multiplicity_bound=mbound,

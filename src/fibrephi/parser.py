@@ -2,6 +2,7 @@
 
 Grammar (whitespace insensitive)::
 
+    list    := expr (',' expr)*
     expr    := term (('+' | '-') term)*
     term    := ('-' | '+')* factor ('*' factor)*
     factor  := atom ('^' natural)?
@@ -19,12 +20,12 @@ from typing import NamedTuple
 from .errors import ParseError
 from .poly import Polynomial, PolynomialRing
 
-# Resource cap, read per parse: the term products one parse may form, summed
-# over every product, each step of a power included.  A term counts once per
-# 64-bit word of its coefficient's numerator and denominator, so a product
-# of p and q costs _weight(p) * _weight(q): len(p) * len(q) for word-sized
-# coefficients, and about the word multiplications for huge ones.  Past it
-# the parse fails with ParseError instead of expanding without bound.
+# Resource cap, read per polynomial: the term products parsing one polynomial
+# may form, summed over every product, each step of a power included.  A term
+# counts once per 64-bit word of its coefficient's numerator and denominator,
+# so a product of p and q costs _weight(p) * _weight(q): len(p) * len(q) for
+# word-sized coefficients, and about the word multiplications for huge ones.
+# Past it the parse fails with ParseError instead of expanding without bound.
 PARSE_MAX_TERM_PRODUCTS = 100_000
 
 
@@ -74,7 +75,7 @@ def _tokenize(text: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if ch in "+-*^()/":
+        if ch in "+-*^()/,":
             tokens.append(_Token("op", ch, line, col))
             i += 1
             col += 1
@@ -89,7 +90,6 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.ring = ring
-        self.budget = PARSE_MAX_TERM_PRODUCTS
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -116,15 +116,20 @@ class _Parser:
             self.error(f"expansion exceeds {PARSE_MAX_TERM_PRODUCTS} weighted term products", op)
         return p * q
 
-    def parse(self) -> Polynomial:
-        try:
-            p = self.expr()
-        except RecursionError:  # reported at the '(' the stack ran out on
-            self.error("parentheses nested too deeply")
-        tok = self.peek()
-        if tok.kind != "end":
-            self.error(f"unexpected trailing {tok.text!r}")
-        return p
+    def parse(self, many: bool) -> list[Polynomial]:
+        """One polynomial, or with ``many`` a comma-separated list, each on its own budget."""
+        polys = []
+        while True:
+            self.budget = PARSE_MAX_TERM_PRODUCTS
+            try:
+                polys.append(self.expr())
+            except RecursionError:  # reported at the '(' the stack ran out on
+                self.error("parentheses nested too deeply")
+            tok = self.advance()
+            if tok.kind == "end":
+                return polys
+            if not many or tok.text != ",":
+                self.error(f"unexpected trailing {tok.text!r}", tok)
 
     def expr(self) -> Polynomial:
         p = self.term()
@@ -202,9 +207,10 @@ class _Parser:
 
 def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
     """Parse ``text`` into a canonical polynomial of ``ring``."""
-    return _Parser(_tokenize(text), ring).parse()
+    return _Parser(_tokenize(text), ring).parse(many=False)[0]
 
 
 def parse_polynomial_list(text: str, ring: PolynomialRing) -> list[Polynomial]:
-    """Parse a comma-separated list of polynomials."""
-    return [parse_polynomial(chunk, ring) for chunk in text.split(",")]
+    """Parse a comma-separated list of polynomials; a ``ParseError`` gives its
+    line and column within ``text``."""
+    return _Parser(_tokenize(text), ring).parse(many=True)

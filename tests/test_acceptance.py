@@ -14,10 +14,8 @@ from fibrephi import (
     analyze,
     certify_multiplicity_query,
     fibre_at_point,
-    has_vertical_component,
     multiplicity_bound,
     phi_by_fibred_powers,
-    pure_dimension_check,
     sample_cell_points,
     stratify_by_fibre_dimension,
     summarize_power_verdicts,
@@ -50,7 +48,7 @@ def test_criterion_1_quadric_cone_end_to_end():
         assert report.phi_upper == ExtendedNat(2)
         assert report.phi_lower == ExtendedNat(2)
         assert report.phi_exact == ExtendedNat(2) and report.exactness_tag == "bounds-meet"
-        strata = report.stratification.strata
+        strata = report.setup.stratification.strata
         assert {(s.fibre_dim, s.image_dim) for s in strata} == {(0, 3), (1, 0)}
 
 
@@ -60,9 +58,9 @@ def test_criterion_2_cyclic_family():
             start = time.perf_counter()
             setup = cyclic_family_setup(n, l)
             report = analyze(setup)
-            purity = report.purity
+            purity = setup.purity
             assert purity.pure is True and purity.dim == 2 * n - 1, (n, l)
-            special = report.stratification.stratum(n)
+            special = setup.stratification.stratum(n)
             assert special is not None and special.image_dim == n - l, (n, l)
             assert report.phi_exact == ExtendedNat(l - 1), (n, l)
             assert report.exactness_tag == "smooth-target", (n, l)
@@ -73,7 +71,7 @@ def test_criterion_2_cyclic_family():
 def test_criterion_3_fibred_power_cross_check():
     with criterion(3, "fibred-power cross-check", budget_seconds=300.0):
         setup = quadric_cone_setup()
-        verdicts = phi_by_fibred_powers(setup, 3, has_vertical_component(setup, 1))
+        verdicts = phi_by_fibred_powers(setup, 3)
         assert verdicts == [(1, False), (2, False), (3, True)]
         exact, _ = summarize_power_verdicts(verdicts)
         assert exact == ExtendedNat(2)
@@ -85,7 +83,8 @@ def test_criterion_4_degenerate_fixtures():
         vertical_setup = simple_setup("y*x")
         report = analyze(vertical_setup)
         assert report.phi_exact == ExtendedNat(0)
-        assert report.vertical.verdict is True and report.vertical.witness is not None
+        vertical = vertical_setup.vertical
+        assert vertical.verdict is True and vertical.witness is not None
         assert time.perf_counter() - start < 5.0
 
         start = time.perf_counter()
@@ -131,9 +130,9 @@ def test_criterion_6_invariant_suite(monkeypatch):
             setup = load_setup(path).setup
             report = analyze(setup)
             upper, lower = report.phi_upper, report.phi_lower
-            lam = report.stratification.min_fibre_dim
+            lam = setup.stratification.min_fibre_dim
             assert lam >= setup.k - setup.r, path.name
-            if report.vertical.verdict is False:
+            if setup.vertical.verdict is False:
                 assert lam == setup.m - setup.n, path.name
             if lower is not None and upper is not None:
                 assert not upper < lower, path.name
@@ -185,12 +184,9 @@ def test_criterion_6_invariant_suite(monkeypatch):
 
 def test_criterion_7_multiplicity_bounds():
     with criterion(7, "generic fibre cardinality bounds", budget_seconds=30.0):
-        setup = quadric_cone_setup()
-        purity = pure_dimension_check(setup.total_ideal)
-        query = certify_multiplicity_query(setup, purity)
+        query = certify_multiplicity_query(quadric_cone_setup())
         assert query is not None and multiplicity_bound(query) == 2
 
         blowup = simple_setup("y1*x - y2", target_vars=("y1", "y2"), source_vars=("x",))
-        bpurity = pure_dimension_check(blowup.total_ideal)
-        bquery = certify_multiplicity_query(blowup, bpurity)
+        bquery = certify_multiplicity_query(blowup)
         assert bquery is not None and multiplicity_bound(bquery) == 1

@@ -899,9 +899,7 @@ def test_vertical_detector_consistency_on_random_setups():
 
     decided = 0
     for setup in _random_projection_setups(424242, 60):
-        strat = setup.stratification
-        purity = pure_dimension_check(setup.total_ideal)
-        vert = has_vertical_component(setup, 1)
+        strat, vert = setup.stratification, setup.vertical
         if vert.verdict is None:
             continue
         decided += 1
@@ -909,9 +907,9 @@ def test_vertical_detector_consistency_on_random_setups():
             _, imdim = image_closure(setup.total_ideal)
             if imdim == setup.n and vert.witness is not None:
                 assert not radical_member(vert.witness, setup.total_ideal)
-        elif purity.pure is True:
+        elif setup.purity.pure is True:
             assert strat.min_fibre_dim == setup.m - setup.n
-            upper = phi_upper(setup, purity)
+            upper = phi_upper(setup)
             assert upper.is_infinite or upper.value >= 1
     assert decided > 40
 

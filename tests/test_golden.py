@@ -1,10 +1,12 @@
 """Byte-identity gate: ``analyze --max-power 3 --json`` on every shipped fixture
-must reproduce the committed document in ``tests/golden``, and
-``verify-power --json`` must reproduce the one in ``tests/golden/verify-power``.
+must reproduce the committed document in ``tests/golden``, ``stratify --json``
+the one in ``tests/golden/stratify``, and ``verify-power --json`` the one in
+``tests/golden/verify-power``.
 
 The documents were written from the repository root by
 
     fibrephi analyze fixtures/<name>.setup --max-power 3 --json tests/golden/<name>.json
+    fibrephi stratify fixtures/<name>.setup --json tests/golden/stratify/<name>.json
     fibrephi verify-power fixtures/<name>.setup --i 1 --json tests/golden/verify-power/<name>_i1.json
     fibrephi verify-power fixtures/<name>.setup --i 2 --json tests/golden/verify-power/<name>_i2.json
     fibrephi verify-power fixtures/quadric_cone.setup --i 3 --json tests/golden/verify-power/quadric_cone_i3.json
@@ -48,6 +50,7 @@ def assert_matches_golden(command, options, name, golden, tmp_path, capsys):
 
 def test_every_fixture_has_a_golden_document():
     assert NAMES == sorted(p.stem for p in GOLDEN.glob("*.json"))
+    assert NAMES == sorted(p.stem for p in (GOLDEN / "stratify").glob("*.json"))
     listed = sorted(f"{name}_i{i}" for name, i in POWERS)
     assert listed == sorted(p.stem for p in (GOLDEN / "verify-power").glob("*.json"))
 
@@ -56,6 +59,12 @@ def test_every_fixture_has_a_golden_document():
 def test_analyze_document_is_byte_identical(name, tmp_path, capsys):
     golden = GOLDEN / f"{name}.json"
     assert_matches_golden("analyze", ["--max-power", "3"], name, golden, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_stratify_document_is_byte_identical(name, tmp_path, capsys):
+    golden = GOLDEN / "stratify" / f"{name}.json"
+    assert_matches_golden("stratify", [], name, golden, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("name,i", POWERS)

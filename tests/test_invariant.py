@@ -1,5 +1,7 @@
 """Bound formulas, exactness rules, fibred-power verdicts, multiplicity bound."""
 
+from dataclasses import replace
+
 import pytest
 
 from fibrephi import (
@@ -18,23 +20,26 @@ from fibrephi import (
     phi_by_fibred_powers,
     phi_lower,
     phi_upper,
-    pure_dimension_check,
     summarize_power_verdicts,
 )
-from fibrephi.errors import (
-    FibrephiError,
-    InternalInconsistencyError,
-    PreconditionError,
-)
-from fibrephi.geometry import PurityResult, VerticalResult, single_rational_point
+from fibrephi.errors import FibrephiError, InternalInconsistencyError
+from fibrephi.geometry import VerticalResult, single_rational_point
 from fibrephi.invariant import MultiplicityQuery, PhiReport
 
 from conftest import cyclic_family_setup, quadric_cone_setup, simple_setup
 
 
-def analyzed(setup):
-    purity = pure_dimension_check(setup.total_ideal)
-    return purity, has_vertical_component(setup, 1)
+def plane_plus_line_setup():
+    # V(y*x1, y*x2) is the plane y = 0 with the y-line x = 0: not pure, and
+    # the plane is a vertical component
+    ring = PolynomialRing(("y",), ("x1", "x2"))
+    return make_setup(
+        ring,
+        ambient_target_generators=[],
+        source_generators=[parse_polynomial(text, ring) for text in ("y*x1", "y*x2")],
+        assert_target_locally_irreducible=True,
+        assert_target_pure_dimensional=True,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -65,32 +70,28 @@ def test_extended_nat_serialization():
 
 
 def test_upper_bound_quadric_cone():
-    setup = quadric_cone_setup()
-    purity, _ = analyzed(setup)
-    assert phi_upper(setup, purity) == ExtendedNat(2)
+    assert phi_upper(quadric_cone_setup()) == ExtendedNat(2)
 
 
 @pytest.mark.parametrize("n,l", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
 def test_upper_bound_family(n, l):
-    setup = cyclic_family_setup(n, l)
-    purity, _ = analyzed(setup)
-    assert phi_upper(setup, purity) == ExtendedNat(l - 1)
+    assert phi_upper(cyclic_family_setup(n, l)) == ExtendedNat(l - 1)
 
 
 def test_upper_bound_equidimensional_map_is_infinite():
-    setup = simple_setup("x - y")
-    purity, _ = analyzed(setup)
-    assert phi_upper(setup, purity).is_infinite
+    assert phi_upper(simple_setup("x - y")).is_infinite
 
 
-def test_upper_bound_requires_purity():
-    setup = quadric_cone_setup()
-    unconfirmed = PurityResult(None, 3, ())
-    with pytest.raises(PreconditionError):
-        phi_upper(setup, unconfirmed)
-    with pytest.raises(PreconditionError):
-        phi_upper(setup, PurityResult(False, 3, (3, 0)))
-    assert phi_upper(setup, PurityResult(True, 3, (3,))) == ExtendedNat(2)
+def test_upper_bound_requires_purity(monkeypatch):
+    # both bounds need X confirmed pure: the plane plus line is not, and with
+    # no splitting allowed the purity of V(y*x) stays undecided
+    setup = plane_plus_line_setup()
+    assert setup.purity.pure is False and setup.vertical.verdict is True
+    assert phi_upper(setup) is None and phi_lower(setup) is None
+    monkeypatch.setattr(geometry, "SPLIT_DEPTH", 0)
+    setup = simple_setup("y*x")
+    assert setup.purity.pure is None and setup.vertical.verdict is True
+    assert phi_upper(setup) is None and phi_lower(setup) is None
 
 
 # ---------------------------------------------------------------------------
@@ -100,39 +101,36 @@ def test_upper_bound_requires_purity():
 
 def test_lower_bound_quadric_cone():
     setup = quadric_cone_setup()
-    _, vertical = analyzed(setup)
-    assert vertical.verdict is False
-    value = phi_lower(setup, True)
-    assert value == ExtendedNat(2)
+    assert setup.vertical.verdict is False
+    assert phi_lower(setup) == ExtendedNat(2)
 
 
 def test_lower_bound_singleton_fibre_dimension_set():
     setup = simple_setup("x - y")
-    _, vertical = analyzed(setup)
-    assert vertical.verdict is False
-    value = phi_lower(setup, True)
+    assert setup.vertical.verdict is False
+    value = phi_lower(setup)
     assert value is not None and value.is_infinite
 
 
 @pytest.mark.parametrize("n,l", [(2, 2), (3, 2), (3, 3)])
 def test_lower_bound_family_no_vertical(n, l):
     setup = cyclic_family_setup(n, l)
-    _, vertical = analyzed(setup)
-    assert vertical.verdict is False
-    value = phi_lower(setup, True)
-    assert value == ExtendedNat(l - 1)
+    assert setup.vertical.verdict is False
+    assert phi_lower(setup) == ExtendedNat(l - 1)
 
 
 def test_lower_bound_with_vertical_component_is_zero():
     setup = simple_setup("y*x")
-    _, vertical = analyzed(setup)
-    assert vertical.verdict is True
-    assert phi_lower(setup, False) == ExtendedNat(0)
+    assert setup.vertical.verdict is True
+    assert phi_lower(setup) == ExtendedNat(0)
 
 
 def test_lower_bound_not_applicable_when_uncertified():
-    setup = quadric_cone_setup()
-    assert phi_lower(setup, None) is None
+    # without the attestation the vertical test does not run
+    setup = replace(quadric_cone_setup(), assert_target_locally_irreducible=False)
+    assert setup.vertical == VerticalResult(None, None, "target irreducibility not attested")
+    assert phi_upper(setup) == ExtendedNat(2)
+    assert phi_lower(setup) is None
 
 
 # ---------------------------------------------------------------------------
@@ -141,44 +139,41 @@ def test_lower_bound_not_applicable_when_uncertified():
 
 
 def test_bounds_meet_beats_complete_intersection():
-    setup = quadric_cone_setup()
-    purity, vertical = analyzed(setup)
-    upper = phi_upper(setup, purity)
-    lower = phi_lower(setup, True)
-    exact, tag = exactness_rules(setup, upper, lower, vertical, purity)
+    exact, tag = exactness_rules(quadric_cone_setup())
     assert exact == ExtendedNat(2) and tag == "bounds-meet"
 
 
-def test_complete_intersection_fires_without_lower_bound():
+@pytest.fixture
+def undecided_vertical(monkeypatch):
+    """The vertical test on the saturation path with no recursion left: it
+    stays undecided on a vertical-free source, so there is no lower bound
+    for bounds-meet."""
+    monkeypatch.setattr(geometry, "_vertical_by_dimension", lambda setup, J, i: None)
+    monkeypatch.setattr(geometry, "VERTICAL_DEPTH", 0)
+
+
+def test_complete_intersection_fires_without_lower_bound(undecided_vertical):
     setup = quadric_cone_setup()
-    purity, vertical = analyzed(setup)
-    upper = phi_upper(setup, purity)
-    exact, tag = exactness_rules(setup, upper, None, vertical, purity)
+    assert setup.vertical.verdict is None and phi_lower(setup) is None
+    exact, tag = exactness_rules(setup)
     assert exact == ExtendedNat(2) and tag == "complete-intersection"
 
 
 def test_smooth_target_has_priority():
-    setup = cyclic_family_setup(2, 2)
-    purity, vertical = analyzed(setup)
-    upper = phi_upper(setup, purity)
-    lower = phi_lower(setup, True)
-    exact, tag = exactness_rules(setup, upper, lower, vertical, purity)
+    exact, tag = exactness_rules(cyclic_family_setup(2, 2))
     assert exact == ExtendedNat(1) and tag == "smooth-target"
 
 
 def test_zero_upper_bound_forces_zero():
     setup = simple_setup("y*x")
-    purity, vertical = analyzed(setup)
-    upper = phi_upper(setup, purity)
-    assert upper == ExtendedNat(0)
-    exact, tag = exactness_rules(setup, upper, None, vertical, purity)
+    assert phi_upper(setup) == ExtendedNat(0)
+    exact, tag = exactness_rules(setup)
     assert exact == ExtendedNat(0) and tag == "smooth-target"
 
 
-def test_curve_target_rule():
-    # singular curve target: the cusp y1^2 = y2^3 inside the plane
-    from fibrephi import PolynomialRing, make_setup, parse_polynomial
-
+def test_curve_target_rule(undecided_vertical):
+    # singular curve target: the cusp y1^2 = y2^3 inside the plane; a decided
+    # vertical test would make the bounds meet
     ring = PolynomialRing(("y1", "y2"), ("x",))
     setup = make_setup(
         ring,
@@ -190,19 +185,17 @@ def test_curve_target_rule():
         assert_target_pure_dimensional=True,
     )
     assert (setup.N, setup.n, setup.r) == (2, 1, 2)
-    purity, vertical = analyzed(setup)
-    upper = phi_upper(setup, purity)
-    exact, tag = exactness_rules(setup, upper, None, vertical, purity)
-    assert exact == upper and tag == "curve-target"
+    assert setup.vertical.verdict is None
+    exact, tag = exactness_rules(setup)
+    assert exact == phi_upper(setup) and tag == "curve-target"
 
 
 def test_conflicting_rules_abort():
+    # a vertical verdict that contradicts the smooth-target route
     setup = cyclic_family_setup(2, 2)
-    purity, vertical = analyzed(setup)
-    upper = phi_upper(setup, purity)
-    wrong_vertical = VerticalResult(True, None, "forged")
-    with pytest.raises(InternalInconsistencyError):
-        exactness_rules(setup, upper, None, wrong_vertical, purity)
+    setup.__dict__["vertical"] = VerticalResult(True, None, "forged")
+    with pytest.raises(InternalInconsistencyError, match="exactness rules disagree"):
+        exactness_rules(setup)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +205,7 @@ def test_conflicting_rules_abort():
 
 def test_power_scan_on_quadric_cone():
     setup = quadric_cone_setup()
-    verdicts = phi_by_fibred_powers(setup, 3, has_vertical_component(setup, 1))
+    verdicts = phi_by_fibred_powers(setup, 3)
     assert verdicts == [(1, False), (2, False), (3, True)]
     exact, summary = summarize_power_verdicts(verdicts)
     assert exact == ExtendedNat(2)
@@ -221,7 +214,7 @@ def test_power_scan_on_quadric_cone():
 
 def test_power_scan_stops_at_first_vertical():
     setup = simple_setup("y*x")
-    verdicts = phi_by_fibred_powers(setup, 3, has_vertical_component(setup, 1))
+    verdicts = phi_by_fibred_powers(setup, 3)
     assert verdicts == [(1, True)]
     exact, _ = summarize_power_verdicts(verdicts)
     assert exact == ExtendedNat(0)
@@ -229,7 +222,7 @@ def test_power_scan_stops_at_first_vertical():
 
 def test_power_scan_open_map_reports_lower_bound_only():
     setup = simple_setup("x - y")
-    verdicts = phi_by_fibred_powers(setup, 2, has_vertical_component(setup, 1))
+    verdicts = phi_by_fibred_powers(setup, 2)
     assert verdicts == [(1, False), (2, False)]
     exact, summary = summarize_power_verdicts(verdicts)
     assert exact is None
@@ -266,76 +259,72 @@ def test_analyze_takes_the_exact_value_from_fibred_powers():
     assert report.fibred_power_verdicts == ((1, False), (2, False), (3, True))
 
 
+def recorded(monkeypatch, module, name, *owners):
+    """Replace ``module.name`` in ``module`` and ``owners`` by a wrapper that
+    records the arguments of every call; returns the list of them."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    for owner in (module, *owners):
+        monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
 def test_analyze_asks_each_power_once_and_reads_x_once(monkeypatch):
-    # The scan takes power 1 from the vertical stage, and the X-side data of
-    # the dimension counts serve every power.  They come from the
+    # The scan takes power 1 from the setup's vertical verdict, and the X-side
+    # data of the dimension counts serve every power.  They come from the
     # stratification's root cell, so no image closure is computed for them.
-    asked = []
-    decide = invariant.has_vertical_component
-
-    def recording(setup, i):
-        asked.append(i)
-        return decide(setup, i)
-
-    closures = []
-    closure = geometry.image_closure
-
-    def counted(J):
-        closures.append(J)
-        return closure(J)
-
-    monkeypatch.setattr(invariant, "has_vertical_component", recording)
-    monkeypatch.setattr(geometry, "image_closure", counted)
-    report = analyze(cyclic_family_setup(3, 3), max_power=3)
+    asked = recorded(monkeypatch, geometry, "has_vertical_component", invariant)
+    closures = recorded(monkeypatch, geometry, "image_closure")
+    setup = cyclic_family_setup(3, 3)
+    report = analyze(setup, max_power=3)
     assert report.fibred_power_verdicts == ((1, False), (2, False), (3, True))
-    assert asked == [1, 2, 3]
-    assert len(closures) == 0
+    assert asked == [(setup, 1), (setup, 2), (setup, 3)]
+    assert closures == []
 
 
 def test_a_setup_is_stratified_once(monkeypatch):
     # analyze, a later vertical test and a later power scan on the same
     # setup all read the one stratification the setup keeps
-    calls = []
-    stratify = geometry.stratify_by_fibre_dimension
-
-    def counted(setup):
-        calls.append(setup)
-        return stratify(setup)
-
-    monkeypatch.setattr(geometry, "stratify_by_fibre_dimension", counted)
+    calls = recorded(monkeypatch, geometry, "stratify_by_fibre_dimension")
     setup = cyclic_family_setup(3, 3)
     report = analyze(setup, max_power=3)
-    assert report.stratification is setup.stratification
+    assert report.setup is setup
     assert has_vertical_component(setup, 2).verdict is False
-    verdicts = phi_by_fibred_powers(setup, 3, report.vertical)
+    verdicts = phi_by_fibred_powers(setup, 3)
     assert verdicts == [(1, False), (2, False), (3, True)]
-    assert calls == [setup]
+    assert calls == [(setup,)]
+
+
+def test_a_setup_checks_purity_and_verticality_once(monkeypatch):
+    # two analyses of one setup share its purity and vertical verdict; only
+    # the powers above 1 are asked again
+    checked = recorded(monkeypatch, geometry, "pure_dimension_check")
+    asked = recorded(monkeypatch, geometry, "has_vertical_component", invariant)
+    setup = cyclic_family_setup(3, 3)
+    first, second = analyze(setup, max_power=3), analyze(setup, max_power=3)
+    assert first.fibred_power_verdicts == second.fibred_power_verdicts
+    assert checked == [(setup.total_ideal,)]
+    assert [i for _, i in asked] == [1, 2, 3, 2, 3]
 
 
 def test_analyze_rejects_fibred_powers_that_contradict_the_rules(monkeypatch):
-    monkeypatch.setattr(
-        invariant, "phi_by_fibred_powers", lambda setup, i, first: [(1, True)]
-    )
+    monkeypatch.setattr(invariant, "phi_by_fibred_powers", lambda setup, i: [(1, True)])
     with pytest.raises(InternalInconsistencyError, match="fibred powers give phi = 0"):
         analyze(quadric_cone_setup(), max_power=1)
 
 
 @pytest.mark.parametrize("max_power", [0, 1])
 def test_vertical_component_pins_phi_without_an_upper_bound(max_power):
-    # V(y*x1, y*x2) is the plane y = 0 with the y-line x = 0: not pure, so
-    # there is no upper bound, but the plane is vertical and phi = 0 whether
-    # or not the fibred powers are scanned
-    ring = PolynomialRing(("y",), ("x1", "x2"))
-    setup = make_setup(
-        ring,
-        ambient_target_generators=[],
-        source_generators=[parse_polynomial(text, ring) for text in ("y*x1", "y*x2")],
-        assert_target_locally_irreducible=True,
-        assert_target_pure_dimensional=True,
-    )
-    report = analyze(setup, max_power=max_power)
-    assert report.purity.pure is False and report.phi_upper is None
-    assert report.vertical.verdict is True
+    # a non-pure source has no upper bound, but the vertical plane pins
+    # phi = 0 whether or not the fibred powers are scanned
+    report = analyze(plane_plus_line_setup(), max_power=max_power)
+    assert report.setup.purity.pure is False and report.phi_upper is None
+    assert report.setup.vertical.verdict is True
     assert (report.phi_exact, report.exactness_tag) == (ExtendedNat(0), "fibred-power-determined")
 
 
@@ -345,9 +334,7 @@ def test_vertical_component_pins_phi_without_an_upper_bound(max_power):
 
 
 def test_multiplicity_on_quadric_cone():
-    setup = quadric_cone_setup()
-    purity, _ = analyzed(setup)
-    query = certify_multiplicity_query(setup, purity)
+    query = certify_multiplicity_query(quadric_cone_setup())
     assert query is not None
     assert (query.common_dim, query.special_fibre_dim) == (3, 1)
     assert multiplicity_bound(query) == 2
@@ -355,16 +342,27 @@ def test_multiplicity_on_quadric_cone():
 
 def test_multiplicity_on_blowup_chart():
     setup = simple_setup("y1*x - y2", target_vars=("y1", "y2"), source_vars=("x",))
-    purity, _ = analyzed(setup)
-    query = certify_multiplicity_query(setup, purity)
+    query = certify_multiplicity_query(setup)
     assert query is not None
     assert multiplicity_bound(query) == 1
 
 
 def test_multiplicity_premises_fail_on_unequal_dimensions():
     setup = cyclic_family_setup(2, 2)  # m = 3 but n = 2
-    purity, _ = analyzed(setup)
-    assert certify_multiplicity_query(setup, purity) is None
+    assert certify_multiplicity_query(setup) is None
+
+
+def test_multiplicity_needs_a_pure_source():
+    # the blowup chart with an extra point (1, 0, 5): m = n = 2 over a smooth
+    # target, one positive stratum over the rational origin, but not pure
+    setup = simple_setup(
+        "(y1*x - y2)*(y1 - 1), (y1*x - y2)*y2, (y1*x - y2)*(x - 5)", target_vars=("y1", "y2")
+    )
+    assert (setup.m, setup.n, setup.purity.piece_dims) == (2, 2, (2, 0))
+    positive = [s for s in setup.stratification.strata if s.fibre_dim > 0]
+    assert [(s.fibre_dim, s.image_dim) for s in positive] == [(1, 0)]
+    assert single_rational_point(positive[0].image_ideal) is not None
+    assert certify_multiplicity_query(setup) is None
 
 
 def test_multiplicity_needs_a_structural_route():
@@ -372,12 +370,11 @@ def test_multiplicity_needs_a_structural_route():
     # origin: every premise holds but the route (no smooth or curve target,
     # and r = 2 is not the codimension)
     setup = redundant_cone_setup()
-    purity, _ = analyzed(setup)
-    assert (setup.m, setup.n, purity.pure) == (3, 3, True)
+    assert (setup.m, setup.n, setup.purity.pure) == (3, 3, True)
     positive = [s for s in setup.stratification.strata if s.fibre_dim > 0]
     assert [(s.fibre_dim, s.image_dim) for s in positive] == [(1, 0)]
     assert single_rational_point(positive[0].image_ideal) is not None
-    assert certify_multiplicity_query(setup, purity) is None
+    assert certify_multiplicity_query(setup) is None
     assert analyze(setup).multiplicity_bound is None
 
 
@@ -399,18 +396,14 @@ def test_no_vertical_forces_positive_upper_bound():
         simple_setup("x - y"),
         simple_setup("y*x - 1"),
     ):
-        purity, vertical = analyzed(setup)
-        if vertical.verdict is False:
-            upper = phi_upper(setup, purity)
-            assert upper >= ExtendedNat(1)
+        if setup.vertical.verdict is False:
+            assert phi_upper(setup) >= ExtendedNat(1)
 
 
 def test_zero_upper_bound_comes_with_a_vertical_verdict():
     for setup in (simple_setup("y*x"), cyclic_family_setup(2, 1)):
-        purity, vertical = analyzed(setup)
-        upper = phi_upper(setup, purity)
-        if upper == ExtendedNat(0):
-            assert vertical.verdict is not False
+        if phi_upper(setup) == ExtendedNat(0):
+            assert setup.vertical.verdict is not False
 
 
 # ---------------------------------------------------------------------------
@@ -419,16 +412,12 @@ def test_zero_upper_bound_comes_with_a_vertical_verdict():
 
 
 def _report(**overrides):
-    setup = quadric_cone_setup()
-    purity, vertical = analyzed(setup)
     fields = dict(
         phi_upper=ExtendedNat(2),
         phi_lower=ExtendedNat(2),
         phi_exact=ExtendedNat(2),
         exactness_tag="bounds-meet",
-        vertical=vertical,
-        purity=purity,
-        stratification=setup.stratification,
+        setup=quadric_cone_setup(),
         fibred_power_verdicts=((1, False),),
         fibred_power_summary=None,
         multiplicity_bound=2,

@@ -16,6 +16,7 @@ from fibrephi import (
     Polynomial,
     PolynomialRing,
     parse_polynomial,
+    parse_polynomial_list,
     transport,
 )
 from fibrephi.errors import (
@@ -163,6 +164,35 @@ def test_parse_budget_weighs_coefficient_size():
             parse_polynomial(text, ring)
         assert time.perf_counter() - start < 1
     assert parse_polynomial("2^20000", ring).constant_value() == 2**20000
+
+
+def test_parse_list_reports_positions_within_its_text():
+    ring = ring_xy()
+    assert parse_polynomial_list("x + y, y", ring) == [
+        parse_polynomial("x + y", ring),
+        parse_polynomial("y", ring),
+    ]
+    for text, line, column in [
+        ("x + y, y + z", 1, 12),
+        ("x,\n  y + z", 2, 7),
+        ("x,, y", 1, 3),
+        ("x, y,", 1, 6),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_polynomial_list(text, ring)
+        assert (err.value.line, err.value.column) == (line, column), text
+    with pytest.raises(ParseError, match="unexpected trailing ','") as err:
+        parse_polynomial("x, y", ring)
+    assert err.value.column == 2
+
+
+def test_parse_list_budgets_each_polynomial():
+    # two products of (x+y+1)^20 fit one budget, four do not
+    ring = ring_xy()
+    text = "(x+y+1)^20 * (x+y+1)^20"
+    assert [len(p) for p in parse_polynomial_list(f"{text}, {text}", ring)] == [861, 861]
+    with pytest.raises(ParseError, match="term products"):
+        parse_polynomial_list(f"{text} * {text}", ring)
 
 
 # ---------------------------------------------------------------------------
