@@ -44,7 +44,6 @@ from .geometry import (
 from .invariant import (
     INFINITY,
     ExtendedNat,
-    MultiplicityQuery,
     PhiReport,
     analyze,
     certify_multiplicity_query,

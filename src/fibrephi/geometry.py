@@ -65,13 +65,14 @@ class ProjectionSetup:
 
     X sits inside Y x Omega where Omega is affine space on the source
     variables; Y is cut out by ``target_ideal`` in ``ring.target_ring()``
-    and lies in an ambient target that only ``N`` records.  Every derived
-    number is recomputed from the ideals, never trusted from input.  The
-    dimensions carry the paper's letters: ``N`` of the ambient target, ``n``
-    of Y, ``m`` of X, ``k`` of Omega and ``r`` the number of source generators.
-    X's ``stratification`` by fibre dimension, ``purity`` and ``vertical``
-    verdict are computed once per setup, on first access; the bounds, the
-    exactness rules, every fibred power and the multiplicity bound read them.
+    and lies in an ambient target that only ``N`` records.  The dimensions
+    carry the paper's letters: ``N`` of the ambient target, ``n`` of Y, ``m``
+    of X, ``k`` of Omega and ``r`` the number of source generators.  Only
+    ``N`` is stored.  ``n``, ``m``, X's ideal ``total_ideal``, its
+    ``stratification`` by fibre dimension, ``purity`` and ``vertical``
+    verdict are worked out from the ideals once per setup, on first access;
+    the bounds, the exactness rules, every fibred power and the multiplicity
+    bound read them.
     """
 
     ring: PolynomialRing
@@ -80,9 +81,20 @@ class ProjectionSetup:
     assert_target_locally_irreducible: bool
     assert_target_pure_dimensional: bool
     N: int
-    n: int
-    total_ideal: Ideal
-    m: int
+
+    @cached_property
+    def total_ideal(self) -> Ideal:
+        """X's ideal: the target equations and the source generators, in ``ring``."""
+        lifted = [transport(g, self.ring) for g in self.target_ideal.generators]
+        return Ideal(self.ring, lifted + list(self.source_generators))
+
+    @cached_property
+    def n(self) -> int:
+        return krull_dimension(self.target_ideal)
+
+    @cached_property
+    def m(self) -> int:
+        return krull_dimension(self.total_ideal)
 
     @property
     def k(self) -> int:
@@ -123,9 +135,11 @@ def make_setup(
     assert_target_locally_irreducible: bool = False,
     assert_target_pure_dimensional: bool = False,
 ) -> ProjectionSetup:
-    """Validate the input data and compute the derived dimensions N, n, k, r, m.
+    """Validate the input data, compute N and check n <= N and m >= 0.
 
-    With no ``target_generators`` the target is the ambient target itself.
+    Every generator lives in ``ring``; the ambient target and target
+    generators use target variables only.  With no ``target_generators`` the
+    target is the ambient target itself.
     """
     if not ring.target_vars:
         raise SetupError("the ring needs at least one target variable")
@@ -137,16 +151,14 @@ def make_setup(
     def to_target(polys: Sequence[Polynomial], label: str) -> list[Polynomial]:
         out = []
         for p in polys:
-            if p.ring == yring:
-                out.append(p)
-                continue
             if p.ring != ring:
                 raise SetupError(f"{label} generator lives in a foreign ring")
             extra = p.variables_used() - target_names
             if extra:
                 raise SetupError(f"{label} generator uses source variables {sorted(extra)}")
-            out.append(transport(p, yring))
-        return [p for p in out if not p.is_zero]
+            if not p.is_zero:
+                out.append(transport(p, yring))
+        return out
 
     ambient = Ideal(yring, to_target(ambient_target_generators, "ambient target"))
     if target_generators is None:
@@ -165,27 +177,19 @@ def make_setup(
         if g.is_zero:
             raise SetupError("zero generator in the source ideal")
 
-    ambient_dim = krull_dimension(ambient)
-    target_dim = krull_dimension(target)
-    if ambient_dim < target_dim:
-        raise InternalInconsistencyError("ambient dimension below target dimension")
-
-    total = Ideal(ring, [transport(g, ring) for g in target.generators] + list(sources))
-    total_dim = krull_dimension(total)
-    if total_dim < 0:
-        raise EmptySpaceError("the source space X is empty (unit ideal)")
-
-    return ProjectionSetup(
+    setup = ProjectionSetup(
         ring=ring,
         target_ideal=target,
         source_generators=sources,
         assert_target_locally_irreducible=assert_target_locally_irreducible,
         assert_target_pure_dimensional=assert_target_pure_dimensional,
-        N=ambient_dim,
-        n=target_dim,
-        total_ideal=total,
-        m=total_dim,
+        N=krull_dimension(ambient),
     )
+    if setup.N < setup.n:
+        raise InternalInconsistencyError("ambient dimension below target dimension")
+    if setup.m < 0:
+        raise EmptySpaceError("the source space X is empty (unit ideal)")
+    return setup
 
 
 # ---------------------------------------------------------------------------
@@ -777,13 +781,11 @@ def single_rational_point(I: Ideal) -> tuple[Fraction, ...] | None:
     for name in ring.variables:
         flat = PolynomialRing((name, *[v for v in ring.variables if v != name]), ())
         lifted = Ideal(flat, [transport(g, flat) for g in I.generators])
-        univariate = elimination_ideal(lifted, 1)
-        if not univariate.generators:
-            return None
-        g = univariate.groebner_basis().elements[0]
+        # I is proper of dimension 0, so every I meet Q[v] is nonzero (the
+        # Finiteness Theorem; Cox, Little and O'Shea, *Ideals, Varieties, and
+        # Algorithms*, Ch. 5 Sec. 3) and its monic generator has degree >= 1
+        g = elimination_ideal(lifted, 1).groebner_basis().elements[0]
         degree = g.degree_in(name)
-        if degree < 1:
-            return None
         uring = g.ring
         # a monic univariate with a single root a satisfies g = (v - a)^degree
         second = g.coefficient((degree - 1,))

@@ -6,10 +6,12 @@ such that the i-fold fibred power of f has no vertical component, with 0 when
 the source itself has one and infinity exactly for open maps.
 
 This module evaluates the two closed-form bounds read off the fibre-dimension
-stratification, decides exactness from structural side conditions, and
-cross-validates through fibred powers, each from a ``ProjectionSetup`` alone:
-X's stratification, purity and vertical verdict are computed once and cached
-on it.  ``analyze`` runs the whole pipeline and returns one ``PhiReport``.
+stratification, decides exactness from structural side conditions,
+cross-validates through fibred powers and certifies the generic
+fibre-cardinality bound, each from a ``ProjectionSetup`` alone: the
+dimensions n and m, X's ideal, stratification, purity and vertical verdict
+are computed once and cached on it.  ``analyze`` runs the whole pipeline and
+returns one ``PhiReport``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Sequence
 from .errors import FibrephiError, InternalInconsistencyError
 from .geometry import (
     ProjectionSetup,
+    Stratum,
     fibre_at_point,
     has_vertical_component,
     sample_cell_points,
@@ -155,7 +158,6 @@ class PhiReport:
     exactness_tag: str | None
     setup: ProjectionSetup
     fibred_power_verdicts: tuple[tuple[int, bool | None], ...]
-    fibred_power_summary: str | None
     multiplicity_bound: int | None
     seed: int
     oracle: dict[str, int]
@@ -178,6 +180,13 @@ class PhiReport:
                 raise InternalInconsistencyError("exact value below the lower bound")
         if self.exactness_tag is not None and self.exactness_tag not in EXACTNESS_TAGS:
             raise FibrephiError(f"unknown exactness tag {self.exactness_tag!r}")
+
+    @property
+    def fibred_power_summary(self) -> str | None:
+        """The summary of ``fibred_power_verdicts``; None when no power was checked."""
+        if not self.fibred_power_verdicts:
+            return None
+        return summarize_power_verdicts(self.fibred_power_verdicts)[1]
 
     @property
     def inconclusive(self) -> bool:
@@ -281,32 +290,14 @@ def summarize_power_verdicts(
     return None, f"no vertical component up to power {last_clear}; phi >= {last_clear}"
 
 
-@dataclass(frozen=True)
-class MultiplicityQuery:
-    """Certified data for the generic fibre-cardinality bound.
-
-    ``common_dim`` is the shared pure dimension of source and target and
-    ``special_fibre_dim`` the (positive) fibre dimension over the single
-    special point.  ``certify_multiplicity_query`` builds it only once every
-    premise of the bound is checked.
-    """
-
-    common_dim: int
-    special_fibre_dim: int
-
-    def __post_init__(self):
-        if self.common_dim < 1 or self.special_fibre_dim < 1:
-            raise FibrephiError("multiplicity query needs positive dimensions")
-
-
-def certify_multiplicity_query(setup: ProjectionSetup) -> MultiplicityQuery | None:
+def certify_multiplicity_query(setup: ProjectionSetup) -> Stratum | None:
     """Check the premises of the fibre-cardinality bound against computed data.
 
-    Needs source and target of one common pure dimension (X's from
+    Needs source and target of one common positive pure dimension (X's from
     ``setup.purity``, Y's attested), one of the structural exactness routes
     of ``_routes``, and exactly one stratum of ``setup.stratification`` with
     positive fibre dimension, whose image is a single rational point.
-    Returns None when any premise fails.
+    Returns that stratum, or None when any premise fails.
     """
     if not (setup.purity.pure is True and setup.assert_target_pure_dimensional):
         return None
@@ -317,12 +308,15 @@ def certify_multiplicity_query(setup: ProjectionSetup) -> MultiplicityQuery | No
         return None
     if single_rational_point(positive[0].image_ideal) is None:
         return None  # the special image is not certified to be one rational point
-    return MultiplicityQuery(common_dim=setup.m, special_fibre_dim=positive[0].fibre_dim)
+    return positive[0]
 
 
-def multiplicity_bound(query: MultiplicityQuery) -> int:
-    """Generic fibres have at least [(d - 1) / q] points under the certified premises."""
-    return (query.common_dim - 1) // query.special_fibre_dim
+def multiplicity_bound(setup: ProjectionSetup) -> int | None:
+    """Generic fibres have at least [(m - 1) / q] points, q the fibre dimension
+    over the special point, when ``certify_multiplicity_query`` certifies the
+    premises; None otherwise."""
+    stratum = certify_multiplicity_query(setup)
+    return None if stratum is None else (setup.m - 1) // stratum.fibre_dim
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +396,13 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
     exact, tag = exactness_rules(setup)
 
     power_verdicts: list[tuple[int, bool | None]] = []
-    power_summary = None
     if max_power >= 1 and not attested:
         warnings.append(
             "fibred-power verification skipped: requires the locally-irreducible attestation"
         )
     elif max_power >= 1:
         power_verdicts = timed("fibred_powers", lambda: phi_by_fibred_powers(setup, max_power))
-        power_exact, power_summary = summarize_power_verdicts(power_verdicts)
+        power_exact, _ = summarize_power_verdicts(power_verdicts)
         if power_exact is not None:
             if exact is None:
                 exact, tag = power_exact, "fibred-power-determined"
@@ -418,9 +411,7 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
                     f"fibred powers give phi = {power_exact} but rules gave {exact}"
                 )
 
-    mquery = certify_multiplicity_query(setup)
-    mbound = multiplicity_bound(mquery) if mquery is not None else None
-
+    mbound = multiplicity_bound(setup)
     oracle = timed("oracle", lambda: _run_oracle(setup, seed))
 
     return PhiReport(
@@ -430,7 +421,6 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
         exactness_tag=tag,
         setup=setup,
         fibred_power_verdicts=tuple(power_verdicts),
-        fibred_power_summary=power_summary,
         multiplicity_bound=mbound,
         seed=seed,
         oracle=oracle,

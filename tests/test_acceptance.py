@@ -184,9 +184,8 @@ def test_criterion_6_invariant_suite(monkeypatch):
 
 def test_criterion_7_multiplicity_bounds():
     with criterion(7, "generic fibre cardinality bounds", budget_seconds=30.0):
-        query = certify_multiplicity_query(quadric_cone_setup())
-        assert query is not None and multiplicity_bound(query) == 2
+        cone = quadric_cone_setup()
+        assert certify_multiplicity_query(cone) is not None and multiplicity_bound(cone) == 2
 
         blowup = simple_setup("y1*x - y2", target_vars=("y1", "y2"), source_vars=("x",))
-        bquery = certify_multiplicity_query(blowup)
-        assert bquery is not None and multiplicity_bound(bquery) == 1
+        assert certify_multiplicity_query(blowup) is not None and multiplicity_bound(blowup) == 1

@@ -77,6 +77,19 @@ def test_unknown_key_rejected(tmp_path):
     assert "colour" in str(err.value)
 
 
+def test_line_without_a_colon_rejected(tmp_path):
+    path = write(tmp_path, MINIMAL + "assert_target_pure_dimensional true\n")
+    with pytest.raises(SetupError, match=":4: expected 'key: value'$"):
+        load_setup(path)
+
+
+def test_repeated_variable_name_rejected(tmp_path):
+    path = write(tmp_path, MINIMAL.replace("vars_source: x", "vars_source: x x"))
+    with pytest.raises(SetupError) as err:
+        load_setup(path)
+    assert str(err.value) == f"{path}: duplicate variable name 'x'"
+
+
 def test_duplicate_key_rejected(tmp_path):
     path = write(tmp_path, MINIMAL + "vars_target: z\n")
     with pytest.raises(SetupError):
@@ -361,6 +374,12 @@ def test_malformed_expect_value_is_a_setup_error(key, value, tmp_path, capsys):
     assert f"{path}:5: malformed {key} value" in capsys.readouterr().err
 
 
+def test_unknown_expect_key_is_a_setup_error(tmp_path):
+    path = write(tmp_path, MINIMAL + "expect:\n  colour: blue\n")
+    with pytest.raises(SetupError, match=":5: unknown expect key 'colour'$"):
+        load_setup(path)
+
+
 @pytest.mark.parametrize(
     "expect_lines, message",
     [
@@ -460,6 +479,20 @@ def test_main_corpus(fixture_dir, capsys):
     assert main(["corpus", str(fixture_dir)]) == EXIT_OK
     printed = capsys.readouterr().out
     assert "quadric_cone.setup" in printed and "MISMATCH" not in printed
+
+
+def test_main_corpus_prints_inconclusive_and_mismatch_lines(tmp_path, capsys):
+    # without the attestation the vertical verdict and the lower bound stay
+    # undecided, which the expect values 'inconclusive' and 'none' state
+    undecided = MINIMAL + "expect:\n  vertical: inconclusive\n  phi_lower: none\n"
+    first = write(tmp_path, undecided, name="a.setup")
+    second = write(tmp_path, undecided + "  phi_upper: 1\n", name="b.setup")
+    assert main(["corpus", str(tmp_path)]) == EXIT_CORPUS_MISMATCH
+    assert capsys.readouterr().out.splitlines() == [
+        f"{first}  inconclusive",
+        f"{second}  MISMATCH",
+        "    phi_upper: expected 1, got 'infinity'",
+    ]
 
 
 def test_main_reports_errors(tmp_path, capsys):

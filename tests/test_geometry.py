@@ -1,6 +1,7 @@
 """Projection geometry: setups, images, fibres, stratification, verticality,
 component splitting, purity, fibred powers and rational sampling."""
 
+from dataclasses import fields
 from fractions import Fraction
 from math import prod
 from random import Random
@@ -38,6 +39,7 @@ from fibrephi.errors import (
 )
 from fibrephi.geometry import (
     LEX,
+    ProjectionSetup,
     _rational_sqrt,
     _splitter_candidates,
     _univariate_coefficients,
@@ -109,6 +111,35 @@ def test_setup_with_smaller_target_inside_ambient():
         target_generators=[P("y1", ring)],
     )
     assert (setup.N, setup.n) == (2, 1)
+
+
+def test_setup_stores_its_inputs_and_works_out_the_rest():
+    setup = quadric_cone_setup()
+    assert [f.name for f in fields(ProjectionSetup)] == [
+        "ring",
+        "target_ideal",
+        "source_generators",
+        "assert_target_locally_irreducible",
+        "assert_target_pure_dimensional",
+        "N",
+    ]
+    assert [str(g) for g in setup.total_ideal.generators] == [
+        "-y2*y3 + y1*y4",
+        "y1*x^2 + y4*x + y2 - y3",
+    ]
+    assert setup.total_ideal is setup.total_ideal
+    assert (setup.n, setup.m) == (3, 3)
+
+
+@pytest.mark.parametrize("label", ["ambient target", "target", "source"])
+def test_setup_rejects_a_generator_from_another_ring(label):
+    # every generator is given in the full ring, the target-side ones too
+    ring = PolynomialRing(("y",), ("x",))
+    other = ring.target_ring() if label != "source" else PolynomialRing(("y",), ("z",))
+    gens = {"ambient target": [], "target": None, "source": [P("x", ring)]}
+    gens[label] = [P("y", other)]
+    with pytest.raises(SetupError, match=f"^{label} generator lives in a foreign ring$"):
+        make_setup(ring, gens["ambient target"], gens["source"], target_generators=gens["target"])
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +342,25 @@ def test_vertical_point_component():
     result = has_vertical_component(setup, 1)
     assert result.verdict is True
     assert not radical_member(result.witness, setup.total_ideal)
+
+
+def test_vertical_recurses_into_pseudo_components(monkeypatch):
+    # V(x*(x - 1)) is two lines over the y-line: no leading coefficient to
+    # saturate by, so the splitting decides, one level down on each line
+    ring = PolynomialRing(("y",), ("x",))
+    J = Ideal(ring, [P("x*(x - 1)", ring)])
+    depths = []
+    recurse = geometry._vertical
+
+    def recorded(J, n, depth):
+        depths.append(depth)
+        return recurse(J, n, depth)
+
+    monkeypatch.setattr(geometry, "_vertical", recorded)
+    assert geometry._vertical(J, 1, geometry.VERTICAL_DEPTH).verdict is False
+    assert depths == [4, 3, 3]
+    undecided = geometry._vertical(J, 1, 1)
+    assert (undecided.verdict, undecided.detail) == (None, "a pseudo-component stayed undecided")
 
 
 def test_quadric_cone_has_no_vertical_component():

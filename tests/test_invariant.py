@@ -24,7 +24,7 @@ from fibrephi import (
 )
 from fibrephi.errors import FibrephiError, InternalInconsistencyError
 from fibrephi.geometry import VerticalResult, single_rational_point
-from fibrephi.invariant import MultiplicityQuery, PhiReport
+from fibrephi.invariant import PhiReport
 
 from conftest import cyclic_family_setup, quadric_cone_setup, simple_setup
 
@@ -328,23 +328,46 @@ def test_vertical_component_pins_phi_without_an_upper_bound(max_power):
     assert (report.phi_exact, report.exactness_tag) == (ExtendedNat(0), "fibred-power-determined")
 
 
+def test_oracle_skips_a_cell_without_rational_points():
+    # Y = V(y^2 - 2) has no rational point, so its one cell yields no sample
+    ring = PolynomialRing(("y",), ("x",))
+    setup = make_setup(
+        ring,
+        ambient_target_generators=[parse_polynomial("y^2 - 2", ring)],
+        source_generators=[parse_polynomial("x - y", ring)],
+    )
+    report = analyze(setup)
+    assert report.oracle == {"cells": 1, "points": 0, "skipped": 1, "mismatches": 0}
+
+
+def test_fibred_powers_are_skipped_without_the_attestation():
+    setup = replace(quadric_cone_setup(), assert_target_locally_irreducible=False)
+    report = analyze(setup, max_power=2)
+    assert report.fibred_power_verdicts == ()
+    assert report.fibred_power_summary is None
+    assert report.warnings == (
+        "vertical-component test skipped: assert_target_locally_irreducible is false",
+        "fibred-power verification skipped: requires the locally-irreducible attestation",
+    )
+
+
 # ---------------------------------------------------------------------------
 # multiplicity bound
 # ---------------------------------------------------------------------------
 
 
 def test_multiplicity_on_quadric_cone():
-    query = certify_multiplicity_query(quadric_cone_setup())
-    assert query is not None
-    assert (query.common_dim, query.special_fibre_dim) == (3, 1)
-    assert multiplicity_bound(query) == 2
+    setup = quadric_cone_setup()
+    stratum = certify_multiplicity_query(setup)
+    assert stratum is not None
+    assert (setup.m, stratum.fibre_dim, stratum.image_dim) == (3, 1, 0)
+    assert multiplicity_bound(setup) == 2
 
 
 def test_multiplicity_on_blowup_chart():
     setup = simple_setup("y1*x - y2", target_vars=("y1", "y2"), source_vars=("x",))
-    query = certify_multiplicity_query(setup)
-    assert query is not None
-    assert multiplicity_bound(query) == 1
+    assert certify_multiplicity_query(setup) is not None
+    assert multiplicity_bound(setup) == 1
 
 
 def test_multiplicity_premises_fail_on_unequal_dimensions():
@@ -375,12 +398,15 @@ def test_multiplicity_needs_a_structural_route():
     assert [(s.fibre_dim, s.image_dim) for s in positive] == [(1, 0)]
     assert single_rational_point(positive[0].image_ideal) is not None
     assert certify_multiplicity_query(setup) is None
+    assert multiplicity_bound(setup) is None
     assert analyze(setup).multiplicity_bound is None
 
 
 def test_multiplicity_degenerate_dimension():
-    query = MultiplicityQuery(common_dim=1, special_fibre_dim=1)
-    assert multiplicity_bound(query) == 0
+    # the line over the origin: m = 1 and fibre dimension 1 over y = 0
+    setup = simple_setup("y*x")
+    assert (setup.m, certify_multiplicity_query(setup).fibre_dim) == (1, 1)
+    assert multiplicity_bound(setup) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +445,6 @@ def _report(**overrides):
         exactness_tag="bounds-meet",
         setup=quadric_cone_setup(),
         fibred_power_verdicts=((1, False),),
-        fibred_power_summary=None,
         multiplicity_bound=2,
         seed=0,
         oracle={"cells": 2, "points": 10, "skipped": 0, "mismatches": 0},
@@ -449,3 +474,15 @@ def test_report_rejects_exact_outside_bounds():
 def test_report_rejects_unknown_tag():
     with pytest.raises(FibrephiError):
         _report(exactness_tag="by-decree")
+
+
+@pytest.mark.parametrize(
+    "verdicts, summary",
+    [
+        ((), None),
+        (((1, False),), "no vertical component up to power 1; phi >= 1"),
+        (((1, False), (2, False), (3, True)), "phi = 2 (vertical at power 3)"),
+    ],
+)
+def test_report_summary_follows_the_verdicts(verdicts, summary):
+    assert _report(fibred_power_verdicts=verdicts).fibred_power_summary == summary
