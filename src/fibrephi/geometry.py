@@ -30,7 +30,7 @@ from .errors import (
     ResourceLimitError,
     SetupError,
 )
-from .orders import GREVLEX, LEX, Monomial, monomial_gcd
+from .orders import GREVLEX, LEX, Block, Monomial, monomial_gcd
 from .poly import Polynomial, PolynomialRing, transport
 from .groebner import (
     Ideal,
@@ -248,7 +248,7 @@ def relative_terms(J: Ideal) -> list[tuple[Monomial, Polynomial]]:
     yring = ring.target_ring()
     split = ring.split
     out = []
-    for g in J.groebner_basis(ring.source_block_order()).elements:
+    for g in J.groebner_basis(Block(split)).elements:
         groups: dict[Monomial, dict[Monomial, Fraction]] = {}
         for mono, coeff in g.as_dict().items():
             groups.setdefault(mono[split:], {})[mono[:split]] = coeff
@@ -409,7 +409,7 @@ def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
         fibre_dim = independent_set_dimension([x for x, _ in stable], k)
         lead_coeffs = sorted({c for _, c in stable if not c.is_constant()}, key=str)
         # (C : h1^inf) : h2^inf = C : (h1*h2)^inf, so one saturation serves
-        closure = saturation(current, prod(lead_coeffs))[0] if lead_coeffs else current
+        closure = saturation(current, prod(lead_coeffs)) if lead_coeffs else current
         if not closure.is_unit():
             cells.append(Cell(closure, tuple(lead_coeffs), fibre_dim))
             if current is setup.target_ideal:
@@ -531,7 +531,7 @@ def _split(J: Ideal, depth: int, pure_dim: int | None = None) -> list[Ideal]:
         inside = J.added([h])
         if pure_dim is not None and krull_dimension(inside) < pure_dim:
             continue  # h vanishes on no component of the pure V(J)
-        off, _ = saturation(J, h)
+        off = saturation(J, h)
         if off.is_unit():
             continue  # everything lies inside V(h): no off-part to split away
         if _variety_contained(J, off):
@@ -542,7 +542,7 @@ def _split(J: Ideal, depth: int, pure_dim: int | None = None) -> list[Ideal]:
         # keep only genuine components inside V(h): saturating by the
         # off-part's generators removes the slices of other components
         for g in off.generators:
-            part, _ = saturation(inside, g)
+            part = saturation(inside, g)
             if not part.is_unit():
                 pieces.append(part)
         out: list[Ideal] = []
@@ -731,15 +731,14 @@ def _vertical(J: Ideal, n: int, depth: int) -> VerticalResult:
     ring = J.ring
     image, image_dim = image_closure(J)
     if image_dim < n:
-        witness = image.generators[0] if image.generators else None
-        return VerticalResult(True, witness, f"image closure has dimension {image_dim} < {n}")
+        return VerticalResult(True, image.generators[0], f"image closure has dimension {image_dim} < {n}")
 
     # image + flagged has the radical of image, so every flag comes out the same
     current, _, rel = _stabilize(J, image)
 
     lead_coeffs = sorted({c for _, c in rel if not c.is_constant()}, key=str)
     for h in lead_coeffs:
-        off, _ = saturation(current, transport(h, ring))
+        off = saturation(current, transport(h, ring))
         for g in off.generators:
             if not radical_member(g, current):
                 # some component lies inside {h o f = 0}; its image sits in the

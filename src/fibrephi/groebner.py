@@ -48,7 +48,6 @@ PolyDict = dict[Monomial, Fraction]
 # argument, so that lowering it on the module takes effect.
 GROEBNER_MAX_BASIS = 4096
 GROEBNER_MAX_REDUCTIONS = 500_000
-SATURATION_EXPONENT_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -435,28 +434,34 @@ def elimination_ideal(ideal: Ideal, count: int) -> Ideal:
     return Ideal(small, kept)
 
 
-def saturation(ideal: Ideal, h: Polynomial) -> tuple[Ideal, int]:
-    """Saturation ``ideal : h^infinity`` with a certified exponent.
+def saturation(ideal: Ideal, h: Polynomial) -> Ideal:
+    """Saturation ``ideal : h^infinity``, certified.
 
-    The saturation is ``(ideal + (1 - t*h))`` with t eliminated.  Returns
-    ``(sat, s)`` where ``h^s * g`` lies in ``ideal`` for every generator
-    ``g`` of the result.  Geometrically the saturation cuts out the closure
-    of ``V(ideal)`` minus ``V(h)``.
+    The saturation is ``(ideal + (1 - t*h))`` with t eliminated (Cox, Little,
+    O'Shea, Ch. 4 §4, Thm 14); it cuts out the closure of ``V(ideal)`` minus
+    ``V(h)``.  Each generator g of the result is certified to have some
+    ``h^s * g`` in ``ideal``: as NF(h * NF(h^(s-1) * g)) = NF(h^s * g), the
+    remainder is multiplied by h and reduced again until it vanishes, each
+    round and reduction charged to one ``GROEBNER_MAX_REDUCTIONS`` budget.
     """
     if h.ring != ideal.ring:
         raise RingMismatchError("saturation operands must share a ring")
     if h.is_zero:
         raise ZeroPolynomialError("cannot saturate by the zero polynomial")
-    if h.is_constant():
-        return ideal, 0
-    sat = elimination_ideal(_inverted(ideal, h), ideal.ring.arity)
-    cap = SATURATION_EXPONENT_CAP
-    power = ideal.ring.one()
-    for exponent in range(cap + 1):
-        if all(ideal.contains(power * g) for g in sat.generators):
-            return sat, exponent
-        power = power * h
-    raise ResourceLimitError(f"saturation exponent exceeds cap {cap}")
+    if h.is_constant() or ideal.is_zero_ideal:
+        return ideal  # 0 : h^inf = 0, as the ring is a domain
+    ring = ideal.ring
+    sat = elimination_ideal(_inverted(ideal, h), ring.arity)
+    divisors = ideal.groebner_basis(GREVLEX).divisors
+    budget = _ReductionBudget(GROEBNER_MAX_REDUCTIONS)
+    keys: dict = {}
+    for g in sat.generators:
+        rem = _normal_form_dict(g.as_dict(), divisors, GREVLEX.key, keys, budget)
+        while rem:
+            budget.spend()
+            rem = (h * Polynomial._trusted(ring, rem)).as_dict()
+            rem = _normal_form_dict(rem, divisors, GREVLEX.key, keys, budget)
+    return sat
 
 
 def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:

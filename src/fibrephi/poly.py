@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence
 from .errors import FibrephiError, RingMismatchError, ZeroPolynomialError
 from .orders import (
     GREVLEX,
-    Block,
     Monomial,
     MonomialOrder,
     monomial_mul,
@@ -96,10 +95,6 @@ class PolynomialRing:
         return f"PolynomialRing({list(self.target_vars)} | {list(self.source_vars)})"
 
     # -- derived rings -------------------------------------------------
-
-    def source_block_order(self) -> Block:
-        """Block order with the source variables dominant (x >> y)."""
-        return Block(self.split)
 
     def extend(self, names: Sequence[str]) -> "PolynomialRing":
         """Append auxiliary variables to the source block."""

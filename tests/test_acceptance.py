@@ -162,8 +162,8 @@ def test_criterion_6_invariant_suite(monkeypatch):
             checked += 1
 
         # every saturation performed during a full corpus run self-certifies:
-        # saturation returns only with a certified exponent, so each call
-        # must come back normally
+        # saturation returns only once each generator of its result is
+        # certified, so each call must come back normally
         counts = {"calls": 0, "certified": 0}
         saturate = geometry.saturation
 
@@ -179,7 +179,7 @@ def test_criterion_6_invariant_suite(monkeypatch):
         assert all(not r.mismatches for r in reports)
         assert counts["calls"] > 0
         assert counts["certified"] == counts["calls"]
-        print(f"  {counts['calls']} saturations, all exponent-certified")
+        print(f"  {counts['calls']} saturations, all certified")
 
 
 def test_criterion_7_multiplicity_bounds():

@@ -282,6 +282,26 @@ def test_missing_attestation_yields_inconclusive_exit(tmp_path):
     assert any("skipped" in w for w in report.document["warnings"])
 
 
+def test_a_high_power_saturation_analyzes(tmp_path, capsys):
+    # The cell closure saturates (y1^65*y2, y1*x^2 + x - 1) by y1: its
+    # certificate needs y1^65, past any small exponent, and the reduction
+    # budget bounds that work instead
+    path = write(
+        tmp_path,
+        "vars_target: y1 y2\n"
+        "vars_source: x\n"
+        "ambient_target_ideal: 0\n"
+        "target_equals_ambient: false\n"
+        "target_ideal: y1^65*y2\n"
+        "source_ideal: y1*x^2 + x - 1\n",
+    )
+    assert main(["analyze", str(path)]) == EXIT_INCONCLUSIVE
+    out = capsys.readouterr().out
+    assert "pieces [1, 1]" in out
+    assert "stratum j=0: image dim 1, image ideal (y1*y2)" in out
+    assert main(["stratify", str(path)]) == EXIT_OK
+
+
 def test_non_pure_source_withholds_bounds(tmp_path):
     # a plane union a line: pieces of dimensions 2 and 1
     text = (

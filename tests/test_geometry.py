@@ -829,7 +829,7 @@ def test_unmixed_skips_agree_with_saturation(monkeypatch, fixture_dir):
         # replay the candidate loop: the candidates _split did not saturate,
         # up to the first one that split J, are the skipped ones
         for h in _splitter_candidates(J):
-            off, _ = saturation(J, h)
+            off = saturation(J, h)
             shrinks = not off.is_unit() and not all(radical_member(g, J) for g in off.generators)
             if (J, h) not in saturated:
                 assert not off.is_unit() and not shrinks, (J, h)

@@ -407,44 +407,58 @@ def test_elimination_count_out_of_range(count):
 def test_saturation_removes_a_component():
     ring = ring_y_x()
     ideal = Ideal(ring, [P("y*x", ring)])
-    sat, s = saturation(ideal, P("y", ring))
+    sat = saturation(ideal, P("y", ring))
     assert [str(g) for g in sat.generators] == ["x"]
-    assert s == 1
 
 
 def test_saturation_by_unit_is_identity():
     ring = ring_xy()
     ideal = Ideal(ring, [P("x*y - 1", ring)])
-    sat, s = saturation(ideal, ring.one())
-    assert sat is ideal and s == 0
+    assert saturation(ideal, ring.one()) is ideal
+
+
+def test_saturation_of_the_zero_ideal_is_zero():
+    ring = ring_xy()
+    assert saturation(Ideal(ring, []), P("x", ring)).is_zero_ideal
 
 
 def test_saturation_inside_zero_set_gives_unit():
     ring = ring_xy()
-    sat, s = saturation(Ideal(ring, [P("x^2", ring)]), P("x", ring))
-    assert sat.is_unit()
-    assert s == 2
+    assert saturation(Ideal(ring, [P("x^2", ring)]), P("x", ring)).is_unit()
+
+
+def test_saturation_beyond_any_small_exponent_gives_unit():
+    # the certificate needs h^70 * 1 in (x^70): seventy rounds, no exponent cap
+    ring = ring_xy()
+    assert saturation(Ideal(ring, [P("x^70", ring)]), P("x", ring)).is_unit()
 
 
 def test_saturation_contract():
     ring = PolynomialRing(("y",), ("x1", "x2"))
     ideal = Ideal(ring, [P("y*x1", ring), P("y^2*x2 - y", ring)])
     h = P("y", ring)
-    sat, s = saturation(ideal, h)
+    sat = saturation(ideal, h)
     for g in ideal.generators:
         assert sat.contains(g)
-    for g in sat.generators:
-        assert ideal.contains(h**s * g)
-    again, _ = saturation(sat, h)
-    assert again.equals(sat)
+    # the least s with h^s * g in the ideal, for each generator g
+    exponents = [next(s for s in range(8) if ideal.contains(h**s * g)) for g in sat.generators]
+    assert exponents == [1, 1]
+    assert saturation(sat, h).equals(sat)
 
 
-def test_saturation_exponent_cap(monkeypatch):
-    monkeypatch.setattr(groebner, "SATURATION_EXPONENT_CAP", 2)
+@pytest.mark.parametrize("limit, refused", [(3, True), (4, False)])
+def test_saturation_certificate_is_charged_to_the_reduction_budget(monkeypatch, limit, refused):
+    # (x^3) : x^inf = (1): the block basis of (x^3, 1 - t*x) takes no
+    # reduction; certifying 1 takes three rounds and one reduction of x^3
     ring = ring_xy()
     ideal = Ideal(ring, [P("x^3", ring)])
-    with pytest.raises(ResourceLimitError):
-        saturation(ideal, P("x", ring))
+    ideal.groebner_basis(GREVLEX)  # built under the full budget
+    monkeypatch.setattr(groebner, "GROEBNER_MAX_REDUCTIONS", limit)
+    if refused:
+        with pytest.raises(ResourceLimitError, match="reduction budget"):
+            saturation(ideal, P("x", ring))
+    else:
+        assert saturation(ideal, P("x", ring)).is_unit()
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +490,8 @@ def test_intersection_with_zero_ideal():
 def test_saturation_and_intersection_stay_in_the_input_ring(ring):
     # both eliminate an auxiliary variable appended to the source block
     u, v = (ring.variable(name) for name in ring.variables)
-    sat, s = saturation(Ideal(ring, [u * v]), u)
-    assert sat.ring == ring and s == 1
+    sat = saturation(Ideal(ring, [u * v]), u)
+    assert sat.ring == ring
     assert sat.equals(Ideal(ring, [v]))
     meet = ideal_intersection(Ideal(ring, [u]), Ideal(ring, [v]))
     assert meet.ring == ring

@@ -341,7 +341,7 @@ def test_leading_term_block_order():
     # y1*x + y2 with the source variable dominant
     ring = PolynomialRing(("y1", "y2"), ("x",))
     p = parse_polynomial("y1*x + y2", ring)
-    mono, coeff = p.leading_term(ring.source_block_order())
+    mono, coeff = p.leading_term(Block(ring.split))
     assert mono == (1, 0, 1)  # the monomial y1*x
     assert coeff == 1
 

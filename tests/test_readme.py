@@ -1,12 +1,14 @@
-"""The README's quick library session runs and prints what its comments say, and
-its setup-file example loads and meets its own expect block."""
+"""The README's quick library session runs and prints what its comments say,
+its setup-file example loads and meets its own expect block, and its
+resource-cap paragraph names every cap with its value and module."""
 
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
 
-from fibrephi import analyze
+from fibrephi import analyze, geometry, groebner, parser
 from fibrephi.cli import analysis_document, compare_expectations, load_setup, required_max_power
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -31,3 +33,31 @@ def test_readme_setup_file_loads_and_meets_its_expectations(tmp_path):
     report = analyze(setup_file.setup, required_max_power(setup_file.expect))
     document = analysis_document(setup_file, report).document
     assert compare_expectations(document, setup_file.expect) == []
+
+
+def test_readme_resource_caps_match_the_modules():
+    paragraphs = README.read_text(encoding="utf-8").split("\n\n")
+    (text,) = [p for p in paragraphs if "Resource caps are module constants" in p]
+    # each "`NAME` (value)" belongs to the next "`fibrephi.module`" named
+    listed: dict[str, int] = {}
+    pending: list[tuple[str, int]] = []
+    token = r"`([A-Z][A-Z0-9_]+)`(?:\s+\(([\d,]+)\))?|`fibrephi\.(\w+)`"
+    for name, value, module in re.findall(token, text):
+        if module:
+            owner = importlib.import_module(f"fibrephi.{module}")
+            for cap, stated in pending:
+                assert getattr(owner, cap, None) == stated, (module, cap)
+                listed[cap] = stated
+            pending.clear()
+        elif value:
+            pending.append((name, int(value.replace(",", ""))))
+        else:
+            assert name in listed or name in dict(pending), name
+    assert not pending, pending
+    constants = {
+        name
+        for module in (groebner, geometry, parser)
+        for name, value in vars(module).items()
+        if name.isupper() and type(value) is int
+    }
+    assert constants == set(listed)
