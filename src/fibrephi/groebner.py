@@ -485,42 +485,46 @@ def independent_set_dimension(monomials: Iterable[Monomial], nvars: int) -> int:
     This is the combinatorial (Krull) dimension of the monomial ideal the
     inputs generate; the unit ideal (a constant monomial present) gives -1
     and an empty input gives ``nvars``.
+
+    A set is independent iff its complement meets every support, so this is
+    ``nvars`` less the size of a minimum transversal (fewest variables that
+    meet every support).  Branch and bound finds it: branch on the variables
+    of a smallest unmet support; drop a branch that cannot beat the best so
+    far.  The search grows with the codimension, not with the independent sets.
     """
     # each support is a bitmask: bit i is set when variable i occurs
-    supports: set[int] = set()
-    for m in monomials:
-        s = 0
-        for i, e in enumerate(m):
-            if e:
-                s |= 1 << i
-        if not s:
-            return -1
-        supports.add(s)
-    if not supports:
-        return nvars
-    # only inclusion-minimal supports constrain the search
-    minimal: list[int] = []
-    for s in sorted(supports, key=int.bit_count):
-        if not any(t & s == t for t in minimal):
-            minimal.append(s)
+    supports = {sum(1 << i for i, e in enumerate(m) if e) for m in monomials}
+    if 0 in supports:
+        return -1
+    best = nvars  # all variables meet every support
 
-    best = 0
-    n = nvars
-
-    # ``chosen`` is a bitmask of ``size`` variables, all below ``start``
-    def extend(start: int, chosen: int, size: int):
+    # ``unmet``: the supports ``size`` chosen variables miss, less the
+    # variables that earlier sibling branches left out
+    def cover(unmet: list[int], size: int):
         nonlocal best
-        if size + (n - start) <= best:
+        if not unmet:
+            best = size  # the parent's bound let only a smaller size through
             return
-        for v in range(start, n):
-            nxt = chosen | 1 << v
-            if any(s & nxt == s for s in minimal):
-                continue
-            best = max(best, size + 1)
-            extend(v + 1, nxt, size + 1)
+        # pairwise disjoint supports each need a variable of their own
+        need = taken = 0
+        for s in unmet:
+            if not s & taken:
+                taken |= s
+                need += 1
+        if size + need >= best:
+            return
+        pivot = min(unmet, key=int.bit_count)
+        left_out = 0
+        while pivot:
+            v = pivot & -pivot
+            pivot ^= v
+            rest = [s & ~left_out for s in unmet if not s & v]
+            if all(rest):  # else some support only left-out variables meet
+                cover(rest, size + 1)
+            left_out |= v
 
-    extend(0, 0, 0)
-    return best
+    cover(sorted(supports, key=int.bit_count), 0)
+    return nvars - best
 
 
 def krull_dimension(ideal: Ideal) -> int:

@@ -44,6 +44,7 @@ from fibrephi.geometry import (
     _splitter_candidates,
     _univariate_coefficients,
     _unmixed_dimension,
+    _variable_cut_bound,
     relative_terms,
     single_rational_point,
 )
@@ -500,9 +501,11 @@ REPLAYED = [
 
 
 def replayed_setup(name):
-    if name.startswith("cyclic_4_"):
-        return cyclic_family_setup(4, int(name[-1]))
-    return load_setup(FIXTURES / f"{name}.setup").setup
+    path = FIXTURES / f"{name}.setup"
+    if path.exists():
+        return load_setup(path).setup
+    _, n, l = name.split("_")  # cyclic_<n>_<l>
+    return cyclic_family_setup(int(n), int(l))
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
@@ -822,6 +825,9 @@ def test_unmixed_skips_agree_with_saturation(monkeypatch, fixture_dir):
         if setup.assert_target_locally_irreducible:
             for i in range(1, required_max_power(loaded.expect) + 1):
                 has_vertical_component(setup, i)
+    # the benchmark's wider sources, where _variable_cut_bound settles most skips
+    for name in ("cyclic_4_3", "cyclic_4_4", "cyclic_5_5"):
+        pure_dimension_check(replayed_setup(name).total_ideal)
     monkeypatch.undo()
 
     skipped = 0
@@ -837,6 +843,46 @@ def test_unmixed_skips_agree_with_saturation(monkeypatch, fixture_dir):
             elif shrinks:
                 break
     assert skipped > 0
+
+
+BOUNDED = [path.stem for path in sorted(FIXTURES.glob("*.setup"))] + [
+    "cyclic_4_3",
+    "cyclic_4_4",
+    "cyclic_5_5",
+]
+
+
+@pytest.mark.parametrize("name", BOUNDED)
+def test_variable_cut_bound_is_never_below_the_dimension(name):
+    # For X of each source and every variable x, the bound _split reads off
+    # X's grevlex basis is at least dim V(J + (x)) from a basis of J + (x).
+    J = replayed_setup(name).total_ideal
+    divisors = J.groebner_basis(GREVLEX).divisors
+    for x in map(J.ring.variable, J.ring.variables):
+        assert _variable_cut_bound(divisors, x) >= krull_dimension(J.added([x])), x
+    # anything but a variable gets the trivial bound
+    first, second = map(J.ring.variable, J.ring.variables[:2])
+    assert _variable_cut_bound(divisors, first * second) == J.ring.arity
+    assert _variable_cut_bound(divisors, first + second) == J.ring.arity
+
+
+def test_variable_cut_bound_leaves_only_its_misses_to_the_dimension_count(monkeypatch):
+    # X of cyclic (4, 4) is a complete intersection that none of its
+    # candidates splits.  The bound settles every candidate but x1 and y1, so
+    # only those two cost a basis of J + (h); the pieces are unchanged.
+    J = replayed_setup("cyclic_4_4").total_ideal
+    counted = []
+    krull = geometry.krull_dimension
+
+    def recording(ideal):
+        counted.append(ideal)
+        return krull(ideal)
+
+    monkeypatch.setattr(geometry, "krull_dimension", recording)
+    assert split_components(J) == [J]
+    assert len(_splitter_candidates(J)) == 9
+    added = [I.generators[len(J.generators) :] for I in counted if I is not J]
+    assert [tuple(map(str, h)) for h in added] == [("x1",), ("y1",)]
 
 
 def test_unmixed_certificate_saturation_counts(monkeypatch, fixture_dir):

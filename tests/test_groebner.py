@@ -26,14 +26,15 @@ from fibrephi import (
     s_polynomial,
     saturation,
 )
-from fibrephi.cli import load_setup
+from fibrephi.cli import load_setup, required_max_power
 from fibrephi.errors import FibrephiError, ResourceLimitError, ZeroPolynomialError
-from fibrephi import groebner
+from fibrephi import geometry, groebner
 from fibrephi.groebner import independent_set_dimension
+from fibrephi.invariant import analyze
 from fibrephi.orders import Block
 from fibrephi.poly import Polynomial, transport
 
-from conftest import FIXTURES, ring_xy, ring_y_x
+from conftest import FIXTURES, cyclic_family_setup, ring_xy, ring_y_x
 
 
 def P(text, ring):
@@ -558,9 +559,9 @@ def _largest_independent_set(monomials, nvars):
     return -1
 
 
-_monomial_sets = st.integers(1, 8).flatmap(
+_monomial_sets = st.integers(1, 12).flatmap(
     lambda nvars: st.tuples(
-        st.lists(st.tuples(*[st.integers(0, 2)] * nvars), max_size=8),
+        st.lists(st.tuples(*[st.integers(0, 2)] * nvars), max_size=12),
         st.just(nvars),
     )
 )
@@ -578,6 +579,32 @@ def test_independent_set_dimension_matches_brute_force(case):
     assert independent_set_dimension(monomials + [constant], nvars) == -1
     assert _largest_independent_set(monomials + [constant], nvars) == -1
     assert independent_set_dimension([], nvars) == _largest_independent_set([], nvars) == nvars
+
+
+def test_independent_set_dimension_matches_brute_force_on_pipeline_inputs(monkeypatch):
+    # Every monomial set the pipeline hands the dimension kernel while
+    # analyzing each fixture at its expect power, and cyclic (3, 3) and (4, 3)
+    # to power 3 and (4, 4) to power 2 (the benchmark's powers inputs), is
+    # replayed against the subset search.
+    seen = set()
+    kernel = groebner.independent_set_dimension
+
+    def recording(monomials, nvars):
+        monomials = tuple(monomials)
+        seen.add((monomials, nvars))
+        return kernel(monomials, nvars)
+
+    monkeypatch.setattr(groebner, "independent_set_dimension", recording)
+    monkeypatch.setattr(geometry, "independent_set_dimension", recording)
+    for path in sorted(FIXTURES.glob("*.setup")):
+        loaded = load_setup(path)
+        analyze(loaded.setup, max_power=required_max_power(loaded.expect))
+    for n, l, power in ((3, 3, 3), (4, 3, 3), (4, 4, 2)):
+        analyze(cyclic_family_setup(n, l), max_power=power)
+    monkeypatch.undo()
+    assert len(seen) > 100
+    for monomials, nvars in seen:
+        assert kernel(monomials, nvars) == _largest_independent_set(monomials, nvars)
 
 
 def test_unit_detection_on_specialized_fibre():
