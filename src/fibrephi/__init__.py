@@ -19,9 +19,7 @@ from .groebner import (
     elimination_ideal,
     ideal_intersection,
     krull_dimension,
-    normal_form,
     radical_member,
-    s_polynomial,
     saturation,
 )
 from .geometry import (

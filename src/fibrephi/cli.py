@@ -84,7 +84,8 @@ def _parse_bool(value: str, where: str) -> bool:
 def load_setup(path: str | Path) -> SetupFile:
     """Parse and validate a setup file; derived dimensions are recomputed.
 
-    The file is read once: the digest is of the very bytes that were parsed.
+    The file is read once: the digest is of the very bytes that were parsed,
+    a leading UTF-8 byte-order mark included.
     """
     path = Path(path)
     try:
@@ -92,7 +93,7 @@ def load_setup(path: str | Path) -> SetupFile:
     except OSError as exc:
         raise SetupError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise SetupError(f"{path}: not UTF-8 text ({exc})") from exc
     lines = text.splitlines()

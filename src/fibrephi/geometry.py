@@ -339,12 +339,6 @@ class Stratification:
     def min_fibre_dim(self) -> int:
         return self.strata[0].fibre_dim
 
-    def stratum(self, j: int) -> Stratum | None:
-        for s in self.strata:
-            if s.fibre_dim == j:
-                return s
-        return None
-
     @cached_property
     def generic_meets(self) -> list[tuple[Polynomial, list[tuple[int, int]]]]:
         """For each inequation h_a of the generic cell, the pairs
@@ -458,7 +452,7 @@ def _splitter_candidates(J: Ideal) -> list[Polynomial]:
     def push(p: Polynomial):
         if p.is_zero or p.is_constant():
             return
-        cands.setdefault(p.monic(GREVLEX))
+        cands.setdefault(p.monic())
 
     basis = J.groebner_basis(GREVLEX)
     used: set[str] = set()

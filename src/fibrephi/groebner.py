@@ -1,5 +1,5 @@
-"""Ideal-theoretic primitives: reduced Groebner bases, normal forms, membership,
-radical membership, elimination, saturation, intersection and Krull dimension.
+"""Ideal-theoretic primitives: reduced Groebner bases, membership, radical
+membership, elimination, saturation, intersection and Krull dimension.
 
 The engine is a Buchberger completion with the Gebauer-Moeller pair criteria
 and monic reducers, working on plain ``{exponent-tuple: Fraction}`` dicts for
@@ -246,40 +246,6 @@ def _buchberger(seq: list[PolyDict], key) -> list[tuple[Monomial, PolyDict]]:
     return reduced
 
 
-# ---------------------------------------------------------------------------
-# public polynomial-level surface
-# ---------------------------------------------------------------------------
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-    """Standard S-polynomial; the leading terms of the two inputs cancel."""
-    if f.is_zero or g.is_zero:
-        raise ZeroPolynomialError("S-polynomial needs nonzero inputs")
-    if f.ring != g.ring:
-        raise RingMismatchError("S-polynomial operands must share a ring")
-    key = order.key
-    lmf, fd = _monic_dict(f.as_dict(), key)
-    lmg, gd = _monic_dict(g.as_dict(), key)
-    return Polynomial(f.ring, _spoly_dict(lmf, fd, lmg, gd))
-
-
-def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Polynomial:
-    """Remainder of ``f`` on division by ``basis``.
-
-    No term of the remainder is divisible by any basis leading monomial.
-    Making a divisor monic does not change the remainder.
-    """
-    key = order.key
-    divisors = []
-    for b in basis:
-        if b.is_zero:
-            raise ZeroPolynomialError("division by a zero basis element")
-        if b.ring != f.ring:
-            raise RingMismatchError("division basis must share the ring")
-        divisors.append(_monic_dict(b.as_dict(), key))
-    return Polynomial(f.ring, _normal_form_dict(f.as_dict(), divisors, key, {}))
-
-
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced, monic Groebner basis; unique for its (ideal, order) pair.
@@ -376,12 +342,6 @@ class Ideal:
         if any(g.is_constant() for g in self.generators):
             return True
         return self.groebner_basis(GREVLEX).is_unit()
-
-    def equals(self, other: "Ideal") -> bool:
-        """Mathematical equality via the canonical reduced bases."""
-        if self.ring != other.ring:
-            return False
-        return self.groebner_basis(GREVLEX).elements == other.groebner_basis(GREVLEX).elements
 
 
 def _inverted(ideal: Ideal, h: Polynomial) -> Ideal:

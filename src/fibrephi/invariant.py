@@ -45,10 +45,6 @@ class ExtendedNat:
         key = (1, 0) if self.value is None else (0, self.value)
         object.__setattr__(self, "sort_index", key)
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
     def __str__(self) -> str:
         return "infinity" if self.value is None else str(self.value)
 

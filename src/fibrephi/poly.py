@@ -15,12 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import FibrephiError, RingMismatchError, ZeroPolynomialError
-from .orders import (
-    GREVLEX,
-    Monomial,
-    MonomialOrder,
-    monomial_mul,
-)
+from .orders import GREVLEX, Monomial, monomial_mul
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
@@ -192,9 +187,9 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def terms(self, order: MonomialOrder = GREVLEX) -> list[tuple[Monomial, Fraction]]:
-        """Terms sorted descending under ``order``."""
-        return sorted(self._terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+    def terms(self) -> list[tuple[Monomial, Fraction]]:
+        """Terms sorted descending under grevlex."""
+        return sorted(self._terms.items(), key=lambda t: GREVLEX.key(t[0]), reverse=True)
 
     def monomials(self) -> Iterable[Monomial]:
         return self._terms.keys()
@@ -314,22 +309,11 @@ class Polynomial:
             n = base_needed
         return result
 
-    # -- leading data ------------------------------------------------------
-
-    def leading_term(self, order: MonomialOrder = GREVLEX) -> tuple[Monomial, Fraction]:
-        """Order-maximal (monomial, coefficient); raises on the zero polynomial."""
-        if not self._terms:
-            raise ZeroPolynomialError("zero polynomial has no leading term")
-        mono = max(self._terms, key=order.key)
-        return mono, self._terms[mono]
-
-    def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
-        return self.leading_term(order)[0]
-
-    def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
+    def monic(self) -> "Polynomial":
+        """This polynomial scaled so its grevlex-leading coefficient is 1."""
         if not self._terms:
             raise ZeroPolynomialError("cannot normalize the zero polynomial")
-        _, lc = self.leading_term(order)
+        lc = self._terms[max(self._terms, key=GREVLEX.key)]
         if lc == 1:
             return self
         return self.scale(Fraction(1) / lc)

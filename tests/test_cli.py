@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fibrephi import analyze, geometry
+from fibrephi import Ideal, PolynomialRing, analyze, geometry, groebner, parse_polynomial
 from fibrephi.cli import (
     EXIT_CORPUS_MISMATCH,
     EXIT_ERROR,
@@ -341,6 +341,16 @@ def test_exhausted_vertical_depth_is_inconclusive(monkeypatch, tmp_path):
     assert "vertical-component test inconclusive at the configured depth" in doc["warnings"]
 
 
+def test_groebner_basis_size_cap_is_an_error(monkeypatch, fixture_dir, capsys):
+    monkeypatch.setattr(groebner, "GROEBNER_MAX_BASIS", 1)
+    ring = PolynomialRing((), ("x", "y"))
+    squares = Ideal(ring, [parse_polynomial("x^2", ring), parse_polynomial("y^2", ring)])
+    with pytest.raises(ResourceLimitError, match="^Groebner basis size cap exceeded$"):
+        squares.groebner_basis()
+    assert main(["analyze", str(fixture_dir / "quadric_cone.setup")]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: Groebner basis size cap exceeded\n"
+
+
 def test_exhausted_split_depth_leaves_purity_unconfirmed(monkeypatch, fixture_dir, tmp_path):
     monkeypatch.setattr(geometry, "SPLIT_DEPTH", 0)
     code, doc = analyze_to_json(fixture_dir / "line_times_fibre.setup", tmp_path / "out.json")
@@ -537,6 +547,21 @@ def test_directory_as_setup_file_is_a_setup_error(fixture_dir, capsys):
         load_setup(fixture_dir)
     assert main(["analyze", str(fixture_dir)]) == EXIT_ERROR
     assert "error:" in capsys.readouterr().err
+
+
+def test_byte_order_mark_is_accepted(fixture_dir, tmp_path):
+    # the digest stays that of the bytes read, the mark included
+    plain = fixture_dir / "quadric_cone.setup"
+    data = b"\xef\xbb\xbf" + plain.read_bytes()
+    marked = tmp_path / "marked.setup"
+    marked.write_bytes(data)
+    expected, loaded = load_setup(plain), load_setup(marked)
+    assert loaded.setup == expected.setup and loaded.expect == expected.expect
+    assert loaded.input_digest == hashlib.sha256(data).hexdigest() != expected.input_digest
+    documents = [analyzed_document(f, max_power=2).document for f in (expected, loaded)]
+    for document in documents:
+        del document["input"], document["input_digest"]
+    assert documents[0] == documents[1]
 
 
 def test_non_utf8_setup_file_is_a_setup_error(tmp_path, capsys):

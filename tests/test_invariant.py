@@ -50,7 +50,7 @@ def plane_plus_line_setup():
 def test_extended_nat_ordering():
     assert ExtendedNat(0) < ExtendedNat(3) < INFINITY
     assert INFINITY == ExtendedNat(None)
-    assert max(ExtendedNat(2), INFINITY).is_infinite
+    assert max(ExtendedNat(2), INFINITY) == INFINITY
 
 
 def test_extended_nat_rejects_negatives():
@@ -79,7 +79,7 @@ def test_upper_bound_family(n, l):
 
 
 def test_upper_bound_equidimensional_map_is_infinite():
-    assert phi_upper(simple_setup("x - y")).is_infinite
+    assert phi_upper(simple_setup("x - y")) == INFINITY
 
 
 def test_upper_bound_requires_purity(monkeypatch):
@@ -109,7 +109,7 @@ def test_lower_bound_singleton_fibre_dimension_set():
     setup = simple_setup("x - y")
     assert setup.vertical.verdict is False
     value = phi_lower(setup)
-    assert value is not None and value.is_infinite
+    assert value == INFINITY
 
 
 @pytest.mark.parametrize("n,l", [(2, 2), (3, 2), (3, 3)])

@@ -332,29 +332,38 @@ def test_well_foundedness_on_bounded_degree():
 
 
 def test_leading_term_lex():
-    ring = ring_xy()
-    p = parse_polynomial("x^2 + x", ring)
-    assert p.leading_term(LEX) == ((2, 0), 1)
+    p = parse_polynomial("x^2 + x", ring_xy())
+    assert max(p.monomials(), key=LEX.key) == (2, 0)
 
 
 def test_leading_term_block_order():
     # y1*x + y2 with the source variable dominant
     ring = PolynomialRing(("y1", "y2"), ("x",))
     p = parse_polynomial("y1*x + y2", ring)
-    mono, coeff = p.leading_term(Block(ring.split))
-    assert mono == (1, 0, 1)  # the monomial y1*x
-    assert coeff == 1
+    assert max(p.monomials(), key=Block(ring.split).key) == (1, 0, 1)  # the monomial y1*x
 
 
 def test_leading_term_constant():
     ring = ring_xy()
-    assert ring.constant(5).leading_term(GREVLEX) == ((0, 0), 5)
+    c = ring.constant(5)
+    assert max(c.monomials(), key=GREVLEX.key) == (0, 0)
+    assert c.monic() == ring.one()
 
 
 def test_leading_term_zero_errors():
     ring = ring_xy()
     with pytest.raises(ZeroPolynomialError):
-        ring.zero().leading_term(GREVLEX)
+        ring.zero().monic()
+
+
+def test_monic_divides_by_the_grevlex_leading_coefficient():
+    # under lex the leading term would be 3*x
+    ring = ring_xy()
+    p = parse_polynomial("3*x + 2*y^2", ring)
+    assert p.monic() == parse_polynomial("y^2 + 3/2*x", ring)
+    assert str(p) == "2*y^2 + 3*x"
+    q = parse_polynomial("x^2 - 5*y", ring)
+    assert q.monic() is q
 
 
 # ---------------------------------------------------------------------------
