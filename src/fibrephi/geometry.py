@@ -589,7 +589,8 @@ class PurityResult:
     """Outcome of the equidimensionality check.
 
     ``pure`` is True/False when decided, None when the splitting depth cap
-    prevented a verdict.
+    prevented a verdict (``piece_dims`` is then empty) or when a piece of the
+    top dimension carries no purity certificate.
     """
 
     pure: bool | None
@@ -598,7 +599,15 @@ class PurityResult:
 
 
 def pure_dimension_check(J: Ideal) -> PurityResult:
-    """Split into pseudo-components and compare their dimensions."""
+    """Split into pseudo-components and compare their dimensions.
+
+    Pieces of two dimensions make V(J) impure.  Pieces of one dimension make
+    it pure only with a certificate, since a piece that no candidate splits
+    may still hide a lower-dimensional component: J itself is a complete
+    intersection, or every piece is one once ``_certified_pure`` drops its
+    redundant generators (Macaulay; Matsumura, Thm 17.6).  Otherwise the
+    verdict is None.
+    """
     dim = krull_dimension(J)
     if dim < 0:
         raise PreconditionError("pure_dimension_check needs a proper ideal")
@@ -607,7 +616,24 @@ def pure_dimension_check(J: Ideal) -> PurityResult:
     except ResourceLimitError:
         return PurityResult(None, dim, ())
     piece_dims = tuple(sorted((krull_dimension(p) for p in pieces), reverse=True))
-    return PurityResult(len(set(piece_dims)) == 1, dim, piece_dims)
+    if len(set(piece_dims)) > 1:
+        return PurityResult(False, dim, piece_dims)
+    # ``_unmixed_dimension``'s test, on the dimension already in hand
+    complete = len(J.generators) == J.ring.arity - dim
+    certified = complete or all(map(_certified_pure, pieces))
+    return PurityResult(True if certified else None, dim, piece_dims)
+
+
+def _certified_pure(I: Ideal) -> bool:
+    """True when V(I) is pure by Macaulay's theorem once the generators that
+    lie in the radical of the others, dropped greedily, are gone: dropping
+    one leaves V(I) as it is."""
+    kept = list(I.generators)
+    for g in I.generators:
+        rest = [h for h in kept if h != g]
+        if radical_member(g, Ideal(I.ring, rest)):
+            kept = rest
+    return _unmixed_dimension(Ideal(I.ring, kept)) is not None
 
 
 # ---------------------------------------------------------------------------

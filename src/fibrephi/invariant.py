@@ -55,78 +55,59 @@ class ExtendedNat:
 INFINITY = ExtendedNat(None)
 
 
-def _floor_min(values: Sequence[int]) -> ExtendedNat:
-    """Minimum of a list of naturals, infinity over the empty list."""
-    if not values:
-        return INFINITY
-    return ExtendedNat(min(values))
+def _stratum_bound(top: int, base: int, strata: Sequence[Stratum]) -> ExtendedNat:
+    """The stratum formula of both bounds: the least integer part of
+    (top - image_dim - 1) / (fibre_dim - base) over ``strata``, each with
+    fibre_dim above ``base``; infinity when no stratum counts."""
+    values = []
+    for stratum in strata:
+        if stratum.image_dim >= top:
+            raise InternalInconsistencyError(
+                f"stratum j={stratum.fibre_dim} has image dimension {stratum.image_dim} "
+                f"in a space of dimension {top}"
+            )
+        values.append((top - stratum.image_dim - 1) // (stratum.fibre_dim - base))
+    return ExtendedNat(min(values)) if values else INFINITY
 
 
 def phi_upper(setup: ProjectionSetup) -> ExtendedNat | None:
     """Upper bound from the stratification of a pure-dimensional source.
 
-    For every stratum of ``setup.stratification`` with fibre dimension j
-    exceeding the generic value m - n, take the integer part of
-    (n - image_dim - 1) / (j - (m - n)); the bound is the minimum, and an
-    empty minimand set (an equidimensional map) gives infinity.  None unless
-    ``setup.purity`` confirms X pure-dimensional.
+    ``_stratum_bound`` with top n and base m - n, over the strata of
+    ``setup.stratification`` whose fibre dimension j exceeds the generic
+    value m - n; an equidimensional map has none and gets infinity.  None
+    unless ``setup.purity`` confirms X pure-dimensional.
     """
     if setup.purity.pure is not True:
         return None
-    m, n = setup.m, setup.n
-    values = []
-    for stratum in setup.stratification.strata:
-        j = stratum.fibre_dim
-        if j <= m - n:
-            continue
-        numerator = n - stratum.image_dim - 1
-        if numerator < 0:
-            raise InternalInconsistencyError(
-                f"stratum j={j} has image dimension {stratum.image_dim} on an n={n} target"
-            )
-        values.append(numerator // (j - (m - n)))
-    return _floor_min(values)
+    base = setup.m - setup.n
+    strata = setup.stratification.strata
+    return _stratum_bound(setup.n, base, [s for s in strata if s.fibre_dim > base])
 
 
 def phi_lower(setup: ProjectionSetup) -> ExtendedNat | None:
     """Lower bound for phi from the presentation data (N, k, r) of ``setup``.
 
     Valid for a pure-dimensional source (``setup.purity``) that
-    ``setup.vertical`` certifies free of vertical components: minimize the
-    integer part of (N - image_dim - 1) / (j - (k - r)) over the non-minimal
-    fibre dimensions j of ``setup.stratification``.  When a vertical
-    component is certified instead, phi is exactly 0, so 0 is returned as
-    the (tight) lower bound.  A non-pure source or an undecided vertical
-    verdict yields None: not applicable.
+    ``setup.vertical`` certifies free of vertical components:
+    ``_stratum_bound`` with top N and base k - r, over the strata of
+    ``setup.stratification`` whose fibre dimension j is not the minimal one.
+    When a vertical component is certified instead, phi is exactly 0, so 0
+    is returned as the (tight) lower bound.  A non-pure source or an
+    undecided vertical verdict yields None: not applicable.
     """
     verdict = setup.vertical.verdict if setup.purity.pure is True else None
     if verdict is None:
         return None
     if verdict is True:
         return ExtendedNat(0)
-    strat, k, r = setup.stratification, setup.k, setup.r
+    strat, base = setup.stratification, setup.k - setup.r
     lam = strat.min_fibre_dim
-    if lam < k - r:
+    if lam < base:
         raise InternalInconsistencyError(
-            f"minimal fibre dimension {lam} below the codimension floor {k - r}"
+            f"minimal fibre dimension {lam} below the codimension floor {base}"
         )
-    values = []
-    for stratum in strat.strata:
-        j = stratum.fibre_dim
-        if j == lam:
-            continue
-        denominator = j - (k - r)
-        if denominator <= 0:
-            raise InternalInconsistencyError(
-                f"non-positive denominator for stratum j={j} with k={k}, r={r}"
-            )
-        numerator = setup.N - stratum.image_dim - 1
-        if numerator < 0:
-            raise InternalInconsistencyError(
-                f"stratum j={j} image dimension exceeds the ambient dimension"
-            )
-        values.append(numerator // denominator)
-    return _floor_min(values)
+    return _stratum_bound(setup.N, base, [s for s in strat.strata if s.fibre_dim != lam])
 
 
 EXACTNESS_TAGS = (
@@ -377,8 +358,9 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
         )
     elif timed("vertical", lambda: setup.vertical).verdict is None:
         warnings.append("vertical-component test inconclusive at the configured depth")
-    if pure is None:
-        warnings.append("purity of the source is unconfirmed (splitting cap)")
+    if pure is None:  # the splitting cap leaves no pieces
+        reason = "a piece has no purity certificate" if setup.purity.piece_dims else "splitting cap"
+        warnings.append(f"purity of the source is unconfirmed ({reason})")
 
     upper, lower = phi_upper(setup), phi_lower(setup)
     if pure is True:

@@ -360,6 +360,26 @@ def test_exhausted_split_depth_leaves_purity_unconfirmed(monkeypatch, fixture_di
     assert "bounds unavailable: non-pure source" in doc["warnings"]
 
 
+def test_an_uncertified_piece_leaves_purity_unconfirmed(tmp_path):
+    # the plane a + b + c = y and the line a = 1, b = 2, c = y off it: one
+    # piece of dimension 3 that hides the line, with no purity certificate
+    text = (
+        "vars_target: y\n"
+        "vars_source: a b c\n"
+        "ambient_target_ideal: 0\n"
+        "target_equals_ambient: true\n"
+        "source_ideal: (a + b + c - y)*(a - 1), (a + b + c - y)*(b - 2), (a + b + c - y)*(c - y)\n"
+        "assert_target_locally_irreducible: true\n"
+        "assert_target_pure_dimensional: true\n"
+    )
+    code, doc = analyze_to_json(write(tmp_path, text), tmp_path / "out.json")
+    assert code == EXIT_INCONCLUSIVE
+    assert doc["purity"] == {"pure": None, "dim": 3, "piece_dims": [3]}
+    assert doc["phi_upper"] is None and doc["phi_lower"] is None
+    assert "purity of the source is unconfirmed (a piece has no purity certificate)" in doc["warnings"]
+    assert not any("splitting cap" in w for w in doc["warnings"])
+
+
 # ---------------------------------------------------------------------------
 # expectations and corpus
 # ---------------------------------------------------------------------------

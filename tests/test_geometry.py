@@ -40,6 +40,7 @@ from fibrephi.errors import (
 from fibrephi.geometry import (
     LEX,
     ProjectionSetup,
+    _certified_pure,
     _rational_sqrt,
     _splitter_candidates,
     _univariate_coefficients,
@@ -801,6 +802,34 @@ def test_purity_of_hypersurface():
     assert (result.pure, result.dim) == (True, 2)
 
 
+def test_an_unsplit_piece_hiding_a_line_is_not_pure():
+    # X is the plane a + b + c = y (dimension 3) and the line a = 1, b = 2,
+    # c = y (dimension 1), which is off the plane since a + b + c - y = 3 on
+    # it.  No candidate separates them, so the one piece has dimension 3, and
+    # neither X nor that piece is certified pure.
+    setup = simple_setup(
+        "(a + b + c - y)*(a - 1), (a + b + c - y)*(b - 2), (a + b + c - y)*(c - y)",
+        source_vars=("a", "b", "c"),
+    )
+    J = setup.total_ideal
+    assert split_components(J) == [J]
+    assert _unmixed_dimension(J) is None and not _certified_pure(J)
+    result = pure_dimension_check(J)
+    assert (result.pure, result.dim, result.piece_dims) == (None, 3, (3,))
+
+
+def test_a_redundant_generator_keeps_a_piece_certified():
+    # the quadric cone with x times its generator added: dropping that
+    # generator, which lies in the radical of the others, leaves a complete
+    # intersection
+    setup = quadric_cone_setup()
+    g = setup.source_generators[0]
+    J = setup.total_ideal.added([setup.ring.variable("x") * g])
+    assert _unmixed_dimension(J) is None and _certified_pure(J)
+    result = pure_dimension_check(J)
+    assert (result.pure, result.dim, result.piece_dims) == (True, 3, (3,))
+
+
 def test_unmixed_skips_agree_with_saturation(monkeypatch, fixture_dir):
     # Every candidate the unmixedness certificate made _split skip, on the
     # total ideal of each corpus fixture and on the fibred powers its expect
@@ -853,6 +882,16 @@ BOUNDED = [path.stem for path in sorted(FIXTURES.glob("*.setup"))] + [
     "cyclic_4_4",
     "cyclic_5_5",
 ]
+
+
+@pytest.mark.parametrize("name", BOUNDED)
+def test_every_piece_carries_a_purity_certificate(name):
+    # A pure verdict needs X or every piece certified; here both are, so no
+    # document can drift to pure: null.
+    J = replayed_setup(name).total_ideal
+    assert _unmixed_dimension(J) is not None
+    assert all(map(_certified_pure, split_components(J)))
+    assert pure_dimension_check(J).pure is True
 
 
 @pytest.mark.parametrize("name", BOUNDED)

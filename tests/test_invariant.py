@@ -133,6 +133,21 @@ def test_lower_bound_not_applicable_when_uncertified():
     assert phi_lower(setup) is None
 
 
+@pytest.mark.parametrize("bound, top", [(phi_upper, "n"), (phi_lower, "N")])
+def test_an_image_dimension_at_the_top_is_inconsistent(bound, top):
+    # Both bounds read (top - image_dim - 1) / (j - base) off the strata that
+    # count; a stratum whose image has dimension top would give a negative
+    # numerator, which no stratification can produce.
+    setup = quadric_cone_setup()
+    assert (setup.purity.pure, setup.vertical.verdict) == (True, False)
+    strat = setup.stratification
+    special = replace(strat.strata[-1], image_dim=getattr(setup, top))
+    assert special.fibre_dim > max(setup.m - setup.n, strat.min_fibre_dim)
+    setup.__dict__["stratification"] = replace(strat, strata=strat.strata[:-1] + (special,))
+    with pytest.raises(InternalInconsistencyError, match="has image dimension"):
+        bound(setup)
+
+
 # ---------------------------------------------------------------------------
 # exactness rules
 # ---------------------------------------------------------------------------
