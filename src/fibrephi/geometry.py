@@ -45,12 +45,10 @@ from .groebner import (
 
 # Resource caps, read when they are enforced (as in groebner).  Too many
 # stratification nodes or splitting levels raise ResourceLimitError (the
-# purity and vertical tests report a splitting overrun as inconclusive); an
-# exhausted vertical depth is inconclusive; a cell that yields no point within
-# the sampling attempts comes back empty.
+# purity test reports a splitting overrun as inconclusive); a cell that
+# yields no point within the sampling attempts comes back empty.
 STRATIFY_MAX_NODES = 512
 SPLIT_DEPTH = 8
-VERTICAL_DEPTH = 4
 SAMPLE_ATTEMPTS = 400
 
 
@@ -652,8 +650,8 @@ class VerticalResult:
     leading coefficient h of X, pulled back to the source: V(h o f) has a
     larger dimension than any component that dominates the target can have
     inside it, so h proves that a vertical component exists but need not
-    vanish on it.  None means the recursion depth was exhausted before a
-    decision; it is never coerced to False.
+    vanish on it.  None means only that the target's irreducibility is not
+    attested; it is never coerced to False.
     """
 
     verdict: bool | None
@@ -675,9 +673,8 @@ def has_vertical_component(setup: ProjectionSetup, i: int) -> VerticalResult:
     dim(C meet V(h_a)) + i*C.fibre_dim (the fibre-dimension theorem,
     Hartshorne, *Algebraic Geometry*, Ex. II.3.22), so no power needs a basis
     in its own ring.  When the stratification hits a cap, when it has no
-    generic cell, or when neither count fires, saturation and
-    pseudo-component splitting decide (``_vertical``), and that recursion
-    stops, inconclusive, after ``VERTICAL_DEPTH`` levels.
+    generic cell, or when neither count fires, saturations decide
+    (``_vertical``).
     """
     if not setup.assert_target_locally_irreducible:
         raise PreconditionError(
@@ -692,7 +689,7 @@ def has_vertical_component(setup: ProjectionSetup, i: int) -> VerticalResult:
         certified = _vertical_by_dimension(setup, J, i)
         if certified is not None:
             return certified
-    return _vertical(J, setup.n, VERTICAL_DEPTH)
+    return _vertical(J, setup.n)
 
 
 def _meet_dimension(cell: Cell, h: Polynomial) -> int:
@@ -774,7 +771,20 @@ def _vertical_by_dimension(setup: ProjectionSetup, J: Ideal, i: int) -> Vertical
     )
 
 
-def _vertical(J: Ideal, n: int, depth: int) -> VerticalResult:
+def _vertical(J: Ideal, n: int) -> VerticalResult:
+    """The vertical test on J by saturation, for an irreducible target of
+    dimension n.
+
+    A non-dense image is vertical.  Otherwise ``_stabilize`` against the
+    image leaves leading coefficients h none of which vanishes on the
+    target Y.  At every target point where no h vanishes, the specialized
+    block basis is a Groebner basis of the fibre (Kalkbrener, JSC 1997), so
+    the standard monomials are a free basis of X over U = Y minus the union
+    of the V(h), and X is flat over U.  Flat maps of finite type are open
+    (Hartshorne, *Algebraic Geometry*, Ex. III.9.1), so every component that
+    meets the preimage of U dominates the irreducible Y.  Hence a vertical
+    component lies inside some V(h o f), and one saturation per h decides.
+    """
     ring = J.ring
     image, image_dim = image_closure(J)
     if image_dim < n:
@@ -783,33 +793,14 @@ def _vertical(J: Ideal, n: int, depth: int) -> VerticalResult:
     # image + flagged has the radical of image, so every flag comes out the same
     current, _, rel = _stabilize(J, image)
 
-    lead_coeffs = sorted({c for _, c in rel if not c.is_constant()}, key=str)
-    for h in lead_coeffs:
+    for h in sorted({c for _, c in rel if not c.is_constant()}, key=str):
         off = saturation(current, transport(h, ring))
         for g in off.generators:
             if not radical_member(g, current):
                 # some component lies inside {h o f = 0}; its image sits in the
                 # proper closed set {h = 0} of the irreducible target
                 return VerticalResult(True, g, f"component inside the zero set of {h}")
-
-    if depth <= 0:
-        return VerticalResult(None, None, "recursion depth exhausted")
-    try:
-        pieces = split_components(current)
-    except ResourceLimitError:
-        return VerticalResult(None, None, "component splitting hit its depth cap")
-    if len(pieces) == 1:
-        return VerticalResult(False, None, "")
-    undecided = False
-    for piece in pieces:
-        result = _vertical(piece, n, depth - 1)
-        if result.verdict:
-            return result
-        if result.verdict is None:
-            undecided = True
-    if undecided:
-        return VerticalResult(None, None, "a pseudo-component stayed undecided")
-    return VerticalResult(False, None, "")
+    return VerticalResult(False, None, "no component inside a leading-coefficient zero set, off which X is flat")
 
 
 def single_rational_point(I: Ideal) -> tuple[Fraction, ...] | None:

@@ -18,7 +18,6 @@ membership tests divide by it directly.
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -272,11 +271,11 @@ class GroebnerBasis:
 class Ideal:
     """A polynomial ideal: generator list plus cached reduced bases per order.
 
-    Ideals are immutable values; the basis cache is populated lazily under a
-    lock, and a recomputation installs the identical (canonical) result.
+    Ideals are immutable values; the basis cache is populated lazily, and a
+    recomputation installs the identical (canonical) result.
     """
 
-    __slots__ = ("ring", "generators", "_cache", "_lock")
+    __slots__ = ("ring", "generators", "_cache")
 
     def __init__(self, ring: PolynomialRing, generators: Iterable[Polynomial] = ()):
         gens: list[Polynomial] = []
@@ -293,7 +292,6 @@ class Ideal:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "generators", tuple(gens))
         object.__setattr__(self, "_cache", {})
-        object.__setattr__(self, "_lock", threading.Lock())
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
@@ -320,15 +318,14 @@ class Ideal:
         return Ideal(self.ring, self.generators + tuple(extra))
 
     def groebner_basis(self, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-        with self._lock:
-            cached = self._cache.get(order)
-            if cached is not None:
-                return cached
-            divisors = tuple(_buchberger([g.as_dict() for g in self.generators], order.key))
-            elements = tuple(Polynomial._trusted(self.ring, d) for _, d in divisors)
-            basis = GroebnerBasis(elements, divisors)
-            self._cache[order] = basis
-            return basis
+        cached = self._cache.get(order)
+        if cached is not None:
+            return cached
+        divisors = tuple(_buchberger([g.as_dict() for g in self.generators], order.key))
+        elements = tuple(Polynomial._trusted(self.ring, d) for _, d in divisors)
+        basis = GroebnerBasis(elements, divisors)
+        self._cache[order] = basis
+        return basis
 
     def contains(self, f: Polynomial) -> bool:
         if f.ring != self.ring:

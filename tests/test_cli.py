@@ -215,7 +215,7 @@ def test_analyze_vertical_fixture(fixture_dir):
     assert doc["vertical"]["witness"] == "y"
     assert doc["vertical"]["detail"] == "zero set of y has dimension 1 >= n + i*lambda = 1"
     setup = loaded.setup
-    slow = geometry._vertical(setup.total_ideal, setup.n, geometry.VERTICAL_DEPTH)
+    slow = geometry._vertical(setup.total_ideal, setup.n)
     assert (str(slow.witness), slow.detail) == ("x", "component inside the zero set of y")
 
 
@@ -323,24 +323,6 @@ def analyze_to_json(path: Path, out: Path) -> tuple[int, dict]:
     return code, json.loads(out.read_text(encoding="utf-8"))
 
 
-def test_exhausted_vertical_depth_is_inconclusive(monkeypatch, tmp_path):
-    # the leading coefficient y1 vanishes on the target V(y1^2), so the
-    # dimension counts decline and the saturation path runs out of depth
-    text = (
-        "vars_target: y1 y2\n"
-        "vars_source: x\n"
-        "ambient_target_ideal: y1^2\n"
-        "source_ideal: y1*x\n"
-        "assert_target_locally_irreducible: true\n"
-    )
-    monkeypatch.setattr(geometry, "VERTICAL_DEPTH", 0)
-    code, doc = analyze_to_json(write(tmp_path, text), tmp_path / "out.json")
-    assert code == EXIT_INCONCLUSIVE
-    assert doc["vertical"]["verdict"] is None
-    assert doc["vertical"]["detail"] == "recursion depth exhausted"
-    assert "vertical-component test inconclusive at the configured depth" in doc["warnings"]
-
-
 def test_groebner_basis_size_cap_is_an_error(monkeypatch, fixture_dir, capsys):
     monkeypatch.setattr(groebner, "GROEBNER_MAX_BASIS", 1)
     ring = PolynomialRing((), ("x", "y"))
@@ -357,7 +339,8 @@ def test_exhausted_split_depth_leaves_purity_unconfirmed(monkeypatch, fixture_di
     assert code == EXIT_INCONCLUSIVE
     assert doc["purity"]["pure"] is None
     assert "purity of the source is unconfirmed (splitting cap)" in doc["warnings"]
-    assert "bounds unavailable: non-pure source" in doc["warnings"]
+    assert "bounds unavailable: purity unconfirmed" in doc["warnings"]
+    assert "bounds unavailable: non-pure source" not in doc["warnings"]
 
 
 def test_an_uncertified_piece_leaves_purity_unconfirmed(tmp_path):

@@ -325,8 +325,8 @@ def test_stratification_matches_fibre_oracle():
 
 
 def slow_vertical(setup, i):
-    """The saturation-and-splitting path alone, on the ideal of X^(i)."""
-    return geometry._vertical(fibred_power(setup, i), setup.n, geometry.VERTICAL_DEPTH)
+    """The saturation path alone, on the ideal of X^(i)."""
+    return geometry._vertical(fibred_power(setup, i), setup.n)
 
 
 def test_vertical_line_over_origin():
@@ -349,23 +349,120 @@ def test_vertical_point_component():
     assert not radical_member(result.witness, setup.total_ideal)
 
 
-def test_vertical_recurses_into_pseudo_components(monkeypatch):
+@pytest.fixture
+def no_split(monkeypatch):
+    """``split_components`` raises, so a verdict cannot come from splitting."""
+
+    def refuse(J):
+        raise AssertionError("the vertical test split components")
+
+    monkeypatch.setattr(geometry, "split_components", refuse)
+
+
+def test_vertical_decides_without_splitting(no_split):
     # V(x*(x - 1)) is two lines over the y-line: no leading coefficient to
-    # saturate by, so the splitting decides, one level down on each line
+    # saturate by, so X is flat over the whole line and nothing is vertical
     ring = PolynomialRing(("y",), ("x",))
     J = Ideal(ring, [P("x*(x - 1)", ring)])
-    depths = []
-    recurse = geometry._vertical
+    result = geometry._vertical(J, 1)
+    assert result.verdict is False
+    assert result.detail == "no component inside a leading-coefficient zero set, off which X is flat"
 
-    def recorded(J, n, depth):
-        depths.append(depth)
-        return recurse(J, n, depth)
 
-    monkeypatch.setattr(geometry, "_vertical", recorded)
-    assert geometry._vertical(J, 1, geometry.VERTICAL_DEPTH).verdict is False
-    assert depths == [4, 3, 3]
-    undecided = geometry._vertical(J, 1, 1)
-    assert (undecided.verdict, undecided.detail) == (None, "a pseudo-component stayed undecided")
+@pytest.mark.parametrize(
+    "text, target_vars, source_vars",
+    [
+        # the plane a + b + c = y and the point a = 1, b = 2, c = 3 over y = 0
+        (
+            "(a + b + c - y)*(a - 1), (a + b + c - y)*(b - 2), "
+            "(a + b + c - y)*(c - 3), (a + b + c - y)*y",
+            ("y",),
+            ("a", "b", "c"),
+        ),
+        # the surface a*b = y and the line a = z, b = 1 over y = 0
+        ("(a*b - y)*(a - z), (a*b - y)*(b - 1), (a*b - y)*y", ("y", "z"), ("a", "b")),
+    ],
+    ids=["plane-and-point", "surface-and-line"],
+)
+def test_vertical_finds_a_hidden_component_by_saturation(no_split, text, target_vars, source_vars):
+    setup = simple_setup(text, target_vars, source_vars)
+    result = slow_vertical(setup, 1)
+    assert (result.verdict, result.detail) == (True, "component inside the zero set of y")
+    assert not radical_member(result.witness, setup.total_ideal)
+
+
+# irreducible targets for the random unions below: affine line and plane,
+# the cusp and the quadric cone
+UNION_TARGETS = [
+    (("y1",), []),
+    (("y1", "y2"), []),
+    (("y1", "y2"), ["y1^2 - y2^3"]),
+    (("y1", "y2", "y3"), ["y1*y2 - y3^2"]),
+]
+
+
+def random_union_setup(rng):
+    """V(D) union V(Z) over a random irreducible target: D one equation that
+    dominates it, Z a vertical point or line, a second dominant piece, or
+    nothing; the union's ideal is the product of the two."""
+    target_vars, target_gens = rng.choice(UNION_TARGETS)
+    ring = PolynomialRing(target_vars, ("a", "b"))
+
+    def y():
+        return rng.choice(target_vars)
+
+    def k():
+        return rng.randint(-2, 2)
+
+    D = rng.choice(
+        [
+            f"a*b - {y()}",
+            f"{y()}*a - {k()}",
+            f"a^2 - {y()}*b",
+            f"a + b - {y()}",
+            f"{y()}*a^2 + b - {k()}",
+            f"{y()}*a*b - 1",
+        ]
+    )
+    kind = rng.choice(["vertical", "vertical", "dominant", "none"])
+    if kind == "vertical":
+        Z = [f"{y()} - ({k()})", f"a - ({k()})"] + [f"b - ({k()})"] * (rng.random() < 0.5)
+    elif kind == "dominant":
+        Z = [f"a - {y()}", f"b - ({k()})"]
+    else:
+        Z = []
+    gens = [f"({D})*({z})" for z in Z] or [D]
+    return make_setup(
+        ring,
+        [P(g, ring) for g in target_gens],
+        [P(g, ring) for g in gens],
+        assert_target_locally_irreducible=True,
+        assert_target_pure_dimensional=True,
+    )
+
+
+def test_saturation_verdicts_on_random_unions():
+    # With the attestation no verdict is undecided; a pseudo-component with
+    # a lower-dimensional image is found; and the dimension counts, where
+    # they decide, agree with the saturations.  The split reference runs at
+    # power 1 only, to keep the test fast.
+    rng = Random(24)
+    verdicts = []
+    counted = 0
+    for _ in range(50):
+        setup = random_union_setup(rng)
+        for i in (1, 2):
+            J = fibred_power(setup, i)
+            assert has_vertical_component(setup, i).verdict is not None
+            result = geometry._vertical(J, setup.n)
+            verdicts.append(result.verdict)
+            if i == 1 and any(image_closure(p)[1] < setup.n for p in split_components(J)):
+                assert result.verdict is True
+            certified = geometry._vertical_by_dimension(setup, J, i)
+            if certified is not None:
+                counted += 1
+                assert certified.verdict is result.verdict
+    assert True in verdicts and False in verdicts and counted > 0
 
 
 def test_quadric_cone_has_no_vertical_component():
@@ -378,9 +475,9 @@ def record_slow_path(monkeypatch) -> list[Ideal]:
     reached = []
     vertical = geometry._vertical
 
-    def recording(J, n, depth):
+    def recording(J, n):
         reached.append(J)
-        return vertical(J, n, depth)
+        return vertical(J, n)
 
     monkeypatch.setattr(geometry, "_vertical", recording)
     return reached

@@ -160,11 +160,10 @@ def test_bounds_meet_beats_complete_intersection():
 
 @pytest.fixture
 def undecided_vertical(monkeypatch):
-    """The vertical test on the saturation path with no recursion left: it
-    stays undecided on a vertical-free source, so there is no lower bound
-    for bounds-meet."""
+    """Both routes of the vertical test stay undecided, so there is no lower
+    bound for bounds-meet."""
     monkeypatch.setattr(geometry, "_vertical_by_dimension", lambda setup, J, i: None)
-    monkeypatch.setattr(geometry, "VERTICAL_DEPTH", 0)
+    monkeypatch.setattr(geometry, "_vertical", lambda J, n: VerticalResult(None))
 
 
 def test_complete_intersection_fires_without_lower_bound(undecided_vertical):
