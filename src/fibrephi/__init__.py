@@ -32,7 +32,6 @@ from .geometry import (
     fibre_at_point,
     fibred_power,
     has_vertical_component,
-    image_closure,
     make_setup,
     pure_dimension_check,
     sample_cell_points,

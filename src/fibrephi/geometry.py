@@ -47,7 +47,7 @@ from .groebner import (
 # stratification nodes or splitting levels raise ResourceLimitError (the
 # purity test reports a splitting overrun as inconclusive); a cell that
 # yields no point within the sampling attempts comes back empty.
-STRATIFY_MAX_NODES = 512
+STRATIFY_MAX_NODES = 512  # popped constraints; growing a locus takes no node
 SPLIT_DEPTH = 8
 SAMPLE_ATTEMPTS = 400
 
@@ -191,14 +191,8 @@ def make_setup(
 
 
 # ---------------------------------------------------------------------------
-# image closures and fibres
+# fibres
 # ---------------------------------------------------------------------------
-
-
-def image_closure(J: Ideal) -> tuple[Ideal, int]:
-    """Closure of the projection image: eliminate all source variables."""
-    E = elimination_ideal(J, J.ring.split)
-    return E, krull_dimension(E)
 
 
 def fibre_at_point(
@@ -256,30 +250,35 @@ def relative_terms(J: Ideal) -> list[tuple[Monomial, Polynomial]]:
     return out
 
 
-def _stabilize(J: Ideal, locus: Ideal) -> tuple[Ideal, Ideal, list[tuple[Monomial, Polynomial]]]:
-    """Absorb the relative leading coefficients of J that vanish on V(locus).
+def _stabilize(J: Ideal, locus: Ideal) -> tuple[Ideal, Ideal, list[tuple[Monomial, Polynomial]], Ideal | None]:
+    """Grow ``locus``, a target ideal whose zero set holds the image of V(J),
+    until J's leading data specialize faithfully off the cells.
 
-    ``locus`` is a target ideal whose zero set holds the image of V(J).  Each
-    round adds the flagged coefficients, in basis order, to ``locus`` and,
-    checked to vanish on V(J), to J: the zero sets stay, but the basis must
-    re-express the elements they led.  Once none is flagged the leading data
-    specialize faithfully off their zero sets (Kalkbrener, JSC 1997;
-    Weispfenning, JSC 1992).  Returns J, locus and ``relative_terms(J)``.
+    If some equation of J's image closure does not vanish on V(locus), all
+    join it, as fibres are empty off their zero set; once suffices, since
+    absorbed coefficients keep J's radical.  Each round then adds the relative
+    leading coefficients vanishing on V(locus), in basis order, to ``locus``
+    and, checked to vanish on V(J), to J, whose basis must re-express the
+    elements they led (Kalkbrener, JSC 1997; Weispfenning, JSC 1992).  Returns
+    J, locus (unit for a unit J), ``relative_terms(J)`` and the image closure,
+    generated by its reduced grevlex basis, if its equations joined ``locus``.
     """
-    ring = J.ring
+    image = elimination_ideal(J, J.ring.split)
+    grown = image != locus and any(not radical_member(g, locus) for g in image.generators)
+    if grown:
+        locus = locus.added(image.generators)
     for _ in range(64):
         rel = relative_terms(J)
         flagged = [c for _, c in rel if not c.is_constant() and radical_member(c, locus)]
         if not flagged:
-            return J, locus, rel
-        # c is in rad(J) iff it is in rad(J's target part), on the cached basis;
-        # a target part equal to locus was asked that question by the flag test
-        target_part = elimination_ideal(J, ring.split)
-        if target_part != locus and not all(radical_member(c, target_part) for c in flagged):
+            return J, locus, rel, image if grown else None
+        # c is in rad(J) iff it is in rad(image), as J keeps its radical; a
+        # locus equal to image was asked that question by the flag test
+        if image != locus and not all(radical_member(c, image) for c in flagged):
             raise InternalInconsistencyError(
                 "a coefficient vanishing on the image fails to vanish on the source"
             )
-        J = J.added(transport(c, ring) for c in flagged)
+        J = J.added(transport(c, J.ring) for c in flagged)
         locus = locus.added(flagged)
     raise InternalInconsistencyError("leading-coefficient stabilization did not settle")
 
@@ -352,13 +351,12 @@ class Stratification:
 def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
     """Partition the image of f by fibre dimension via recursive case splitting.
 
-    Each node carries a constraint ideal C of the target ring.  The
-    block-order basis of J + C either adds target equations (cutting away a
-    locus of empty fibres), or, stabilized against C, exposes leading
-    coefficients whose complement is a cell of constant fibre dimension, its
-    closure one saturation of the grown C; recursion descends into each
-    coefficient's zero locus.  Constraint ideals grow strictly, so the tree
-    is finite.
+    Each node carries a constraint ideal C of the target ring.  ``_stabilize``
+    grows C by the new equations of the image of J + C, off which fibres are
+    empty, and by the leading coefficients vanishing on it; off the zero sets
+    of the others lies a cell of constant fibre dimension, its closure one
+    saturation of the grown C.  Recursion descends into each coefficient's
+    zero locus; constraint ideals grow strictly, so the tree is finite.
     """
     ring = setup.ring
     k = setup.k
@@ -380,23 +378,13 @@ def stratify_by_fibre_dimension(setup: ProjectionSetup) -> Stratification:
             raise ResourceLimitError("stratification node budget exhausted")
         if constraint.is_unit():
             continue
-
-        # J already holds the root constraint's target equations: keeping J
-        # builds X's block basis once, cached for relative_terms(J) and
-        # image_closure(J) in the purity check and the vertical counts
-        if constraint is setup.target_ideal:
-            Jc = J
-        else:
-            Jc = J.added(transport(g, ring) for g in constraint.generators)
-        pure = elimination_ideal(Jc, ring.split).generators
-        if any(not radical_member(g, constraint) for g in pure):
-            # off V(new equations) fibres are empty; only the refined locus
-            # survives (a unit Jc has pure [1]: the unit node is skipped).
-            # Once per node suffices: absorbed coefficients vanish on V(Jc),
-            # so the image closure keeps its radical, already inside sqrt(C).
-            pending.append(constraint.added(pure))
-            continue
-        _, current, stable = _stabilize(Jc, constraint)
+        # at the root Jc is J, its block basis cached for purity and the counts
+        Jc = J.added(transport(g, ring) for g in constraint.generators)
+        _, current, stable, image = _stabilize(Jc, constraint)
+        if image is not None:  # grown to image's ideal, keyed by its generators
+            if tuple(image.generators) in seen:
+                continue  # a locus met before
+            seen.add(tuple(image.generators))
 
         fibre_dim = independent_set_dimension([x for x, _ in stable], k)
         lead_coeffs = sorted({c for _, c in stable if not c.is_constant()}, key=str)
@@ -786,12 +774,13 @@ def _vertical(J: Ideal, n: int) -> VerticalResult:
     component lies inside some V(h o f), and one saturation per h decides.
     """
     ring = J.ring
-    image, image_dim = image_closure(J)
+    image = elimination_ideal(J, ring.split)
+    image_dim = krull_dimension(image)
     if image_dim < n:
         return VerticalResult(True, image.generators[0], f"image closure has dimension {image_dim} < {n}")
 
     # image + flagged has the radical of image, so every flag comes out the same
-    current, _, rel = _stabilize(J, image)
+    current, _, rel, _ = _stabilize(J, image)
 
     for h in sorted({c for _, c in rel if not c.is_constant()}, key=str):
         off = saturation(current, transport(h, ring))

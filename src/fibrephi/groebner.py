@@ -315,7 +315,9 @@ class Ideal:
         return not self.generators
 
     def added(self, extra: Iterable[Polynomial]) -> "Ideal":
-        return Ideal(self.ring, self.generators + tuple(extra))
+        """The ideal with ``extra`` appended; ``self`` when none of it is new."""
+        grown = Ideal(self.ring, self.generators + tuple(extra))
+        return self if len(grown.generators) == len(self.generators) else grown
 
     def groebner_basis(self, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
         cached = self._cache.get(order)

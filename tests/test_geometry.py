@@ -13,11 +13,11 @@ from fibrephi import (
     Ideal,
     groebner,
     PolynomialRing,
+    elimination_ideal,
     fibre_at_point,
     fibred_power,
     geometry,
     has_vertical_component,
-    image_closure,
     krull_dimension,
     make_setup,
     parse_polynomial,
@@ -38,6 +38,7 @@ from fibrephi.errors import (
     SetupError,
 )
 from fibrephi.geometry import (
+    Cell,
     LEX,
     ProjectionSetup,
     _certified_pure,
@@ -151,8 +152,8 @@ def test_setup_rejects_a_generator_from_another_ring(label):
 
 def test_image_closure_of_quadric_family():
     setup = quadric_cone_setup()
-    image, dim = image_closure(setup.total_ideal)
-    assert dim == 3
+    image = elimination_ideal(setup.total_ideal, setup.ring.split)
+    assert krull_dimension(image) == 3
     assert image.ring == setup.ring.target_ring()
     assert [str(g) for g in image.groebner_basis().elements] == ["y2*y3 - y1*y4"]
 
@@ -161,16 +162,16 @@ def test_image_closure_with_no_source_constraints():
     # X = Y x Omega projects onto Y
     ring = PolynomialRing(("y1", "y2", "y3", "y4"), ("x",))
     lifted = Ideal(ring, [P("y1*y4 - y2*y3", ring)])
-    image, dim = image_closure(lifted)
-    assert dim == 3
+    image = elimination_ideal(lifted, ring.split)
+    assert krull_dimension(image) == 3
     assert image.ring == PolynomialRing(("y1", "y2", "y3", "y4"), ())
     assert [str(g) for g in image.groebner_basis().elements] == ["y2*y3 - y1*y4"]
 
 
 def test_image_closure_of_graph_is_everything():
     ring = PolynomialRing(("y1", "y2"), ("x1",))
-    image, dim = image_closure(Ideal(ring, [P("x1 - y1", ring)]))
-    assert image.is_zero_ideal and dim == 2
+    image = elimination_ideal(Ideal(ring, [P("x1 - y1", ring)]), ring.split)
+    assert image.is_zero_ideal and krull_dimension(image) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +294,7 @@ def test_hyperbola_has_single_stratum():
 def test_stratification_cells_cover_image_closure():
     setup = quadric_cone_setup()
     strat = stratify_by_fibre_dimension(setup)
-    image, _ = image_closure(setup.total_ideal)
+    image = elimination_ideal(setup.total_ideal, setup.ring.split)
     # every cell closure lies inside the image closure ...
     for stratum in strat.strata:
         for cell in stratum.cells:
@@ -456,7 +457,8 @@ def test_saturation_verdicts_on_random_unions():
             assert has_vertical_component(setup, i).verdict is not None
             result = geometry._vertical(J, setup.n)
             verdicts.append(result.verdict)
-            if i == 1 and any(image_closure(p)[1] < setup.n for p in split_components(J)):
+            pieces = split_components(J) if i == 1 else []
+            if any(krull_dimension(elimination_ideal(p, p.ring.split)) < setup.n for p in pieces):
                 assert result.verdict is True
             certified = geometry._vertical_by_dimension(setup, J, i)
             if certified is not None:
@@ -511,7 +513,7 @@ def test_stabilize_asks_each_radical_question_once(monkeypatch):
     # In the first absorbing round J's target part equals the image closure,
     # so the flag test has already shown that y1 vanishes on V(J).
     setup = absorbing_setup()
-    image, _ = image_closure(setup.total_ideal)
+    image = elimination_ideal(setup.total_ideal, setup.ring.split)
     asked = []
     member = geometry.radical_member
 
@@ -520,10 +522,67 @@ def test_stabilize_asks_each_radical_question_once(monkeypatch):
         return member(f, ideal)
 
     monkeypatch.setattr(geometry, "radical_member", counted)
-    _, locus, rel = geometry._stabilize(setup.total_ideal, image)
+    _, locus, rel, grown = geometry._stabilize(setup.total_ideal, image)
     assert [str(f) for f, _ in asked] == ["y1"]
     assert [str(g) for g in locus.generators] == ["y1^2", "y1"]
+    assert rel == [] and grown is None
+
+
+def test_stabilize_adds_the_image_equations_first():
+    # Against the zero ideal the image's equations join the locus first (off
+    # their zero set every fibre is empty), then the coefficients that vanish
+    # there are absorbed; the others come back as relative terms.  The image
+    # closure comes back too, generated by its reduced grevlex basis.
+    setup = simple_setup("y")
+    J, locus, rel, image = geometry._stabilize(setup.total_ideal, Ideal(setup.ring.target_ring()))
+    assert J is setup.total_ideal
+    assert [str(g) for g in locus.generators] == ["y"]
     assert rel == []
+    assert image.generators == image.groebner_basis(GREVLEX).elements == locus.generators
+    ring = PolynomialRing(("y1", "y2"), ("x",))
+    yring = ring.target_ring()
+    J = Ideal(ring, [P("y2", ring), P("y1*x", ring)])
+    _, locus, rel, _ = geometry._stabilize(J, Ideal(yring))
+    assert [str(g) for g in locus.generators] == ["y2"]
+    assert rel == [((1,), P("y1", yring))]
+    J = Ideal(ring, [P("y1^2", ring), P("y1*x", ring)])
+    _, locus, rel, image = geometry._stabilize(J, Ideal(yring))
+    assert [str(g) for g in locus.generators] == ["y1^2", "y1"]
+    assert rel == []
+    assert [str(g) for g in image.generators] == ["y1^2"]
+
+
+def test_stabilize_makes_a_unit_ideal_a_unit_locus():
+    ring = PolynomialRing(("y",), ("x",))
+    J = Ideal(ring, [P("y*x - 1", ring), P("y", ring)])
+    _, locus, rel, image = geometry._stabilize(J, Ideal(ring.target_ring()))
+    assert locus.is_unit() and image.is_unit()
+    assert rel == []
+
+
+@pytest.mark.parametrize(
+    "text, target_vars",
+    [("y*x - 1", ("y",)), ("y", ("y",)), ("x*y1, x^2 - x", ("y1", "y2"))],
+    ids=["hyperbola", "not_dense", "two_elements"],
+)
+def test_stratification_builds_no_basis_twice(monkeypatch, text, target_vars):
+    # The root node works on X's ideal itself, and a grown locus stays in its
+    # node, so no basis is built twice and X's block basis stays cached for
+    # the purity check and the dimension counts.
+    setup = simple_setup(text, target_vars)
+    runs = []  # the order and generator set of every Buchberger run
+    buchberger = groebner._buchberger
+
+    def recording(seq, key):
+        runs.append((key.__self__, frozenset(frozenset(d.items()) for d in seq)))
+        return buchberger(seq, key)
+
+    monkeypatch.setattr(groebner, "_buchberger", recording)
+    setup.stratification
+    assert runs and len(set(runs)) == len(runs)
+    runs.clear()
+    relative_terms(setup.total_ideal)
+    assert runs == []
 
 
 def test_vertical_falls_back_when_the_image_is_not_dense(monkeypatch):
@@ -625,7 +684,7 @@ def direct_generic_reading(setup):
     None when the image of X is not dense or some h_a vanishes on the target:
     the reading the root cell of the stratification replaces."""
     total = setup.total_ideal
-    if image_closure(total)[1] < setup.n:
+    if krull_dimension(elimination_ideal(total, total.ring.split)) < setup.n:
         return None
     rel = relative_terms(total)
     lead_coeffs = sorted({c for _, c in rel if not c.is_constant()}, key=str)
@@ -672,9 +731,72 @@ def test_dimension_counts_decline_when_the_image_misses_a_target_component():
         ambient_target_generators=[P("y1*y2", ring)],
         source_generators=[P("2*x2^2", ring), P("y2 + 3*y1*x2", ring)],
     )
-    assert image_closure(setup.total_ideal)[1] == setup.n
+    assert krull_dimension(elimination_ideal(setup.total_ideal, ring.split)) == setup.n
     assert setup.stratification.generic is None
     assert geometry._vertical_by_dimension(setup, setup.total_ideal, 1) is None
+
+
+def requeueing_stratification(setup):
+    """The cells and root cell of the node loop that grew a locus by
+    requeueing it: a node whose image closure adds equations goes back on
+    the stack as a new constraint, and ``seen`` drops a refined locus met
+    before.  Also returns how many refined loci it dropped so."""
+    ring, J = setup.ring, setup.total_ideal
+    cells, generic, seen, dropped = [], None, set(), 0
+    pending = [(setup.target_ideal, False)]
+    while pending:
+        constraint, refined = pending.pop()
+        key = tuple(constraint.groebner_basis(GREVLEX).elements)
+        if key in seen:
+            dropped += refined
+            continue
+        seen.add(key)
+        if constraint.is_unit():
+            continue
+        Jc = J.added(transport(g, ring) for g in constraint.generators)
+        pure = elimination_ideal(Jc, ring.split).generators
+        if any(not radical_member(g, constraint) for g in pure):
+            pending.append((constraint.added(pure), True))
+            continue
+        _, current, stable, _ = geometry._stabilize(Jc, constraint)
+        fibre_dim = independent_set_dimension([x for x, _ in stable], setup.k)
+        lead_coeffs = sorted({c for _, c in stable if not c.is_constant()}, key=str)
+        closure = saturation(current, prod(lead_coeffs)) if lead_coeffs else current
+        if not closure.is_unit():
+            cells.append(Cell(closure, tuple(lead_coeffs), fibre_dim))
+            if current is setup.target_ideal:
+                generic = cells[-1]
+        for h in lead_coeffs:
+            pending.append((current.added([h]), False))
+    return cells, generic, dropped
+
+
+def replay_setups(name):
+    if name == "fixtures":
+        return [load_setup(path).setup for path in sorted(FIXTURES.glob("*.setup"))]
+    if name == "cyclic":
+        return [cyclic_family_setup(4, 3), cyclic_family_setup(4, 4)]
+    if name == "random":
+        return list(_random_projection_setups(2718, 40))
+    rng = Random(24)
+    return [random_union_setup(rng) for _ in range(50)]
+
+
+@pytest.mark.parametrize("name", ["fixtures", "cyclic", "random", "unions"])
+def test_stratification_replays_the_requeueing_loop(name):
+    # Growing a locus inside its node gives the cells, in the same order,
+    # and the root cell of the loop that requeued it; on the unions two
+    # constraints grow to one locus, whose cell counts once.
+    dropped = 0
+    for setup in replay_setups(name):
+        strat = stratify_by_fibre_dimension(setup)
+        cells, generic, skipped = requeueing_stratification(setup)
+        dropped += skipped
+        # the strata list the cells by fibre dimension and closure, stably
+        cells.sort(key=lambda c: (c.fibre_dim, tuple(map(str, c.closure.generators))))
+        assert [c for s in strat.strata for c in s.cells] == cells, setup.source_generators
+        assert strat.generic == generic, setup.source_generators
+    assert (dropped > 0) is (name == "unions")
 
 
 def probe_polynomials(setup):
@@ -1139,7 +1261,7 @@ def test_vertical_detector_consistency_on_random_setups():
             continue
         decided += 1
         if vert.verdict:
-            _, imdim = image_closure(setup.total_ideal)
+            imdim = krull_dimension(elimination_ideal(setup.total_ideal, setup.ring.split))
             if imdim == setup.n and vert.witness is not None:
                 assert not radical_member(vert.witness, setup.total_ideal)
         elif setup.purity.pure is True:

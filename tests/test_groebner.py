@@ -255,6 +255,17 @@ def test_basis_cache_is_stable():
     assert ideal.groebner_basis(GREVLEX) is ideal.groebner_basis(GREVLEX)
 
 
+def test_added_keeps_the_ideal_when_nothing_is_new():
+    # the same object keeps its cached bases; a new generator makes a new ideal
+    ring = ring_xy()
+    ideal = Ideal(ring, [P("x*y - 1", ring), P("x", ring)])
+    assert ideal.added([]) is ideal
+    assert ideal.added([P("x", ring), ring.zero(), P("x*y - 1", ring)]) is ideal
+    grown = ideal.added([P("x", ring), P("y", ring)])
+    assert grown is not ideal
+    assert [str(g) for g in grown.generators] == ["x*y - 1", "x", "y"]
+
+
 def test_concurrent_basis_requests_agree():
     import threading
 

@@ -291,14 +291,15 @@ def recorded(monkeypatch, module, name, *owners):
 def test_analyze_asks_each_power_once_and_reads_x_once(monkeypatch):
     # The scan takes power 1 from the setup's vertical verdict, and the X-side
     # data of the dimension counts serve every power.  They come from the
-    # stratification's root cell, so no image closure is computed for them.
+    # stratification's root cell, so the counts decide every power and the
+    # saturation path, the only other reader of an image closure, never runs.
     asked = recorded(monkeypatch, geometry, "has_vertical_component", invariant)
-    closures = recorded(monkeypatch, geometry, "image_closure")
+    saturated = recorded(monkeypatch, geometry, "_vertical")
     setup = cyclic_family_setup(3, 3)
     report = analyze(setup, max_power=3)
     assert report.fibred_power_verdicts == ((1, False), (2, False), (3, True))
     assert asked == [(setup, 1), (setup, 2), (setup, 3)]
-    assert closures == []
+    assert saturated == []
 
 
 def test_a_setup_is_stratified_once(monkeypatch):
