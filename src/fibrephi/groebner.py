@@ -340,7 +340,34 @@ class Ideal:
     def is_unit(self) -> bool:
         if any(g.is_constant() for g in self.generators):
             return True
-        return self.groebner_basis(GREVLEX).is_unit()
+        return any(not any(m) for m in _leading_monomials(self))
+
+
+def _leading_monomials(ideal: Ideal) -> list[Monomial]:
+    """Grevlex leading monomials that generate LT(``ideal``).
+
+    They come from the cached grevlex basis when there is one.  Otherwise,
+    when the generators' leading monomials have pairwise disjoint supports,
+    the generators already form a Groebner basis and their leading monomials
+    are returned with no Buchberger run: the S-polynomial of two polynomials
+    with coprime leading monomials reduces to zero (Buchberger's first
+    criterion; Cox, Little and O'Shea, Ch. 2 §9 Prop. 4), and a generating
+    set whose S-pairs all reduce to zero is a Groebner basis (ibid., §6
+    Thm 6).  Any other ideal gets its basis built, and cached.
+    """
+    cached = ideal._cache.get(GREVLEX)
+    if cached is None:
+        lms = [max(g.monomials(), key=GREVLEX.key) for g in ideal.generators]
+        used = 0  # bit i is set when variable i occurs in an earlier lm
+        for m in lms:
+            support = sum(1 << i for i, e in enumerate(m) if e)
+            if support & used:
+                break
+            used |= support
+        else:
+            return lms
+        cached = ideal.groebner_basis(GREVLEX)
+    return cached.leading_monomials()
 
 
 def _inverted(ideal: Ideal, h: Polynomial) -> Ideal:
@@ -489,8 +516,13 @@ def independent_set_dimension(monomials: Iterable[Monomial], nvars: int) -> int:
 def krull_dimension(ideal: Ideal) -> int:
     """Dimension of the vanishing set, read off the grevlex leading-term ideal.
 
+    LT(I) is read through ``_leading_monomials``, so generators with pairwise
+    coprime leading monomials build no basis.  Under a graded order such as
+    grevlex, dim V(I) = dim V(LT(I)) (Cox, Little and O'Shea, Ch. 9 §3), and
+    the dimension of a monomial ideal is the largest set of variables that
+    no generator's support lies inside.
+
     The unit ideal reports -1 (empty variety sentinel); the zero ideal
     reports the full ambient dimension.
     """
-    basis = ideal.groebner_basis(GREVLEX)
-    return independent_set_dimension(basis.leading_monomials(), ideal.ring.arity)
+    return independent_set_dimension(_leading_monomials(ideal), ideal.ring.arity)

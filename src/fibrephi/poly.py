@@ -355,11 +355,24 @@ class Polynomial:
         return Polynomial._trusted(self.ring, out)
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
-        """Full evaluation to a rational number."""
-        missing = self.variables_used() - set(assignment)
-        if missing:
-            raise FibrephiError(f"evaluation misses variables {sorted(missing)}")
-        return self.specialize(assignment).constant_value()
+        """Full evaluation to a rational number, in one pass over the terms.
+
+        Every assigned name must be a ring variable and every value an int or
+        Fraction; every variable the polynomial uses must be assigned.
+        """
+        values: list[Fraction | None] = [None] * self.ring.arity
+        for name, v in assignment.items():
+            values[self.ring.index(name)] = _exact(v)
+        total = Fraction(0)
+        for mono, coeff in self._terms.items():
+            for v, e in zip(values, mono):
+                if e:
+                    if v is None:
+                        missing = self.variables_used() - set(assignment)
+                        raise FibrephiError(f"evaluation misses variables {sorted(missing)}")
+                    coeff *= v**e
+            total += coeff
+        return total
 
     # -- printing ---------------------------------------------------------
 

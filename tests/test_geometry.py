@@ -32,6 +32,7 @@ from fibrephi import (
 from fibrephi.cli import load_setup, required_max_power
 from fibrephi.errors import (
     EmptySpaceError,
+    FibrephiError,
     OffTargetError,
     PreconditionError,
     ResourceLimitError,
@@ -197,6 +198,16 @@ def test_fibre_off_target_is_rejected():
     setup = quadric_cone_setup()
     with pytest.raises(OffTargetError):
         fibre_at_point(setup, (1, 0, 0, 1))  # y1*y4 - y2*y3 = 1 there
+
+
+@pytest.mark.parametrize(
+    "make, point",
+    [(quadric_cone_setup, (0.5, 0, 0, 0)), (lambda: simple_setup("y*x - 1"), (0.5,))],
+    ids=["target-equation", "affine-target"],
+)
+def test_fibre_at_a_float_point_is_refused(make, point):
+    with pytest.raises(FibrephiError, match="not an int or Fraction"):
+        fibre_at_point(make(), point)
 
 
 def test_empty_fibre_reports_minus_one():
@@ -892,22 +903,31 @@ def test_stratification_is_kept_and_a_cap_hit_is_not(monkeypatch):
 
 
 def test_dimension_counts_build_no_basis_in_the_power_ring(monkeypatch, fixture_dir):
-    # Given X's stratification, each power's counts come from bases in the
-    # target ring and in that ring plus one Rabinowitsch variable; none is in
-    # the ring of J_i (7, 11 and 15 variables here).
+    # Given X's stratification, each power's counts come from dimensions in
+    # the target ring and in that ring plus one Rabinowitsch variable; none is
+    # in the ring of J_i (7, 11 and 15 variables here).  Where the generators'
+    # leading monomials are coprime the dimension builds no basis, so the
+    # bound is checked on every ideal whose dimension is asked and on every
+    # basis built, which may be none.
     setup = load_setup(fixture_dir / "cyclic_forms_n3_l3.setup").setup
     setup.stratification  # X's own bases, built before recording
-    arities = set()
-    buchberger = groebner._buchberger
+    asked, built = [], set()
+    dimension, buchberger = geometry.krull_dimension, groebner._buchberger
 
-    def recording(seq, key):
-        arities.update(len(m) for p in seq for m in p)
+    def recording_dimension(ideal):
+        asked.append(ideal.ring.arity)
+        return dimension(ideal)
+
+    def recording_buchberger(seq, key):
+        built.update(len(m) for p in seq for m in p)
         return buchberger(seq, key)
 
-    monkeypatch.setattr(groebner, "_buchberger", recording)
+    monkeypatch.setattr(geometry, "krull_dimension", recording_dimension)
+    monkeypatch.setattr(groebner, "_buchberger", recording_buchberger)
     verdicts = [has_vertical_component(setup, i).verdict for i in (1, 2, 3)]
     assert verdicts == [False, False, True]
-    assert arities and max(arities) <= setup.n + 1
+    assert asked and max(asked) <= setup.n + 1
+    assert max(built, default=0) <= setup.n + 1
 
 
 # ---------------------------------------------------------------------------

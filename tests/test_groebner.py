@@ -594,11 +594,19 @@ def test_independent_set_dimension_matches_brute_force(case):
     assert independent_set_dimension([], nvars) == _largest_independent_set([], nvars) == nvars
 
 
+def _analyze_pipeline_inputs():
+    """Analyze each fixture at its expect power, and cyclic (3, 3) and (4, 3)
+    to power 3 and (4, 4) to power 2 (the benchmark's powers inputs)."""
+    for path in sorted(FIXTURES.glob("*.setup")):
+        loaded = load_setup(path)
+        analyze(loaded.setup, max_power=required_max_power(loaded.expect))
+    for n, l, power in ((3, 3, 3), (4, 3, 3), (4, 4, 2)):
+        analyze(cyclic_family_setup(n, l), max_power=power)
+
+
 def test_independent_set_dimension_matches_brute_force_on_pipeline_inputs(monkeypatch):
-    # Every monomial set the pipeline hands the dimension kernel while
-    # analyzing each fixture at its expect power, and cyclic (3, 3) and (4, 3)
-    # to power 3 and (4, 4) to power 2 (the benchmark's powers inputs), is
-    # replayed against the subset search.
+    # Every monomial set the pipeline hands the dimension kernel on its
+    # pipeline inputs is replayed against the subset search.
     seen = set()
     kernel = groebner.independent_set_dimension
 
@@ -609,15 +617,103 @@ def test_independent_set_dimension_matches_brute_force_on_pipeline_inputs(monkey
 
     monkeypatch.setattr(groebner, "independent_set_dimension", recording)
     monkeypatch.setattr(geometry, "independent_set_dimension", recording)
-    for path in sorted(FIXTURES.glob("*.setup")):
-        loaded = load_setup(path)
-        analyze(loaded.setup, max_power=required_max_power(loaded.expect))
-    for n, l, power in ((3, 3, 3), (4, 3, 3), (4, 4, 2)):
-        analyze(cyclic_family_setup(n, l), max_power=power)
+    _analyze_pipeline_inputs()
     monkeypatch.undo()
     assert len(seen) > 100
     for monomials, nvars in seen:
         assert kernel(monomials, nvars) == _largest_independent_set(monomials, nvars)
+
+
+# ---------------------------------------------------------------------------
+# Buchberger's first criterion: dimension and unit tests with no basis
+# ---------------------------------------------------------------------------
+
+
+def _answers_from_a_basis(ring, generators):
+    """dim V(I) and whether I is the unit ideal, read off a reduced grevlex
+    basis built on a separate Ideal."""
+    basis = Ideal(ring, generators).groebner_basis()
+    return independent_set_dimension(basis.leading_monomials(), ring.arity), basis.is_unit()
+
+
+def _coprime_leads(generators):
+    supports = [
+        {i for i, e in enumerate(max(g.monomials(), key=GREVLEX.key)) if e} for g in generators
+    ]
+    return all(not a & b for a, b in itertools.combinations(supports, 2))
+
+
+_ring4 = PolynomialRing(("y1", "y2"), ("x1", "x2"))
+_exponents4 = st.tuples(*[st.integers(0, 2)] * 4)
+_coefficients = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def _coprime_generators(draw):
+    """Generators whose grevlex leading monomials have disjoint supports: each
+    takes its leading monomial in its own block of variables, possibly none
+    (a constant), and only terms of lower degree besides."""
+    block_of = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    generators = []
+    for block in sorted(set(block_of)):
+        lead = tuple(draw(st.integers(0, 2)) if b == block else 0 for b in block_of)
+        terms = {lead: draw(_coefficients)}
+        for m in draw(st.lists(_exponents4, max_size=3)):
+            if sum(m) < sum(lead):
+                terms[m] = draw(_coefficients)
+        generators.append(Polynomial(_ring4, terms))
+    return generators
+
+
+_any_generators = st.lists(
+    st.dictionaries(_exponents4, _coefficients, min_size=1, max_size=3).map(
+        lambda terms: Polynomial(_ring4, terms)
+    ),
+    max_size=3,
+)
+
+
+@given(st.one_of(_coprime_generators(), _any_generators))
+@settings(max_examples=150, deadline=None)
+def test_dimension_and_unit_test_match_the_basis_path(generators):
+    expected = _answers_from_a_basis(_ring4, generators)
+    fresh = [Ideal(_ring4, generators) for _ in range(2)]
+    assert (krull_dimension(fresh[0]), fresh[1].is_unit()) == expected
+    if _coprime_leads(generators):  # the criterion decided both
+        assert all(GREVLEX not in ideal._cache for ideal in fresh)
+
+
+def test_dimension_and_unit_test_match_the_basis_path_on_pipeline_inputs(monkeypatch):
+    # Every ideal the pipeline hands krull_dimension or Ideal.is_unit on its
+    # pipeline inputs is asked again on a fresh Ideal and compared with the
+    # answer read off a basis of a separate one.  A call the criterion
+    # decided found no basis cached and left none.
+    calls = []  # (question, ring, generators, decided by the criterion)
+    dimension, unit = groebner.krull_dimension, Ideal.is_unit
+
+    def recorded(question, answer):
+        def recording(ideal):
+            had_basis = GREVLEX in ideal._cache
+            result = answer(ideal)
+            decided = not had_basis and GREVLEX not in ideal._cache
+            if question == "unit" and any(g.is_constant() for g in ideal.generators):
+                decided = False  # settled before the criterion is asked
+            calls.append((question, ideal.ring, ideal.generators, decided))
+            return result
+
+        return recording
+
+    monkeypatch.setattr(geometry, "krull_dimension", recorded("dim", dimension))
+    monkeypatch.setattr(Ideal, "is_unit", recorded("unit", unit))
+    _analyze_pipeline_inputs()
+    monkeypatch.undo()
+    assert sum(decided for *_, decided in calls) > 100
+    for question, ring, generators in {call[:3] for call in calls}:
+        expected_dim, expected_unit = _answers_from_a_basis(ring, generators)
+        if question == "dim":
+            assert krull_dimension(Ideal(ring, generators)) == expected_dim
+        else:
+            assert Ideal(ring, generators).is_unit() == expected_unit
 
 
 def test_unit_detection_on_specialized_fibre():

@@ -250,8 +250,19 @@ def test_polynomial_rejects_non_integer_exponents():
         lambda ring, x: x.scale(0.1),
         lambda ring, x: x * 0.5,
         lambda ring, x: x.specialize({"y": 0.1}),
+        lambda ring, x: x.evaluate({"y": 0, "x": 0.5}),
+        lambda ring, x: x.evaluate({"y": 0.5, "x": 0}),  # y is unused, still refused
     ],
-    ids=["float-term", "string-term", "constant", "scale", "scalar-product", "specialize"],
+    ids=[
+        "float-term",
+        "string-term",
+        "constant",
+        "scale",
+        "scalar-product",
+        "specialize",
+        "evaluate",
+        "evaluate-unused",
+    ],
 )
 def test_coefficients_and_values_must_be_int_or_fraction(make):
     ring = ring_y_x()
@@ -394,8 +405,10 @@ def test_evaluate_needs_all_variables():
     ring = ring_xy()
     p = parse_polynomial("x*y", ring)
     assert p.evaluate({"x": 2, "y": Fraction(1, 2)}) == 1
-    with pytest.raises(FibrephiError):
+    with pytest.raises(FibrephiError, match=r"evaluation misses variables \['y'\]"):
         p.evaluate({"x": 2})
+    with pytest.raises(FibrephiError, match="unknown variable 'z'"):
+        p.evaluate({"x": 2, "y": 1, "z": 0})
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +514,17 @@ def test_specialize_is_a_homomorphism(p, q):
     point = {"y": Fraction(2), "x1": Fraction(-1, 2)}
     assert (p * q).specialize(point) == p.specialize(point) * q.specialize(point)
     assert (p + q).specialize(point) == p.specialize(point) + q.specialize(point)
+
+
+@given(
+    _polys,
+    st.fixed_dictionaries(
+        {v: st.fractions(min_value=-4, max_value=4, max_denominator=5) for v in _ring3.variables}
+    ),
+)
+@settings(max_examples=80)
+def test_evaluate_matches_full_specialization(p, point):
+    assert p.evaluate(point) == p.specialize(point).constant_value()
 
 
 # ---------------------------------------------------------------------------
