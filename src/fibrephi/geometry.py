@@ -31,7 +31,7 @@ from .errors import (
     SetupError,
 )
 from .orders import GREVLEX, LEX, Block, Monomial, monomial_gcd
-from .poly import Polynomial, PolynomialRing, transport
+from .poly import Polynomial, PolynomialRing, _specialize_target, transport
 from .groebner import (
     Ideal,
     _inverted,
@@ -211,13 +211,10 @@ def fibre_at_point(
     for g in setup.target_ideal.generators:
         if g.evaluate(assignment) != 0:
             raise OffTargetError(f"point does not satisfy target equation {g}")
+    # The target equations vanish at the point, so X's ideal specializes to
+    # the source generators' values; the Ideal drops the zero ones.
     xring = setup.ring.source_ring()
-    specialized = []
-    for g in setup.total_ideal.generators:
-        s = g.specialize(assignment)
-        if not s.is_zero:
-            specialized.append(transport(s, xring))
-    fibre = Ideal(xring, specialized)
+    fibre = Ideal(xring, _specialize_target(setup.source_generators, point, xring))
     return fibre, krull_dimension(fibre)
 
 
@@ -958,7 +955,7 @@ def sample_cell_points(cell: Cell, rng: Random, want: int) -> list[tuple[Fractio
                 roots = [rng.choice(roots)]
                 drew = True
             if not roots or any(
-                u.specialize({name: roots[0]}).constant_value() != 0 for u in constraints[1:]
+                u.evaluate({name: roots[0]}) != 0 for u in constraints[1:]
             ):
                 break
             values[name] = roots[0]

@@ -31,6 +31,12 @@ def _exact(c: Scalar) -> Fraction:
     raise FibrephiError(f"{c!r} is not an int or Fraction")
 
 
+def _integral(c: Fraction) -> Scalar:
+    """``c`` as an int when it is integral, so its powers and products with
+    other integers are integer operations."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class PolynomialRing:
     """An ordered tuple of variable names split into target and source blocks.
 
@@ -321,14 +327,19 @@ class Polynomial:
     # -- substitution --------------------------------------------------------
 
     def specialize(self, assignment: Mapping[str, Scalar]) -> "Polynomial":
-        """Substitute values for some variables; stays in the same ring."""
+        """Substitute values for some variables; stays in the same ring.
+
+        Integral values stay ints, so each term's factor from them is an
+        integer product; it meets the term's coefficient once, and every
+        stored coefficient is a ``Fraction``.
+        """
         if not assignment:
             return self
-        idx = {self.ring.index(name): _exact(v) for name, v in assignment.items()}
-        powers: dict[tuple[int, int], Fraction] = {}
+        idx = {self.ring.index(name): _integral(_exact(v)) for name, v in assignment.items()}
+        powers: dict[tuple[int, int], Scalar] = {}
         out: dict[Monomial, Fraction] = {}
         for mono, coeff in self._terms.items():
-            c = coeff
+            factor = 1
             new = None
             for i, v in idx.items():
                 e = mono[i]
@@ -336,13 +347,16 @@ class Polynomial:
                     ve = powers.get((i, e))
                     if ve is None:
                         ve = powers[i, e] = v**e
-                    c *= ve
+                    factor *= ve
                     if new is None:
                         new = list(mono)
                     new[i] = 0
-            if not c:
+            if new is None:
+                key, c = mono, coeff
+            elif factor:
+                key, c = tuple(new), coeff * factor
+            else:
                 continue
-            key = mono if new is None else tuple(new)
             total = out.get(key)
             if total is None:
                 out[key] = c
@@ -359,20 +373,23 @@ class Polynomial:
 
         Every assigned name must be a ring variable and every value an int or
         Fraction; every variable the polynomial uses must be assigned.
+        Integral values and coefficients are summed as ints, and the
+        ``Fraction`` is built once, from the total.
         """
-        values: list[Fraction | None] = [None] * self.ring.arity
+        values: list[Scalar | None] = [None] * self.ring.arity
         for name, v in assignment.items():
-            values[self.ring.index(name)] = _exact(v)
-        total = Fraction(0)
+            values[self.ring.index(name)] = _integral(_exact(v))
+        total: Scalar = 0
         for mono, coeff in self._terms.items():
+            c = _integral(coeff)
             for v, e in zip(values, mono):
                 if e:
                     if v is None:
                         missing = self.variables_used() - set(assignment)
                         raise FibrephiError(f"evaluation misses variables {sorted(missing)}")
-                    coeff *= v**e
-            total += coeff
-        return total
+                    c *= v**e
+            total += c
+        return Fraction(total)
 
     # -- printing ---------------------------------------------------------
 
@@ -455,3 +472,47 @@ def transport(p: Polynomial, ring: PolynomialRing, rename: Mapping[str, str] | N
             else:
                 del out[key]
     return Polynomial._trusted(ring, out)
+
+
+def _specialize_target(
+    polys: Sequence[Polynomial], point: Sequence[Scalar], xring: PolynomialRing
+) -> list[Polynomial]:
+    """Each of ``polys``, with its target block set to ``point``, in ``xring``.
+
+    ``xring`` is the source ring of the polynomials' ring, and ``point`` has
+    one value per target variable; every value passes through ``_exact``.
+    This is ``transport(p.specialize(...), xring)`` for each ``p`` in one pass
+    over its terms: a term's source exponents are its monomial in ``xring``.
+    One table of coordinate powers serves all of ``polys``, and integral
+    coordinates stay ints, as in ``Polynomial.specialize``.  A polynomial
+    that vanishes at ``point`` comes back as zero.
+    """
+    values = [_integral(_exact(v)) for v in point]
+    split = len(values)
+    powers: list[dict[int, Scalar]] = [{} for _ in values]
+    result = []
+    for p in polys:
+        out: dict[Monomial, Fraction] = {}
+        for mono, coeff in p._terms.items():
+            factor = 1
+            for table, v, e in zip(powers, values, mono):
+                if e:
+                    ve = table.get(e)
+                    if ve is None:
+                        ve = table[e] = v**e
+                    factor *= ve
+            if not factor:
+                continue
+            key = mono[split:]
+            c = coeff if factor == 1 else coeff * factor
+            total = out.get(key)
+            if total is None:
+                out[key] = c
+            else:
+                total += c
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
+        result.append(Polynomial._trusted(xring, out))
+    return result

@@ -18,6 +18,7 @@ from fibrephi import (
     fibred_power,
     geometry,
     has_vertical_component,
+    invariant,
     krull_dimension,
     make_setup,
     parse_polynomial,
@@ -215,6 +216,69 @@ def test_empty_fibre_reports_minus_one():
     fibre, dim = fibre_at_point(setup, (0,))
     assert dim == -1
     assert fibre.is_unit()
+
+
+def test_fibre_with_the_wrong_number_of_coordinates_is_refused():
+    with pytest.raises(OffTargetError, match="expected 4 coordinates, got 3"):
+        fibre_at_point(quadric_cone_setup(), (0, 0, 0))
+
+
+def _reference_fibre(setup, point):
+    """The fibre built polynomial by polynomial: every generator of X's ideal
+    specialized in the full ring, zeros dropped, transported to the source
+    ring."""
+    assignment = dict(zip(setup.ring.target_vars, point))
+    xring = setup.ring.source_ring()
+    specialized = (g.specialize(assignment) for g in setup.total_ideal.generators)
+    fibre = Ideal(xring, [transport(s, xring) for s in specialized if not s.is_zero])
+    return fibre, krull_dimension(fibre)
+
+
+def _oracle_points(setup, monkeypatch):
+    """Every point the sampling oracle hands ``fibre_at_point`` at seed 0."""
+    points = []
+
+    def record(at, point):
+        points.append(point)
+        return fibre_at_point(at, point)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(invariant, "fibre_at_point", record)
+        invariant._run_oracle(setup, 0)
+    return points
+
+
+def _seeded_points(setup, rng, count):
+    """Target points with negative and non-integral coordinates: random
+    fractions over an affine-space target, else points of the target where the
+    last coordinate is 9/4."""
+    yring = setup.target_ideal.ring
+    if setup.target_ideal.is_zero_ideal:
+        return [
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in yring.variables)
+            for _ in range(count)
+        ]
+    cut = setup.target_ideal.added([4 * yring.variable(yring.variables[-1]) - 9])
+    return sample_cell_points(Cell(cut, (), 0), rng, want=count)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda path=path: load_setup(path).setup for path in sorted(FIXTURES.glob("*.setup"))]
+    + [lambda: cyclic_family_setup(4, 3), lambda: cyclic_family_setup(4, 4)],
+    ids=[path.stem for path in sorted(FIXTURES.glob("*.setup"))] + ["cyclic_4_3", "cyclic_4_4"],
+)
+def test_fibre_matches_the_specialize_and_transport_reference(make, monkeypatch):
+    setup = make()
+    oracle = _oracle_points(setup, monkeypatch)
+    seeded = _seeded_points(setup, Random(27), 12)
+    assert oracle and seeded
+    assert any(c < 0 for pt in seeded for c in pt)
+    assert any(Fraction(c).denominator > 1 for pt in seeded for c in pt)
+    for point in oracle + seeded:
+        fibre, dim = fibre_at_point(setup, point)
+        assert (fibre, dim) == _reference_fibre(setup, point), point
+        assert all(type(c) is Fraction for g in fibre.generators for _, c in g.terms())
 
 
 # ---------------------------------------------------------------------------

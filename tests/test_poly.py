@@ -24,7 +24,7 @@ from fibrephi.errors import (
     RingMismatchError,
     ZeroPolynomialError,
 )
-from fibrephi.poly import format_polynomial
+from fibrephi.poly import _specialize_target, format_polynomial
 
 from conftest import ring_xy, ring_y_x
 
@@ -525,6 +525,49 @@ def test_specialize_is_a_homomorphism(p, q):
 @settings(max_examples=80)
 def test_evaluate_matches_full_specialization(p, point):
     assert p.evaluate(point) == p.specialize(point).constant_value()
+
+
+_values = st.one_of(
+    st.integers(-6, 6),
+    st.integers(-6, 6).map(Fraction),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+)
+
+
+def _fraction_specialize(p, assignment):
+    """``p.specialize`` with every value, power and product a Fraction."""
+    idx = {p.ring.index(name): Fraction(v) for name, v in assignment.items()}
+    terms = {}
+    for mono, coeff in p.as_dict().items():
+        c, new = Fraction(coeff), list(mono)
+        for i, v in idx.items():
+            c *= v ** mono[i]
+            new[i] = 0
+        terms[tuple(new)] = terms.get(tuple(new), Fraction(0)) + c
+    return Polynomial(p.ring, terms)
+
+
+@given(
+    _polys,
+    st.fixed_dictionaries({v: _values for v in _ring3.variables}),
+    st.sets(st.sampled_from(_ring3.variables)),
+)
+@settings(max_examples=120)
+def test_integer_paths_match_the_fraction_reference(p, point, names):
+    # Assignments mix ints, integral and non-integral Fractions, zero and
+    # negatives.  The kernel computes with integral values as ints; no
+    # denominator may get lost on the way.
+    value = p.evaluate(point)
+    assert type(value) is Fraction
+    assert value == _fraction_specialize(p, point).constant_value()
+    part = {name: point[name] for name in names}
+    s = p.specialize(part)
+    assert s == _fraction_specialize(p, part)
+    assert all(type(c) is Fraction for _, c in s.terms())
+    xring = _ring3.source_ring()
+    (fibre,) = _specialize_target([p], (point["y"],), xring)
+    assert fibre == transport(_fraction_specialize(p, {"y": point["y"]}), xring)
+    assert all(type(c) is Fraction for _, c in fibre.terms())
 
 
 # ---------------------------------------------------------------------------
