@@ -31,7 +31,7 @@ from .errors import (
     SetupError,
 )
 from .orders import GREVLEX, LEX, Block, Monomial, monomial_gcd
-from .poly import Polynomial, PolynomialRing, _specialize_target, transport
+from .poly import Polynomial, PolynomialRing, _ring_map, transport
 from .groebner import (
     Ideal,
     _inverted,
@@ -85,6 +85,12 @@ class ProjectionSetup:
         """X's ideal: the target equations and the source generators, in ``ring``."""
         lifted = [transport(g, self.ring) for g in self.target_ideal.generators]
         return Ideal(self.ring, lifted + list(self.source_generators))
+
+    @cached_property
+    def _fibre_map(self) -> tuple[PolynomialRing, list[int | None]]:
+        """The source ring and the column of each variable of ``ring`` in it
+        (None for a target variable), which every fibre is built with."""
+        return self.ring.source_ring(), [None] * self.ring.split + list(range(self.k))
 
     @cached_property
     def n(self) -> int:
@@ -212,9 +218,10 @@ def fibre_at_point(
         if g.evaluate(assignment) != 0:
             raise OffTargetError(f"point does not satisfy target equation {g}")
     # The target equations vanish at the point, so X's ideal specializes to
-    # the source generators' values; the Ideal drops the zero ones.
-    xring = setup.ring.source_ring()
-    fibre = Ideal(xring, _specialize_target(setup.source_generators, point, xring))
+    # the source generators' values, each source variable keeping its place
+    # in the source ring; the Ideal drops the zero ones.
+    xring, column = setup._fibre_map
+    fibre = Ideal(xring, _ring_map(setup.source_generators, xring, column, dict(enumerate(point))))
     return fibre, krull_dimension(fibre)
 
 

@@ -97,14 +97,15 @@ def _normal_form_dict(
     divisors: Sequence[tuple[Monomial, PolyDict]],
     key,
     keys: dict,
-    budget: _ReductionBudget | None = None,
+    budget: _ReductionBudget,
 ) -> PolyDict:
     """Full normal form of ``f`` against monic ``divisors``.
 
     ``keys`` maps monomials to their order keys under ``key``; a monomial
     missing from it gets its key when it first enters the working set, so
     picking the leading term does no key work.  A Buchberger run passes one
-    dict to all its reductions.
+    dict to all its reductions.  Every reduction step is charged to
+    ``budget``.
     """
     rem: PolyDict = {}
     work = dict(f)
@@ -116,8 +117,7 @@ def _normal_form_dict(
         c = work.pop(m)
         for lm, g in divisors:
             if monomial_divides(lm, m):
-                if budget is not None:
-                    budget.spend()
+                budget.spend()
                 q = monomial_div(m, lm)
                 for mg, cg in g.items():
                     if mg == lm:
@@ -335,7 +335,8 @@ class Ideal:
         if f.is_zero:
             return True
         basis = self.groebner_basis(GREVLEX)
-        return not _normal_form_dict(f.as_dict(), basis.divisors, GREVLEX.key, {})
+        budget = _ReductionBudget(GROEBNER_MAX_REDUCTIONS)
+        return not _normal_form_dict(f.as_dict(), basis.divisors, GREVLEX.key, {}, budget)
 
     def is_unit(self) -> bool:
         if any(g.is_constant() for g in self.generators):

@@ -327,46 +327,11 @@ class Polynomial:
     # -- substitution --------------------------------------------------------
 
     def specialize(self, assignment: Mapping[str, Scalar]) -> "Polynomial":
-        """Substitute values for some variables; stays in the same ring.
-
-        Integral values stay ints, so each term's factor from them is an
-        integer product; it meets the term's coefficient once, and every
-        stored coefficient is a ``Fraction``.
-        """
+        """Substitute values for some variables; stays in the same ring."""
         if not assignment:
             return self
-        idx = {self.ring.index(name): _integral(_exact(v)) for name, v in assignment.items()}
-        powers: dict[tuple[int, int], Scalar] = {}
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms.items():
-            factor = 1
-            new = None
-            for i, v in idx.items():
-                e = mono[i]
-                if e:
-                    ve = powers.get((i, e))
-                    if ve is None:
-                        ve = powers[i, e] = v**e
-                    factor *= ve
-                    if new is None:
-                        new = list(mono)
-                    new[i] = 0
-            if new is None:
-                key, c = mono, coeff
-            elif factor:
-                key, c = tuple(new), coeff * factor
-            else:
-                continue
-            total = out.get(key)
-            if total is None:
-                out[key] = c
-            else:
-                total += c
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
-        return Polynomial._trusted(self.ring, out)
+        values = {self.ring.index(name): v for name, v in assignment.items()}
+        return _ring_map([self], self.ring, range(self.ring.arity), values)[0]
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Full evaluation to a rational number, in one pass over the terms.
@@ -442,68 +407,59 @@ def transport(p: Polynomial, ring: PolynomialRing, rename: Mapping[str, str] | N
     dropping a used variable is an error.  Without a renaming, ``p`` in its
     own ring is returned as it is.
     """
-    old = p.ring
-    if not rename:
-        if ring == old:
-            return p
-        rename = {}
-    out: dict[Monomial, Fraction] = {}
-    column = [ring._index.get(rename.get(name, name)) for name in old.variables]
-    arity = ring.arity
-    for mono, coeff in p._terms.items():
-        new = [0] * arity
-        for i, e in enumerate(mono):
-            if not e:
-                continue
-            j = column[i]
-            if j is None:
-                raise FibrephiError(
-                    f"variable {old.variables[i]!r} cannot be transported to {ring!r}"
-                )
-            new[j] += e
-        key = tuple(new)
-        c = out.get(key)
-        if c is None:
-            out[key] = coeff
-        else:
-            c += coeff
-            if c:
-                out[key] = c
-            else:
-                del out[key]
-    return Polynomial._trusted(ring, out)
+    if not rename and ring == p.ring:
+        return p
+    rename = rename or {}
+    column = [ring._index.get(rename.get(name, name)) for name in p.ring.variables]
+    return _ring_map([p], ring, column, {})[0]
 
 
-def _specialize_target(
-    polys: Sequence[Polynomial], point: Sequence[Scalar], xring: PolynomialRing
+def _ring_map(
+    polys: Iterable[Polynomial],
+    ring: PolynomialRing,
+    column: Sequence[int | None],
+    values: Mapping[int, Scalar],
 ) -> list[Polynomial]:
-    """Each of ``polys``, with its target block set to ``point``, in ``xring``.
+    """Each of ``polys`` under one ring map into ``ring``, in one pass over its terms.
 
-    ``xring`` is the source ring of the polynomials' ring, and ``point`` has
-    one value per target variable; every value passes through ``_exact``.
-    This is ``transport(p.specialize(...), xring)`` for each ``p`` in one pass
-    over its terms: a term's source exponents are its monomial in ``xring``.
-    One table of coordinate powers serves all of ``polys``, and integral
-    coordinates stay ints, as in ``Polynomial.specialize``.  A polynomial
-    that vanishes at ``point`` comes back as zero.
+    The polynomials share a ring.  Its variable i goes to the value
+    ``values[i]`` when there is one, else to the variable ``column[i]`` of
+    ``ring``; a term that uses a variable with neither is an error.  Exponents
+    that meet in one variable add, and terms that meet in one monomial are
+    summed, zero sums dropped.  Every value passes through ``_exact`` and an
+    integral one stays an int, so a term's factor from the values is an
+    integer product that meets its coefficient once, and every stored
+    coefficient is a ``Fraction``.  Each value's table of powers serves all
+    of ``polys``; with no values there is none.
     """
-    values = [_integral(_exact(v)) for v in point]
-    split = len(values)
-    powers: list[dict[int, Scalar]] = [{} for _ in values]
+    tables = {i: (_integral(_exact(v)), {}) for i, v in values.items()} if values else {}
+    arity = ring.arity
     result = []
     for p in polys:
         out: dict[Monomial, Fraction] = {}
         for mono, coeff in p._terms.items():
             factor = 1
-            for table, v, e in zip(powers, values, mono):
-                if e:
+            new = [0] * arity
+            for i, e in enumerate(mono):
+                if not e:
+                    continue
+                sub = tables.get(i)
+                if sub is not None:
+                    v, table = sub
                     ve = table.get(e)
                     if ve is None:
                         ve = table[e] = v**e
                     factor *= ve
+                    continue
+                j = column[i]
+                if j is None:
+                    raise FibrephiError(
+                        f"variable {p.ring.variables[i]!r} cannot be transported to {ring!r}"
+                    )
+                new[j] += e
             if not factor:
                 continue
-            key = mono[split:]
+            key = tuple(new)
             c = coeff if factor == 1 else coeff * factor
             total = out.get(key)
             if total is None:
@@ -514,5 +470,5 @@ def _specialize_target(
                     out[key] = total
                 else:
                     del out[key]
-        result.append(Polynomial._trusted(xring, out))
+        result.append(Polynomial._trusted(ring, out))
     return result

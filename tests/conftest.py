@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from fibrephi import PolynomialRing, make_setup, parse_polynomial
+from fibrephi import Polynomial, PolynomialRing, make_setup, parse_polynomial
+from fibrephi.errors import FibrephiError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -24,6 +26,33 @@ def ring_xy() -> PolynomialRing:
 def ring_y_x() -> PolynomialRing:
     """One target and one source variable: the smallest projection ring."""
     return PolynomialRing(("y",), ("x",))
+
+
+def reference_map(p, ring, rename=None, values=None):
+    """``p`` with ``values`` substituted and its other variables renamed by
+    name into ``ring``, in ``Fraction`` arithmetic only, built term by term
+    through the validating constructor.
+
+    A used variable that is neither substituted nor named in ``ring`` raises
+    the error text of ``fibrephi.transport``.
+    """
+    rename, values = rename or {}, values or {}
+    terms = {}
+    for mono, coeff in p.as_dict().items():
+        c, exps = Fraction(coeff), {}
+        for name, e in zip(p.ring.variables, mono):
+            if not e:
+                continue
+            if name in values:
+                c *= Fraction(values[name]) ** e
+                continue
+            new = rename.get(name, name)
+            if new not in ring.variables:
+                raise FibrephiError(f"variable {name!r} cannot be transported to {ring!r}")
+            exps[new] = exps.get(new, 0) + e
+        key = tuple(exps.get(name, 0) for name in ring.variables)
+        terms[key] = terms.get(key, Fraction(0)) + c
+    return Polynomial(ring, terms)
 
 
 def quadric_cone_setup():

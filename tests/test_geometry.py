@@ -54,7 +54,13 @@ from fibrephi.geometry import (
 )
 from fibrephi.groebner import _inverted, independent_set_dimension
 
-from conftest import FIXTURES, cyclic_family_setup, quadric_cone_setup, simple_setup
+from conftest import (
+    FIXTURES,
+    cyclic_family_setup,
+    quadric_cone_setup,
+    reference_map,
+    simple_setup,
+)
 from test_groebner import _assert_basis_matches_sympy
 
 
@@ -224,13 +230,15 @@ def test_fibre_with_the_wrong_number_of_coordinates_is_refused():
 
 
 def _reference_fibre(setup, point):
-    """The fibre built polynomial by polynomial: every generator of X's ideal
-    specialized in the full ring, zeros dropped, transported to the source
-    ring."""
+    """The fibre built polynomial by polynomial, apart from the library's ring
+    maps: every target equation and source generator with the point
+    substituted in ``Fraction`` arithmetic and moved to the source ring by
+    name, zeros dropped."""
     assignment = dict(zip(setup.ring.target_vars, point))
     xring = setup.ring.source_ring()
-    specialized = (g.specialize(assignment) for g in setup.total_ideal.generators)
-    fibre = Ideal(xring, [transport(s, xring) for s in specialized if not s.is_zero])
+    gens = setup.target_ideal.generators + tuple(setup.source_generators)
+    specialized = (reference_map(g, xring, values=assignment) for g in gens)
+    fibre = Ideal(xring, [s for s in specialized if not s.is_zero])
     return fibre, krull_dimension(fibre)
 
 

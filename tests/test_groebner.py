@@ -68,17 +68,21 @@ def test_spoly_coprime_leading_terms():
 # ---------------------------------------------------------------------------
 
 
+def _budget():
+    return groebner._ReductionBudget(groebner.GROEBNER_MAX_REDUCTIONS)
+
+
 def test_normal_form_against_self():
     ring = ring_xy()
     f = P("x^2*y - y + 1", ring).as_dict()
-    assert groebner._normal_form_dict(f, [((2, 1), f)], GREVLEX.key, {}) == {}
+    assert groebner._normal_form_dict(f, [((2, 1), f)], GREVLEX.key, {}, _budget()) == {}
 
 
 def test_normal_form_unit_survives_proper_ideal():
     ring = ring_xy()
     basis = Ideal(ring, [P("x^2", ring), P("y^3", ring)]).groebner_basis()
     one = ring.one().as_dict()
-    assert groebner._normal_form_dict(one, basis.divisors, GREVLEX.key, {}) == one
+    assert groebner._normal_form_dict(one, basis.divisors, GREVLEX.key, {}, _budget()) == one
 
 
 def _lex_divisors(basis):
@@ -89,7 +93,7 @@ def _lex_divisors(basis):
 def test_normal_form_textbook_division():
     ring = ring_xy()
     divisors = _lex_divisors([P("x*y - 1", ring), P("y^2 - 1", ring)])
-    r = groebner._normal_form_dict(P("x^2*y", ring).as_dict(), divisors, LEX.key, {})
+    r = groebner._normal_form_dict(P("x^2*y", ring).as_dict(), divisors, LEX.key, {}, _budget())
     assert Polynomial(ring, r) == P("x", ring)
 
 
@@ -97,7 +101,7 @@ def test_division_certificate():
     ring = ring_xy()
     f = P("x^3*y^2 - x + 2*y", ring)
     divisors = _lex_divisors([P("x*y - 1", ring), P("y^2 - 1", ring)])
-    remainder = groebner._normal_form_dict(f.as_dict(), divisors, LEX.key, {})
+    remainder = groebner._normal_form_dict(f.as_dict(), divisors, LEX.key, {}, _budget())
     assert remainder
     for mono in remainder:
         assert all(any(m > e for m, e in zip(lm, mono)) for lm, _ in divisors)
@@ -141,11 +145,11 @@ def test_basis_self_reduction_and_spolys():
     for i, (_, g) in enumerate(divisors):
         others = divisors[:i] + divisors[i + 1 :]
         # no term of any element is divisible by another leading monomial
-        assert groebner._normal_form_dict(g, others, GREVLEX.key, {}) == g
+        assert groebner._normal_form_dict(g, others, GREVLEX.key, {}, _budget()) == g
     # Buchberger's criterion: every S-polynomial reduces to zero
     for (lmf, f), (lmg, g) in itertools.combinations(divisors, 2):
         s = groebner._spoly_dict(lmf, f, lmg, g)
-        assert not groebner._normal_form_dict(s, divisors, GREVLEX.key, {})
+        assert not groebner._normal_form_dict(s, divisors, GREVLEX.key, {}, _budget())
     lead = basis.leading_monomials()
     assert len(set(lead)) == len(lead)
     _assert_basis_matches_sympy(ideal, GREVLEX, "grevlex")
@@ -473,6 +477,21 @@ def test_saturation_certificate_is_charged_to_the_reduction_budget(monkeypatch, 
             saturation(ideal, P("x", ring))
     else:
         assert saturation(ideal, P("x", ring)).is_unit()
+
+
+@pytest.mark.parametrize("limit, refused", [(1, True), (2, False)])
+def test_membership_is_charged_to_the_reduction_budget(monkeypatch, limit, refused):
+    # x^2*y + x^2 against the basis (y^3, x^2): one reduction by x^2 per term
+    ring = ring_xy()
+    ideal = Ideal(ring, [P("x^2", ring), P("y^3", ring)])
+    ideal.groebner_basis(GREVLEX)  # built under the full budget
+    monkeypatch.setattr(groebner, "GROEBNER_MAX_REDUCTIONS", limit)
+    f = P("x^2*y + x^2", ring)
+    if refused:
+        with pytest.raises(ResourceLimitError, match="reduction budget"):
+            ideal.contains(f)
+    else:
+        assert ideal.contains(f)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ from fibrephi.errors import (
     RingMismatchError,
     ZeroPolynomialError,
 )
-from fibrephi.poly import _specialize_target, format_polynomial
+from fibrephi.poly import _ring_map, format_polynomial
 
-from conftest import ring_xy, ring_y_x
+from conftest import reference_map, ring_xy, ring_y_x
 
 
 # ---------------------------------------------------------------------------
@@ -534,19 +534,6 @@ _values = st.one_of(
 )
 
 
-def _fraction_specialize(p, assignment):
-    """``p.specialize`` with every value, power and product a Fraction."""
-    idx = {p.ring.index(name): Fraction(v) for name, v in assignment.items()}
-    terms = {}
-    for mono, coeff in p.as_dict().items():
-        c, new = Fraction(coeff), list(mono)
-        for i, v in idx.items():
-            c *= v ** mono[i]
-            new[i] = 0
-        terms[tuple(new)] = terms.get(tuple(new), Fraction(0)) + c
-    return Polynomial(p.ring, terms)
-
-
 @given(
     _polys,
     st.fixed_dictionaries({v: _values for v in _ring3.variables}),
@@ -559,14 +546,16 @@ def test_integer_paths_match_the_fraction_reference(p, point, names):
     # denominator may get lost on the way.
     value = p.evaluate(point)
     assert type(value) is Fraction
-    assert value == _fraction_specialize(p, point).constant_value()
+    assert value == reference_map(p, _ring3, values=point).constant_value()
     part = {name: point[name] for name in names}
     s = p.specialize(part)
-    assert s == _fraction_specialize(p, part)
+    assert s == reference_map(p, _ring3, values=part)
     assert all(type(c) is Fraction for _, c in s.terms())
+    # the fibre's map: the target block set to the point, the source block
+    # moved into the source ring
     xring = _ring3.source_ring()
-    (fibre,) = _specialize_target([p], (point["y"],), xring)
-    assert fibre == transport(_fraction_specialize(p, {"y": point["y"]}), xring)
+    (fibre,) = _ring_map([p], xring, [None, 0, 1], {0: point["y"]})
+    assert fibre == reference_map(p, xring, values={"y": point["y"]})
     assert all(type(c) is Fraction for _, c in fibre.terms())
 
 
@@ -581,6 +570,38 @@ def test_transport_renames_and_rejects_lost_variables():
     p = parse_polynomial("y*x - 1", small)
     moved = transport(p, big, {"x": "x__2"})
     assert moved == parse_polynomial("y*x__2 - 1", big)
-    with pytest.raises(FibrephiError):
+    with pytest.raises(FibrephiError, match="variable 'x__2' cannot be transported"):
         transport(moved, small)  # x__2 has nowhere to go
     assert transport(moved, small, {"x__2": "x"}) == p
+
+
+_targets = [
+    PolynomialRing(("y",), ("x1", "x2", "x1__2")),  # larger: renames and new names
+    PolynomialRing((), ("z", "x2")),  # merging: exponents add, terms cancel
+    PolynomialRing(("z",), ()),
+]
+
+
+@st.composite
+def _transports(draw):
+    ring = draw(st.sampled_from(_targets))
+    # "w" is in no target ring: a used variable sent there has nowhere to go
+    names = st.sampled_from(ring.variables + ("w",))
+    rename = draw(st.dictionaries(st.sampled_from(_ring3.variables), names))
+    return ring, rename
+
+
+@given(_polys, _transports())
+@settings(max_examples=150)
+def test_transport_matches_the_fraction_reference(p, target):
+    ring, rename = target
+    try:
+        expected = reference_map(p, ring, rename)
+    except FibrephiError as refused:
+        with pytest.raises(FibrephiError) as raised:
+            transport(p, ring, rename)
+        assert str(raised.value) == str(refused)
+        return
+    moved = transport(p, ring, rename)
+    assert moved == expected
+    _assert_canonical(moved)
