@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, prod
+from math import comb, isqrt, prod
 from random import Random
 from typing import Iterable, Sequence
 
@@ -815,13 +815,12 @@ def single_rational_point(I: Ideal) -> tuple[Fraction, ...] | None:
         # Finiteness Theorem; Cox, Little and O'Shea, *Ideals, Varieties, and
         # Algorithms*, Ch. 5 Sec. 3) and its monic generator has degree >= 1
         g = elimination_ideal(lifted, 1).groebner_basis().elements[0]
-        degree = g.degree_in(name)
-        uring = g.ring
-        # a monic univariate with a single root a satisfies g = (v - a)^degree
-        second = g.coefficient((degree - 1,))
-        root = -second / degree
-        model = (uring.variable(name) - uring.constant(root)) ** degree
-        if model != g:
+        coeffs = _univariate_coefficients(g, 0)
+        degree = len(coeffs) - 1
+        # a monic univariate with a single root a is g = (v - a)^degree, whose
+        # coefficient of v^j is comb(degree, j) * (-a)^(degree - j)
+        root = -coeffs[degree - 1] / degree
+        if any(c != comb(degree, j) * (-root) ** (degree - j) for j, c in enumerate(coeffs)):
             return None
         coords[name] = root
     if any(g.evaluate(coords) != 0 for g in I.generators):
@@ -839,8 +838,9 @@ def fibred_power(setup: ProjectionSetup, i: int) -> Ideal:
 
     Its ring repeats the source block i times with renamed variables: copy t
     is the t-th k-wide slice of ``ring.source_vars``.  The ideal joins the
-    target equations with i renamed copies of the source equations.  The
-    power 1 is X itself, ``setup.total_ideal``, whose cached bases then serve.
+    target equations with i copies of the source equations, copy t mapping
+    the target block to itself and the source block to slice t.  The power 1
+    is X itself, ``setup.total_ideal``, whose cached bases then serve.
     """
     if i < 1:
         raise FibrephiError("fibred power index must be at least 1")
@@ -859,9 +859,10 @@ def fibred_power(setup: ProjectionSetup, i: int) -> Ideal:
         copies.append(tuple(block))
     ring = PolynomialRing(setup.ring.target_vars, [n for block in copies for n in block])
     gens: list[Polynomial] = [transport(g, ring) for g in setup.target_ideal.generators]
-    for block in copies:
-        rename = dict(zip(setup.ring.source_vars, block))
-        gens.extend(transport(g, ring, rename) for g in setup.source_generators)
+    split, k = setup.ring.split, setup.k
+    for t in range(i):
+        column = [*range(split), *range(split + t * k, split + (t + 1) * k)]
+        gens.extend(_ring_map(setup.source_generators, ring, column, {}))
     return Ideal(ring, gens)
 
 
@@ -945,29 +946,27 @@ def sample_cell_points(cell: Cell, rng: Random, want: int) -> list[tuple[Fractio
         if len(points) >= want or not drew:
             break
         drew = False
-        values: dict[str, Fraction] = {}
+        at: dict[int, Fraction] = {}
         for v in reversed(range(n)):
-            name = ring.variables[v]
-            constraints = []
-            for g in by_leading_var.get(v, []):
-                u = g.specialize(values)
-                if not u.is_zero:
-                    constraints.append(u)
+            # every element that pins v uses only v and later variables, all
+            # drawn already, so each image is univariate in v
+            group = by_leading_var.get(v)
+            constraints = [u for u in _ring_map(group, ring, range(n), at) if u] if group else []
             if not constraints:
-                values[name] = Fraction(rng.randint(-100, 100))
+                at[v] = Fraction(rng.randint(-100, 100))
                 drew = True
                 continue
             roots = _rational_roots(constraints[0], v)
             if len(roots) == 2:
                 roots = [rng.choice(roots)]
                 drew = True
-            if not roots or any(
-                u.evaluate({name: roots[0]}) != 0 for u in constraints[1:]
-            ):
+            name = ring.variables[v]
+            if not roots or any(u.evaluate({name: roots[0]}) != 0 for u in constraints[1:]):
                 break
-            values[name] = roots[0]
+            at[v] = roots[0]
         else:
-            point = tuple(values[name] for name in ring.variables)
+            point = tuple(at[v] for v in range(n))
+            values = dict(zip(ring.variables, point))
             if any(g.evaluate(values) != 0 for g in closure.generators):
                 continue
             if any(h.evaluate(values) == 0 for h in cell.inequations):

@@ -203,15 +203,6 @@ class Polynomial:
     def as_dict(self) -> dict[Monomial, Fraction]:
         return dict(self._terms)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(tuple(mono), Fraction(0))
-
-    def degree_in(self, name: str) -> int:
-        i = self.ring.index(name)
-        if not self._terms:
-            return -1
-        return max(m[i] for m in self._terms)
-
     def variables_used(self) -> set[str]:
         used: set[int] = set()
         for mono in self._terms:
@@ -220,13 +211,6 @@ class Polynomial:
 
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self._terms)
-
-    def constant_value(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        if not self.is_constant():
-            raise FibrephiError("polynomial is not constant")
-        return next(iter(self._terms.values()))
 
     def __eq__(self, other) -> bool:
         return (
@@ -324,14 +308,7 @@ class Polynomial:
             return self
         return self.scale(Fraction(1) / lc)
 
-    # -- substitution --------------------------------------------------------
-
-    def specialize(self, assignment: Mapping[str, Scalar]) -> "Polynomial":
-        """Substitute values for some variables; stays in the same ring."""
-        if not assignment:
-            return self
-        values = {self.ring.index(name): v for name, v in assignment.items()}
-        return _ring_map([self], self.ring, range(self.ring.arity), values)[0]
+    # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Full evaluation to a rational number, in one pass over the terms.
@@ -400,17 +377,16 @@ def format_polynomial(p: Polynomial) -> str:
     return " ".join(chunks)
 
 
-def transport(p: Polynomial, ring: PolynomialRing, rename: Mapping[str, str] | None = None) -> Polynomial:
-    """Re-express ``p`` in another ring, optionally renaming variables.
+def transport(p: Polynomial, ring: PolynomialRing) -> Polynomial:
+    """Re-express ``p`` in another ring, each variable under its own name.
 
-    Every variable actually used must map to a variable of the new ring;
-    dropping a used variable is an error.  Without a renaming, ``p`` in its
-    own ring is returned as it is.
+    Every variable actually used must be a variable of the new ring;
+    dropping a used variable is an error.  ``p`` in its own ring is returned
+    as it is.
     """
-    if not rename and ring == p.ring:
+    if ring == p.ring:
         return p
-    rename = rename or {}
-    column = [ring._index.get(rename.get(name, name)) for name in p.ring.variables]
+    column = [ring._index.get(name) for name in p.ring.variables]
     return _ring_map([p], ring, column, {})[0]
 
 

@@ -1,10 +1,12 @@
-"""Every name the package exports has a reader outside the tests: code in
-``src/fibrephi`` that uses it, the benchmark harness in ``perfbench/`` or the
-README.  A helper that only tests call belongs in the tests or nowhere."""
+"""Every name the package exports, and every public method and property of
+an exported class, has a reader outside the tests: code in ``src/fibrephi``
+that uses it, the benchmark harness in ``perfbench/`` or the README.  A
+helper that only tests call belongs in the tests or nowhere."""
 
 import ast
 import re
 import types
+from functools import cached_property
 from pathlib import Path
 
 import fibrephi
@@ -31,20 +33,46 @@ def _names_read_in_package() -> set[str]:
     return read
 
 
-def test_every_export_has_a_reader_outside_the_tests():
+def _unread(names) -> list[str]:
+    """Those of ``names`` that no module of the package reads (``__init__.py``
+    aside) and that ``perfbench/`` and the README never name as a word."""
     read = _names_read_in_package()
     texts = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
     texts.append((ROOT / "README.md").read_text(encoding="utf-8"))
-    exports = [
+    return [
+        name
+        for name in names
+        if name not in read
+        and not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)
+    ]
+
+
+def _exports():
+    return [
         name
         for name in fibrephi.__all__
         if not isinstance(getattr(fibrephi, name), types.ModuleType)
     ]
+
+
+def test_every_export_has_a_reader_outside_the_tests():
+    exports = _exports()
     assert "Ideal" in exports and "groebner" not in exports
-    unread = [
-        name
-        for name in exports
-        if name not in read
-        and not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)
+    assert _unread(exports) == []
+
+
+def test_every_public_method_of_an_exported_class_has_a_reader_outside_the_tests():
+    # methods, properties and cached properties the class itself defines;
+    # inherited and underscore names are not its public surface
+    kinds = (types.FunctionType, property, cached_property, classmethod, staticmethod)
+    classes = [getattr(fibrephi, name) for name in _exports()]
+    members = [
+        (cls.__name__, attr)
+        for cls in classes
+        if isinstance(cls, type)
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_") and isinstance(value, kinds)
     ]
-    assert unread == []
+    assert ("Polynomial", "evaluate") in members
+    unread = set(_unread({attr for _, attr in members}))
+    assert [f"{c}.{attr}" for c, attr in members if attr in unread] == []

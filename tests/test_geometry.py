@@ -7,6 +7,8 @@ from math import prod
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fibrephi import (
     GREVLEX,
@@ -1040,8 +1042,39 @@ def test_fibred_power_symmetry():
     for a, b in zip(power.ring.source_vars[:k], power.ring.source_vars[k : 2 * k]):
         swap[a] = b
         swap[b] = a
-    swapped = {transport(g, power.ring, swap) for g in power.generators}
+    swapped = {reference_map(g, power.ring, swap) for g in power.generators}
     assert swapped == set(power.generators)
+
+
+def _reference_fibred_power(setup, ring, i):
+    """The generators of the i-th fibred power in ``ring`` built by name with
+    ``reference_map``: the target equations, then for each copy t the source
+    generators with the source block renamed to the t-th k-wide slice."""
+    k = setup.k
+    gens = [reference_map(g, ring) for g in setup.target_ideal.generators]
+    for t in range(i):
+        rename = dict(zip(setup.ring.source_vars, ring.source_vars[t * k : (t + 1) * k]))
+        gens.extend(reference_map(g, ring, rename) for g in setup.source_generators)
+    return Ideal(ring, gens).generators
+
+
+@pytest.mark.parametrize(
+    "make, i",
+    [
+        (lambda path=path: load_setup(path).setup, i)
+        for path in sorted(FIXTURES.glob("*.setup"))
+        for i in (2, 3)
+    ]
+    + [(lambda: cyclic_family_setup(4, 4), 2)],
+    ids=[f"{path.stem}-{i}" for path in sorted(FIXTURES.glob("*.setup")) for i in (2, 3)]
+    + ["cyclic_4_4-2"],
+)
+def test_fibred_power_matches_the_rename_by_name_reference(make, i):
+    setup = make()
+    power = fibred_power(setup, i)
+    assert power.ring.target_vars == setup.ring.target_vars
+    assert len(power.ring.source_vars) == i * setup.k
+    assert power.generators == _reference_fibred_power(setup, power.ring, i)
 
 
 # ---------------------------------------------------------------------------
@@ -1276,6 +1309,72 @@ def test_single_point_certification():
     assert single_rational_point(two_points) is None
 
 
+def _model_single_point(I):
+    """``single_rational_point`` with the model check it used to make: each
+    variable's monic generator g of the elimination ideal must equal
+    (v - a)^d, built as a polynomial, for a = minus its next coefficient / d."""
+    ring = I.ring
+    if krull_dimension(I) != 0:
+        return None
+    coords = {}
+    for name in ring.variables:
+        flat = PolynomialRing((name, *[v for v in ring.variables if v != name]), ())
+        lifted = Ideal(flat, [transport(g, flat) for g in I.generators])
+        g = elimination_ideal(lifted, 1).groebner_basis().elements[0]
+        terms = g.as_dict()
+        degree = max(mono[0] for mono in terms)
+        root = -terms.get((degree - 1,), Fraction(0)) / degree
+        if (g.ring.variable(name) - root) ** degree != g:
+            return None
+        coords[name] = root
+    if any(g.evaluate(coords) != 0 for g in I.generators):
+        return None
+    return tuple(coords[name] for name in ring.variables)
+
+
+def _linear_product_ideal(roots, mix):
+    """The ideal in y1, ..., yn (n = len(roots)) with one generator per
+    variable: the product of (b*y - a) over its roots a/b.  With ``mix`` the
+    first generator also gets the last one times the last variable, which
+    leaves the ideal as it is."""
+    ring = PolynomialRing(tuple(f"y{j}" for j in range(1, len(roots) + 1)), ())
+    gens = []
+    for name, rs in zip(ring.variables, roots):
+        y = ring.variable(name)
+        gens.append(prod((r.denominator * y - r.numerator for r in rs), start=ring.one()))
+    if mix and len(gens) > 1:
+        gens[0] = gens[0] + ring.variable(ring.variables[-1]) * gens[-1]
+    return Ideal(ring, gens)
+
+
+_roots = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@given(
+    st.lists(st.lists(_roots, min_size=1, max_size=3), min_size=1, max_size=3),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+@example([[Fraction(1), Fraction(1)]], False)  # one repeated root: (y - 1)^2
+@example([[Fraction(1), Fraction(-1)], [Fraction(2)]], True)  # two distinct roots
+@example([[Fraction(1, 2)] * 3, [Fraction(-2, 3)]], True)  # (2y - 1)^3
+def test_single_point_matches_the_model_check(roots, mix):
+    I = _linear_product_ideal(roots, mix)
+    point = single_rational_point(I)
+    assert point == _model_single_point(I)
+    if all(len(set(rs)) == 1 for rs in roots):
+        assert point == tuple(rs[0] for rs in roots)
+    else:
+        assert point is None
+
+
+def test_single_point_refuses_an_irreducible_quadratic():
+    ring = PolynomialRing(("y",), ())
+    I = Ideal(ring, [P("y^2 + 1", ring)])
+    assert single_rational_point(I) is None
+    assert _model_single_point(I) is None
+
+
 def test_sampling_respects_closure_and_inequations():
     setup = quadric_cone_setup()
     strat = stratify_by_fibre_dimension(setup)
@@ -1373,7 +1472,8 @@ def test_sampling_is_seed_deterministic():
 
 
 def _reference_sample_cell_points(cell, rng, want):
-    """The sampler run to the full attempt budget, with no early stop.
+    """The sampler run to the full attempt budget, with no early stop, every
+    substitution made by name in ``Fraction`` arithmetic (``reference_map``).
 
     Returns the points and whether any attempt met a double root (where this
     loop still calls ``rng.choice`` on a single option).
@@ -1395,7 +1495,7 @@ def _reference_sample_cell_points(cell, rng, want):
         ok = True
         for v in reversed(range(ring.arity)):
             name = ring.variables[v]
-            specialized = (g.specialize(values) for g in by_leading_var.get(v, []))
+            specialized = (reference_map(g, ring, values=values) for g in by_leading_var.get(v, []))
             constraints = [u for u in specialized if not u.is_zero]
             if not constraints:
                 values[name] = Fraction(rng.randint(-100, 100))
@@ -1413,7 +1513,8 @@ def _reference_sample_cell_points(cell, rng, want):
                     double_root = double_root or len(options) == 1
                     candidate = rng.choice(options)
             if candidate is None or any(
-                u2.specialize({name: candidate}).constant_value() != 0 for u2 in constraints[1:]
+                not reference_map(u2, ring, values={name: candidate}).is_zero
+                for u2 in constraints[1:]
             ):
                 ok = False
                 break
