@@ -231,7 +231,8 @@ def _ideal_json(ideal) -> list[str]:
     return [str(g) for g in ideal.generators]
 
 
-def _strata_json(strat: Stratification) -> list[dict]:
+def _strata_json(strat: Stratification) -> dict:
+    """The ``strata``, ``fibre_dimensions`` and ``lambda`` fields of a document."""
     out = []
     for s in strat.strata:
         out.append(
@@ -248,7 +249,11 @@ def _strata_json(strat: Stratification) -> list[dict]:
                 ],
             }
         )
-    return out
+    return {
+        "strata": out,
+        "fibre_dimensions": list(strat.fibre_dimensions),
+        "lambda": strat.min_fibre_dim,
+    }
 
 
 def _vertical_json(v: VerticalResult) -> dict:
@@ -275,7 +280,7 @@ def analysis_document(
 ) -> ReportDocument:
     """The ``analyze`` document of ``report``; wall-clock timings only on request."""
     setup = report.setup
-    purity, strat = setup.purity, setup.stratification
+    purity = setup.purity
     document = {
         **_header("analyze", setup_file),
         "seed": report.seed,
@@ -289,9 +294,7 @@ def analysis_document(
             "dim": purity.dim,
             "piece_dims": list(purity.piece_dims),
         },
-        "strata": _strata_json(strat),
-        "fibre_dimensions": list(strat.fibre_dimensions),
-        "lambda": strat.min_fibre_dim,
+        **_strata_json(setup.stratification),
         "vertical": _vertical_json(setup.vertical),
         "phi_upper": _ext(report.phi_upper),
         "phi_lower": _ext(report.phi_lower),
@@ -311,13 +314,10 @@ def analysis_document(
 
 def run_stratify(setup_file: SetupFile) -> ReportDocument:
     setup = setup_file.setup
-    strat = setup.stratification
     document = {
         **_header("stratify", setup_file),
         "dims": setup.dims(),
-        "strata": _strata_json(strat),
-        "fibre_dimensions": list(strat.fibre_dimensions),
-        "lambda": strat.min_fibre_dim,
+        **_strata_json(setup.stratification),
     }
     return ReportDocument(document)
 
@@ -333,7 +333,7 @@ def run_verify_power(setup_file: SetupFile, i: int) -> ReportDocument:
         "generators": [str(g) for g in power.generators],
         "vertical": _vertical_json(result),
     }
-    return ReportDocument(document, inconclusive=result.verdict is None)
+    return ReportDocument(document)
 
 
 # ---------------------------------------------------------------------------

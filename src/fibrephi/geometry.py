@@ -268,7 +268,7 @@ def _stabilize(J: Ideal, locus: Ideal) -> tuple[Ideal, Ideal, list[tuple[Monomia
     generated by its reduced grevlex basis, if its equations joined ``locus``.
     """
     image = elimination_ideal(J, J.ring.split)
-    grown = image != locus and any(not radical_member(g, locus) for g in image.generators)
+    grown = image != locus and not _variety_contained(locus, image)
     if grown:
         locus = locus.added(image.generators)
     for _ in range(64):
@@ -513,7 +513,10 @@ def _split(J: Ideal, depth: int, pure_dim: int | None = None) -> list[Ideal]:
     ``J : h^inf`` has the radical of J and its saturation could only report
     "did not shrink"; such an h is skipped.  That dimension is first bounded
     from J's basis (``_variable_cut_bound``; Cox, Little and O'Shea, Ch. 9
-    §3).  The pieces of a successful split carry no certificate.
+    §3).  Any other h has ``dim V(J + (h)) >= pure_dim``, so a component of
+    the pure V(J) lies in V(h) and V(J : h^inf) omits it: a proper
+    saturation shrinks V(J), and no containment test is asked.  The pieces
+    of a successful split carry no certificate.
     """
     divisors = J.groebner_basis(GREVLEX).divisors
     for h in _splitter_candidates(J):
@@ -525,7 +528,7 @@ def _split(J: Ideal, depth: int, pure_dim: int | None = None) -> list[Ideal]:
         off = saturation(J, h)
         if off.is_unit():
             continue  # everything lies inside V(h): no off-part to split away
-        if _variety_contained(J, off):
+        if pure_dim is None and _variety_contained(J, off):
             continue  # saturation did not shrink the variety
         if depth <= 0:
             raise ResourceLimitError("component splitting depth cap exceeded")
@@ -930,11 +933,10 @@ def sample_cell_points(cell: Cell, rng: Random, want: int) -> list[tuple[Fractio
     closure = cell.closure
     ring = closure.ring
     n = ring.arity
-    basis = closure.groebner_basis(LEX)
-    if basis.is_unit():
+    if closure.is_unit():
         return []
     by_leading_var: dict[int, list[Polynomial]] = {}
-    for g in basis.elements:
+    for g in closure.groebner_basis(LEX).elements:
         lead = min(
             i for mono in g.monomials() for i, e in enumerate(mono) if e
         )

@@ -258,12 +258,6 @@ class GroebnerBasis:
     elements: tuple[Polynomial, ...]
     divisors: tuple[tuple[Monomial, PolyDict], ...] = field(repr=False, compare=False)
 
-    def leading_monomials(self) -> list[Monomial]:
-        return [lm for lm, _ in self.divisors]
-
-    def is_unit(self) -> bool:
-        return len(self.elements) == 1 and self.elements[0].is_constant()
-
     def __len__(self):
         return len(self.elements)
 
@@ -368,7 +362,7 @@ def _leading_monomials(ideal: Ideal) -> list[Monomial]:
         else:
             return lms
         cached = ideal.groebner_basis(GREVLEX)
-    return cached.leading_monomials()
+    return [lm for lm, _ in cached.divisors]
 
 
 def _inverted(ideal: Ideal, h: Polynomial) -> Ideal:
@@ -407,11 +401,7 @@ def elimination_ideal(ideal: Ideal, count: int) -> Ideal:
         raise FibrephiError(f"cannot keep {count} of {ring.arity} variables")
     if count == ring.arity:
         return ideal
-    split = ring.split
-    if count <= split:
-        small = PolynomialRing(ring.target_vars[:count], ())
-    else:
-        small = PolynomialRing(ring.target_vars, ring.source_vars[: count - split])
+    small = PolynomialRing(ring.target_vars[:count], ring.source_vars[: max(0, count - ring.split)])
     basis = ideal.groebner_basis(Block(count))
     kept = [
         transport(g, small)

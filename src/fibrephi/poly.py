@@ -31,10 +31,13 @@ def _exact(c: Scalar) -> Fraction:
     raise FibrephiError(f"{c!r} is not an int or Fraction")
 
 
-def _integral(c: Fraction) -> Scalar:
+def _integral(c: Scalar) -> Scalar:
     """``c`` as an int when it is integral, so its powers and products with
-    other integers are integer operations."""
-    return c.numerator if c.denominator == 1 else c
+    other integers are integer operations.  An int comes back as it is, and
+    any other value goes through ``_exact``, which refuses a float or a string."""
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    return c if type(c) is int else _integral(_exact(c))
 
 
 class PolynomialRing:
@@ -283,22 +286,6 @@ class Polynomial:
             return self.ring.zero()
         return Polynomial._trusted(self.ring, {m: c * co for m, co in self._terms.items()})
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise FibrephiError(f"exponent of a polynomial must be an int, got {n!r}")
-        if n < 0:
-            raise FibrephiError("negative power of a polynomial")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
-
     def monic(self) -> "Polynomial":
         """This polynomial scaled so its grevlex-leading coefficient is 1."""
         if not self._terms:
@@ -320,7 +307,7 @@ class Polynomial:
         """
         values: list[Scalar | None] = [None] * self.ring.arity
         for name, v in assignment.items():
-            values[self.ring.index(name)] = _integral(_exact(v))
+            values[self.ring.index(name)] = _integral(v)
         total: Scalar = 0
         for mono, coeff in self._terms.items():
             c = _integral(coeff)
@@ -402,13 +389,13 @@ def _ring_map(
     ``values[i]`` when there is one, else to the variable ``column[i]`` of
     ``ring``; a term that uses a variable with neither is an error.  Exponents
     that meet in one variable add, and terms that meet in one monomial are
-    summed, zero sums dropped.  Every value passes through ``_exact`` and an
-    integral one stays an int, so a term's factor from the values is an
-    integer product that meets its coefficient once, and every stored
+    summed, zero sums dropped.  Every value passes through ``_integral``, so an
+    integral one is an int, a term's factor from the values is an integer
+    product that meets its coefficient once, and every stored
     coefficient is a ``Fraction``.  Each value's table of powers serves all
     of ``polys``; with no values there is none.
     """
-    tables = {i: (_integral(_exact(v)), {}) for i, v in values.items()} if values else {}
+    tables = {i: (_integral(v), {}) for i, v in values.items()} if values else {}
     arity = ring.arity
     result = []
     for p in polys:

@@ -55,6 +55,15 @@ def reference_map(p, ring, rename=None, values=None):
     return Polynomial(ring, terms)
 
 
+def power(p, n):
+    """``p`` to the ``n``-th power as ``n`` plain products; the reference for
+    the parser's square-and-multiply, with no loop in common with it."""
+    result = p.ring.one()
+    for _ in range(n):
+        result = result * p
+    return result
+
+
 def quadric_cone_setup():
     """Projection of a quadratic-in-x family over the determinantal cone."""
     ring = PolynomialRing(("y1", "y2", "y3", "y4"), ("x",))

@@ -1,7 +1,8 @@
 """Every name the package exports, and every public method and property of
 an exported class, has a reader outside the tests: code in ``src/fibrephi``
-that uses it, the benchmark harness in ``perfbench/`` or the README.  A
-helper that only tests call belongs in the tests or nowhere."""
+that uses it, the benchmark harness in ``perfbench/`` or the README.  Every
+private module-level helper has a reader in the package itself.  A helper
+that only tests call belongs in the tests or nowhere."""
 
 import ast
 import re
@@ -76,3 +77,32 @@ def test_every_public_method_of_an_exported_class_has_a_reader_outside_the_tests
     assert ("Polynomial", "evaluate") in members
     unread = set(_unread({attr for _, attr in members}))
     assert [f"{c}.{attr}" for c, attr in members if attr in unread] == []
+
+
+def _private_definitions() -> list[str]:
+    """The ``_``-prefixed functions, classes and constants that a module of
+    the package defines at module level (dunder names aside)."""
+    names = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                targets = []
+            names += [
+                f"{path.stem}.{name}"
+                for name in targets
+                if name.startswith("_") and not name.startswith("__")
+            ]
+    return names
+
+
+def test_every_private_helper_has_a_reader_in_the_package():
+    helpers = _private_definitions()
+    assert "groebner._buchberger" in helpers and "poly._NAME_RE" in helpers
+    read = _names_read_in_package()
+    assert [h for h in helpers if h.split(".")[1] not in read] == []

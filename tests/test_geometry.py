@@ -59,6 +59,7 @@ from fibrephi.groebner import _inverted, independent_set_dimension
 from conftest import (
     FIXTURES,
     cyclic_family_setup,
+    power,
     quadric_cone_setup,
     reference_map,
     simple_setup,
@@ -1221,6 +1222,49 @@ def test_unmixed_skips_agree_with_saturation(monkeypatch, fixture_dir):
     assert skipped > 0
 
 
+def test_certified_candidates_that_are_tried_shrink_the_variety(monkeypatch):
+    # Under an unmixedness certificate _split asks no containment test: a
+    # candidate h it does not skip has dim V(J + (h)) >= the certified
+    # dimension, so a component of the pure V(J) lies in V(h) and J : h^inf
+    # omits it.  Each proper saturation of a certified J is replayed on the
+    # slow path, which must find that it shrinks V(J), and the pieces must be
+    # those of the uncertified path, which asks the test of every candidate.
+    rng = Random(24)
+    setups = (
+        [load_setup(path).setup for path in sorted(FIXTURES.glob("*.setup"))]
+        + [cyclic_family_setup(4, 3), cyclic_family_setup(4, 4)]
+        + list(_random_projection_setups(2718, 200))
+        + [random_union_setup(rng) for _ in range(120)]
+    )
+    certified, tried = [], []
+    split, saturate = geometry._split, geometry.saturation
+
+    def recording_split(J, depth, pure_dim=None):
+        if pure_dim is not None:
+            certified.append(J)
+        return split(J, depth, pure_dim)
+
+    def recording_saturation(ideal, h):
+        off = saturate(ideal, h)
+        if any(ideal is J for J in certified):
+            tried.append((ideal, off))
+        return off
+
+    monkeypatch.setattr(geometry, "_split", recording_split)
+    monkeypatch.setattr(geometry, "saturation", recording_saturation)
+    pieces = [(setup.total_ideal, split_components(setup.total_ideal)) for setup in setups]
+    monkeypatch.undo()
+
+    proper = [(J, off) for J, off in tried if not off.is_unit()]
+    assert len(proper) > 100
+    for J, off in proper:
+        assert not all(radical_member(g, J) for g in off.generators), J
+    assert len(certified) > 200
+    for J, found in pieces:
+        if any(J is c for c in certified):
+            assert found == geometry._prune(split(J, geometry.SPLIT_DEPTH)), J
+
+
 BOUNDED = [path.stem for path in sorted(FIXTURES.glob("*.setup"))] + [
     "cyclic_4_3",
     "cyclic_4_4",
@@ -1324,7 +1368,7 @@ def _model_single_point(I):
         terms = g.as_dict()
         degree = max(mono[0] for mono in terms)
         root = -terms.get((degree - 1,), Fraction(0)) / degree
-        if (g.ring.variable(name) - root) ** degree != g:
+        if power(g.ring.variable(name) - root, degree) != g:
             return None
         coords[name] = root
     if any(g.evaluate(coords) != 0 for g in I.generators):
@@ -1481,7 +1525,7 @@ def _reference_sample_cell_points(cell, rng, want):
     closure = cell.closure
     ring = closure.ring
     basis = closure.groebner_basis(LEX)
-    if basis.is_unit():
+    if basis.elements == (ring.one(),):
         return [], False
     by_leading_var = {}
     for g in basis.elements:

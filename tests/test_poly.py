@@ -26,7 +26,7 @@ from fibrephi.errors import (
 )
 from fibrephi.poly import _ring_map, format_polynomial
 
-from conftest import reference_map, ring_xy, ring_y_x
+from conftest import power, reference_map, ring_xy, ring_y_x
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +250,7 @@ def test_polynomial_rejects_non_integer_exponents():
         lambda ring, x: _ring_map([x], ring, range(2), {0: 0.1}),
         lambda ring, x: x.evaluate({"y": 0, "x": 0.5}),
         lambda ring, x: x.evaluate({"y": 0.5, "x": 0}),  # y is unused, still refused
+        lambda ring, x: x.evaluate({"y": 0, "x": "1/2"}),
     ],
     ids=[
         "float-term",
@@ -260,6 +261,7 @@ def test_polynomial_rejects_non_integer_exponents():
         "ring-map",
         "evaluate",
         "evaluate-unused",
+        "evaluate-string",
     ],
 )
 def test_coefficients_and_values_must_be_int_or_fraction(make):
@@ -269,19 +271,16 @@ def test_coefficients_and_values_must_be_int_or_fraction(make):
 
 
 def test_power_and_scale():
+    # polynomials have no power operator: the parser expands powers
     ring = ring_xy()
     p = parse_polynomial("x + 1", ring)
-    assert p**0 == ring.one()
-    assert p**3 == parse_polynomial("x^3 + 3*x^2 + 3*x + 1", ring)
+    assert parse_polynomial("(x + 1)^0", ring) == power(p, 0) == ring.one()
+    assert parse_polynomial("(x + 1)^3", ring) == power(p, 3)
+    assert power(p, 3) == parse_polynomial("x^3 + 3*x^2 + 3*x + 1", ring)
+    for text in ("x^-1", "x^y"):
+        with pytest.raises(ParseError, match="exponent must be a natural number"):
+            parse_polynomial(text, ring)
     assert p.scale(0).is_zero
-
-
-@pytest.mark.parametrize("exponent", [0.5, 2.0, True], ids=["half", "float-two", "bool"])
-def test_power_exponent_must_be_an_int(exponent):
-    x = ring_xy().variable("x")
-    with pytest.raises(FibrephiError, match="must be an int"):
-        x**exponent
-    assert x**3 == parse_polynomial("x^3", x.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +531,7 @@ def test_evaluate_matches_full_specialization(p, point):
 
 _values = st.one_of(
     st.integers(-6, 6),
+    st.booleans(),
     st.integers(-6, 6).map(Fraction),
     st.fractions(min_value=-4, max_value=4, max_denominator=5),
 )
@@ -544,8 +544,8 @@ _values = st.one_of(
 )
 @settings(max_examples=120)
 def test_integer_paths_match_the_fraction_reference(p, point, names):
-    # Assignments mix ints, integral and non-integral Fractions, zero and
-    # negatives.  The kernel computes with integral values as ints; no
+    # Assignments mix ints, bools, integral and non-integral Fractions, zero
+    # and negatives.  The kernel computes with integral values as ints; no
     # denominator may get lost on the way.
     value = p.evaluate(point)
     assert type(value) is Fraction
