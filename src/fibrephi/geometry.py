@@ -210,18 +210,18 @@ def fibre_at_point(
     The point must satisfy the target ideal exactly; the empty fibre reports
     dimension -1.
     """
-    names = setup.ring.target_vars
-    if len(point) != len(names):
-        raise OffTargetError(f"expected {len(names)} coordinates, got {len(point)}")
-    assignment = dict(zip(names, point))
-    for g in setup.target_ideal.generators:
-        if g.evaluate(assignment) != 0:
+    gens, yring = setup.target_ideal.generators, setup.target_ideal.ring
+    if len(point) != yring.arity:
+        raise OffTargetError(f"expected {yring.arity} coordinates, got {len(point)}")
+    values = dict(enumerate(point))
+    for g, image in zip(gens, _ring_map(gens, yring, range(yring.arity), values)):
+        if image:
             raise OffTargetError(f"point does not satisfy target equation {g}")
     # The target equations vanish at the point, so X's ideal specializes to
     # the source generators' values, each source variable keeping its place
     # in the source ring; the Ideal drops the zero ones.
     xring, column = setup._fibre_map
-    fibre = Ideal(xring, _ring_map(setup.source_generators, xring, column, dict(enumerate(point))))
+    fibre = Ideal(xring, _ring_map(setup.source_generators, xring, column, values))
     return fibre, krull_dimension(fibre)
 
 
@@ -263,15 +263,19 @@ def _stabilize(J: Ideal, locus: Ideal) -> tuple[Ideal, Ideal, list[tuple[Monomia
     absorbed coefficients keep J's radical.  Each round then adds the relative
     leading coefficients vanishing on V(locus), in basis order, to ``locus``
     and, checked to vanish on V(J), to J, whose basis must re-express the
-    elements they led (Kalkbrener, JSC 1997; Weispfenning, JSC 1992).  Returns
-    J, locus (unit for a unit J), ``relative_terms(J)`` and the image closure,
-    generated by its reduced grevlex basis, if its equations joined ``locus``.
+    elements they led (Kalkbrener, JSC 1997; Weispfenning, JSC 1992).  The
+    rounds need no cap: a flagged c never lies in J, or an x-free element of
+    J's reduced block basis would have a leading monomial dividing lm(c) * x^a,
+    that of the element c leads.  So J grows strictly each round, and the
+    chain ends (Noether).  Returns J, locus (unit for a unit J),
+    ``relative_terms(J)`` and the image closure, generated by its reduced
+    grevlex basis, if its equations joined ``locus``.
     """
     image = elimination_ideal(J, J.ring.split)
     grown = image != locus and not _variety_contained(locus, image)
     if grown:
         locus = locus.added(image.generators)
-    for _ in range(64):
+    while True:
         rel = relative_terms(J)
         flagged = [c for _, c in rel if not c.is_constant() and radical_member(c, locus)]
         if not flagged:
@@ -282,9 +286,11 @@ def _stabilize(J: Ideal, locus: Ideal) -> tuple[Ideal, Ideal, list[tuple[Monomia
             raise InternalInconsistencyError(
                 "a coefficient vanishing on the image fails to vanish on the source"
             )
-        J = J.added(transport(c, J.ring) for c in flagged)
+        larger = J.added(transport(c, J.ring) for c in flagged)
+        if larger is J:
+            raise InternalInconsistencyError("a flagged leading coefficient already lies in J")
+        J = larger
         locus = locus.added(flagged)
-    raise InternalInconsistencyError("leading-coefficient stabilization did not settle")
 
 
 # ---------------------------------------------------------------------------
@@ -490,18 +496,18 @@ def split_components(J: Ideal) -> list[Ideal]:
     """
     if J.is_unit():
         raise PreconditionError("split_components needs a proper ideal")
-    return _prune(_split(J, SPLIT_DEPTH, _unmixed_dimension(J)))
+    dim = krull_dimension(J)
+    return _prune(_split(J, SPLIT_DEPTH, dim if _complete_intersection(J, dim) else None))
 
 
-def _unmixed_dimension(I: Ideal) -> int | None:
-    """dim V(I) when I is a complete intersection, else None.
+def _complete_intersection(I: Ideal, dim: int) -> bool:
+    """True when I, with dim V(I) = ``dim``, is a complete intersection.
 
     An ideal of a polynomial ring generated by as many elements as its
     codimension is unmixed (Macaulay; Matsumura, *Commutative Ring Theory*,
-    Thm 17.6), so every component of V(I) then has the returned dimension.
+    Thm 17.6), so every component of V(I) then has dimension ``dim``.
     """
-    dim = krull_dimension(I)
-    return dim if len(I.generators) == I.ring.arity - dim else None
+    return len(I.generators) == I.ring.arity - dim
 
 
 def _split(J: Ideal, depth: int, pure_dim: int | None = None) -> list[Ideal]:
@@ -611,9 +617,7 @@ def pure_dimension_check(J: Ideal) -> PurityResult:
     piece_dims = tuple(sorted((krull_dimension(p) for p in pieces), reverse=True))
     if len(set(piece_dims)) > 1:
         return PurityResult(False, dim, piece_dims)
-    # ``_unmixed_dimension``'s test, on the dimension already in hand
-    complete = len(J.generators) == J.ring.arity - dim
-    certified = complete or all(map(_certified_pure, pieces))
+    certified = _complete_intersection(J, dim) or all(map(_certified_pure, pieces))
     return PurityResult(True if certified else None, dim, piece_dims)
 
 
@@ -626,7 +630,8 @@ def _certified_pure(I: Ideal) -> bool:
         rest = [h for h in kept if h != g]
         if radical_member(g, Ideal(I.ring, rest)):
             kept = rest
-    return _unmixed_dimension(Ideal(I.ring, kept)) is not None
+    K = Ideal(I.ring, kept)
+    return _complete_intersection(K, krull_dimension(K))
 
 
 # ---------------------------------------------------------------------------
@@ -810,8 +815,8 @@ def single_rational_point(I: Ideal) -> tuple[Fraction, ...] | None:
     ring = I.ring
     if krull_dimension(I) != 0:
         return None
-    coords: dict[str, Fraction] = {}
-    for name in ring.variables:
+    coords: dict[int, Fraction] = {}
+    for i, name in enumerate(ring.variables):
         flat = PolynomialRing((name, *[v for v in ring.variables if v != name]), ())
         lifted = Ideal(flat, [transport(g, flat) for g in I.generators])
         # I is proper of dimension 0, so every I meet Q[v] is nonzero (the
@@ -825,10 +830,10 @@ def single_rational_point(I: Ideal) -> tuple[Fraction, ...] | None:
         root = -coeffs[degree - 1] / degree
         if any(c != comb(degree, j) * (-root) ** (degree - j) for j, c in enumerate(coeffs)):
             return None
-        coords[name] = root
-    if any(g.evaluate(coords) != 0 for g in I.generators):
+        coords[i] = root
+    if any(_ring_map(I.generators, ring, range(ring.arity), coords)):
         return None
-    return tuple(coords[name] for name in ring.variables)
+    return tuple(coords.values())
 
 
 # ---------------------------------------------------------------------------
@@ -917,10 +922,10 @@ def sample_cell_points(cell: Cell, rng: Random, want: int) -> list[tuple[Fractio
     basis element that pins it (``_rational_roots``: linear or quadratic
     only), with a random choice between two distinct roots and no draw for a
     double root; the other elements pinning it must vanish there, or the
-    attempt fails.  Membership is verified by
-    evaluating every closure generator, so a returned point is guaranteed to
-    lie on the cell.  Cells where no point is found within the attempt budget
-    come back empty; callers should report the skip.
+    attempt fails.  Membership is verified by mapping every closure generator
+    and inequation to its value at the point (``_ring_map``), so a returned
+    point is guaranteed to lie on the cell.  Cells where no point is found
+    within the attempt budget come back empty; callers should report the skip.
 
     ``SAMPLE_ATTEMPTS`` is an upper bound: sampling stops after the first
     attempt that drew no random number, whatever that attempt's outcome.  An
@@ -962,16 +967,14 @@ def sample_cell_points(cell: Cell, rng: Random, want: int) -> list[tuple[Fractio
             if len(roots) == 2:
                 roots = [rng.choice(roots)]
                 drew = True
-            name = ring.variables[v]
-            if not roots or any(u.evaluate({name: roots[0]}) != 0 for u in constraints[1:]):
+            if not roots or any(_ring_map(constraints[1:], ring, range(n), {v: roots[0]})):
                 break
             at[v] = roots[0]
         else:
             point = tuple(at[v] for v in range(n))
-            values = dict(zip(ring.variables, point))
-            if any(g.evaluate(values) != 0 for g in closure.generators):
+            if any(_ring_map(closure.generators, ring, range(n), at)):
                 continue
-            if any(h.evaluate(values) == 0 for h in cell.inequations):
+            if not all(_ring_map(cell.inequations, ring, range(n), at)):
                 continue
             if point not in points:  # at most ``want`` points: a list scan is enough
                 points.append(point)

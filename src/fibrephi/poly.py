@@ -295,31 +295,6 @@ class Polynomial:
             return self
         return self.scale(Fraction(1) / lc)
 
-    # -- evaluation ----------------------------------------------------------
-
-    def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
-        """Full evaluation to a rational number, in one pass over the terms.
-
-        Every assigned name must be a ring variable and every value an int or
-        Fraction; every variable the polynomial uses must be assigned.
-        Integral values and coefficients are summed as ints, and the
-        ``Fraction`` is built once, from the total.
-        """
-        values: list[Scalar | None] = [None] * self.ring.arity
-        for name, v in assignment.items():
-            values[self.ring.index(name)] = _integral(v)
-        total: Scalar = 0
-        for mono, coeff in self._terms.items():
-            c = _integral(coeff)
-            for v, e in zip(values, mono):
-                if e:
-                    if v is None:
-                        missing = self.variables_used() - set(assignment)
-                        raise FibrephiError(f"evaluation misses variables {sorted(missing)}")
-                    c *= v**e
-            total += c
-        return Fraction(total)
-
     # -- printing ---------------------------------------------------------
 
     def __str__(self) -> str:
@@ -393,7 +368,9 @@ def _ring_map(
     integral one is an int, a term's factor from the values is an integer
     product that meets its coefficient once, and every stored
     coefficient is a ``Fraction``.  Each value's table of powers serves all
-    of ``polys``; with no values there is none.
+    of ``polys``; with no values there is none.  A point check sends every
+    variable to a value; each image is then a constant, zero exactly where
+    its polynomial vanishes.
     """
     tables = {i: (_integral(v), {}) for i, v in values.items()} if values else {}
     arity = ring.arity

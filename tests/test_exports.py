@@ -1,7 +1,8 @@
-"""Every name the package exports, and every public method and property of
-an exported class, has a reader outside the tests: code in ``src/fibrephi``
-that uses it, the benchmark harness in ``perfbench/`` or the README.  Every
-private module-level helper has a reader in the package itself.  A helper
+"""Every name the package exports, every public method and property of an
+exported class and every public module-level definition, exported or not,
+has a reader outside the tests: code in ``src/fibrephi`` that uses it, the
+benchmark harness in ``perfbench/`` or the README.  Every private
+module-level helper has a reader in the package itself.  A helper
 that only tests call belongs in the tests or nowhere."""
 
 import ast
@@ -74,14 +75,14 @@ def test_every_public_method_of_an_exported_class_has_a_reader_outside_the_tests
         for attr, value in vars(cls).items()
         if not attr.startswith("_") and isinstance(value, kinds)
     ]
-    assert ("Polynomial", "evaluate") in members
+    assert ("Polynomial", "monic") in members
     unread = set(_unread({attr for _, attr in members}))
     assert [f"{c}.{attr}" for c, attr in members if attr in unread] == []
 
 
-def _private_definitions() -> list[str]:
-    """The ``_``-prefixed functions, classes and constants that a module of
-    the package defines at module level (dunder names aside)."""
+def _module_definitions() -> list[str]:
+    """The functions, classes and constants that a module of the package
+    defines at module level (dunder names aside), as ``module.name``."""
     names = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -93,16 +94,19 @@ def _private_definitions() -> list[str]:
                 targets = [node.target.id]
             else:
                 targets = []
-            names += [
-                f"{path.stem}.{name}"
-                for name in targets
-                if name.startswith("_") and not name.startswith("__")
-            ]
+            names += [f"{path.stem}.{name}" for name in targets if not name.startswith("__")]
     return names
 
 
+def test_every_public_definition_of_a_module_has_a_reader_outside_the_tests():
+    public = [d for d in _module_definitions() if not d.split(".")[1].startswith("_")]
+    assert "geometry.relative_terms" in public and "cli.required_max_power" in public
+    unread = set(_unread({d.split(".")[1] for d in public}))
+    assert [d for d in public if d.split(".")[1] in unread] == []
+
+
 def test_every_private_helper_has_a_reader_in_the_package():
-    helpers = _private_definitions()
+    helpers = [d for d in _module_definitions() if d.split(".")[1].startswith("_")]
     assert "groebner._buchberger" in helpers and "poly._NAME_RE" in helpers
     read = _names_read_in_package()
     assert [h for h in helpers if h.split(".")[1] not in read] == []

@@ -36,6 +36,7 @@ from fibrephi.cli import load_setup, required_max_power
 from fibrephi.errors import (
     EmptySpaceError,
     FibrephiError,
+    InternalInconsistencyError,
     OffTargetError,
     PreconditionError,
     ResourceLimitError,
@@ -46,10 +47,10 @@ from fibrephi.geometry import (
     LEX,
     ProjectionSetup,
     _certified_pure,
+    _complete_intersection,
     _rational_sqrt,
     _splitter_candidates,
     _univariate_coefficients,
-    _unmixed_dimension,
     _variable_cut_bound,
     relative_terms,
     single_rational_point,
@@ -206,7 +207,7 @@ def test_fibre_over_a_smooth_cone_point():
 
 def test_fibre_off_target_is_rejected():
     setup = quadric_cone_setup()
-    with pytest.raises(OffTargetError):
+    with pytest.raises(OffTargetError, match=r"target equation -y2\*y3 \+ y1\*y4\Z"):
         fibre_at_point(setup, (1, 0, 0, 1))  # y1*y4 - y2*y3 = 1 there
 
 
@@ -644,6 +645,18 @@ def test_stabilize_makes_a_unit_ideal_a_unit_locus():
     _, locus, rel, image = geometry._stabilize(J, Ideal(ring.target_ring()))
     assert locus.is_unit() and image.is_unit()
     assert rel == []
+
+
+def test_stabilize_refuses_a_flagged_coefficient_that_j_holds(monkeypatch):
+    # A flagged leading coefficient never lies in J, as J's basis is reduced,
+    # so every round grows J and the rounds end.  One that J already held
+    # would leave J as it is: that is an internal fault, not another round.
+    ring = PolynomialRing(("y",), ("x",))
+    J = Ideal(ring, [P("y", ring), P("x - 1", ring)])
+    y = P("y", ring.target_ring())
+    monkeypatch.setattr(geometry, "relative_terms", lambda _: [((1,), y)])
+    with pytest.raises(InternalInconsistencyError, match="already lies in J"):
+        geometry._stabilize(J, Ideal(ring.target_ring()))
 
 
 @pytest.mark.parametrize(
@@ -1088,7 +1101,7 @@ def test_split_coordinate_cross():
     # on a component, so the unmixedness shortcut must not skip them
     ring = PolynomialRing(("y",), ("x",))
     J = Ideal(ring, [P("y*x", ring)])
-    assert _unmixed_dimension(J) == 1
+    assert krull_dimension(J) == 1 and _complete_intersection(J, 1)
     pieces = split_components(J)
     varieties = {tuple(str(g) for g in p.groebner_basis().elements) for p in pieces}
     assert varieties == {("x",), ("y",)}
@@ -1136,7 +1149,7 @@ def test_impurity_of_plane_plus_line():
     # two generators, codimension 1: no unmixedness certificate
     ring = PolynomialRing((), ("x", "y", "z"))
     J = Ideal(ring, [P("x*y", ring), P("x*z", ring)])
-    assert _unmixed_dimension(J) is None
+    assert not _complete_intersection(J, krull_dimension(J))
     result = pure_dimension_check(J)
     assert (result.pure, result.dim, result.piece_dims) == (False, 2, (2, 1))
 
@@ -1158,7 +1171,7 @@ def test_an_unsplit_piece_hiding_a_line_is_not_pure():
     )
     J = setup.total_ideal
     assert split_components(J) == [J]
-    assert _unmixed_dimension(J) is None and not _certified_pure(J)
+    assert not _complete_intersection(J, krull_dimension(J)) and not _certified_pure(J)
     result = pure_dimension_check(J)
     assert (result.pure, result.dim, result.piece_dims) == (None, 3, (3,))
 
@@ -1170,7 +1183,7 @@ def test_a_redundant_generator_keeps_a_piece_certified():
     setup = quadric_cone_setup()
     g = setup.source_generators[0]
     J = setup.total_ideal.added([setup.ring.variable("x") * g])
-    assert _unmixed_dimension(J) is None and _certified_pure(J)
+    assert not _complete_intersection(J, krull_dimension(J)) and _certified_pure(J)
     result = pure_dimension_check(J)
     assert (result.pure, result.dim, result.piece_dims) == (True, 3, (3,))
 
@@ -1277,7 +1290,7 @@ def test_every_piece_carries_a_purity_certificate(name):
     # A pure verdict needs X or every piece certified; here both are, so no
     # document can drift to pure: null.
     J = replayed_setup(name).total_ideal
-    assert _unmixed_dimension(J) is not None
+    assert _complete_intersection(J, krull_dimension(J))
     assert all(map(_certified_pure, split_components(J)))
     assert pure_dimension_check(J).pure is True
 
@@ -1322,7 +1335,7 @@ def test_unmixed_certificate_saturation_counts(monkeypatch, fixture_dir):
     # certificate skips all of them.
     setup = load_setup(fixture_dir / "cyclic_forms_n3_l3.setup").setup
     J = fibred_power(setup, 2)
-    assert _unmixed_dimension(J) == 7
+    assert krull_dimension(J) == 7 and _complete_intersection(J, 7)
     calls = []
     saturate = geometry.saturation
 
@@ -1371,7 +1384,7 @@ def _model_single_point(I):
         if power(g.ring.variable(name) - root, degree) != g:
             return None
         coords[name] = root
-    if any(g.evaluate(coords) != 0 for g in I.generators):
+    if any(reference_map(g, ring, values=coords) for g in I.generators):
         return None
     return tuple(coords[name] for name in ring.variables)
 
@@ -1425,10 +1438,11 @@ def test_sampling_respects_closure_and_inequations():
     rng = Random(5)
     for stratum in strat.strata:
         for cell in stratum.cells:
+            ring = cell.closure.ring
             for pt in sample_cell_points(cell, rng, want=6):
                 values = dict(zip(setup.ring.target_vars, pt))
-                assert all(g.evaluate(values) == 0 for g in cell.closure.generators)
-                assert all(h.evaluate(values) != 0 for h in cell.inequations)
+                assert not any(reference_map(g, ring, values=values) for g in cell.closure.generators)
+                assert all(reference_map(h, ring, values=values) for h in cell.inequations)
                 assert all(abs(c.numerator) <= 10**6 for c in pt)
 
 
@@ -1566,9 +1580,9 @@ def _reference_sample_cell_points(cell, rng, want):
         if not ok:
             continue
         point = tuple(values[name] for name in ring.variables)
-        if any(g.evaluate(values) != 0 for g in closure.generators):
+        if any(reference_map(g, ring, values=values) for g in closure.generators):
             continue
-        if any(h.evaluate(values) == 0 for h in cell.inequations):
+        if not all(reference_map(h, ring, values=values) for h in cell.inequations):
             continue
         if point not in seen:
             seen.add(point)

@@ -248,9 +248,12 @@ def test_polynomial_rejects_non_integer_exponents():
         lambda ring, x: x.scale(0.1),
         lambda ring, x: x * 0.5,
         lambda ring, x: _ring_map([x], ring, range(2), {0: 0.1}),
-        lambda ring, x: x.evaluate({"y": 0, "x": 0.5}),
-        lambda ring, x: x.evaluate({"y": 0.5, "x": 0}),  # y is unused, still refused
-        lambda ring, x: x.evaluate({"y": 0, "x": "1/2"}),
+        # a point check maps every variable to a value
+        lambda ring, x: _ring_map([x], ring, range(2), {0: 0, 1: 0.5}),
+        # y is unused, still refused
+        lambda ring, x: _ring_map([x], ring, range(2), {0: 0.5, 1: 0}),
+        lambda ring, x: _ring_map([x], ring, range(2), {0: 0, 1: "1/2"}),
+        lambda ring, x: _ring_map([], ring, range(2), {0: 0, 1: 0.5}),  # no polynomial to map
     ],
     ids=[
         "float-term",
@@ -259,9 +262,10 @@ def test_polynomial_rejects_non_integer_exponents():
         "scale",
         "scalar-product",
         "ring-map",
-        "evaluate",
-        "evaluate-unused",
-        "evaluate-string",
+        "point",
+        "point-unused",
+        "point-string",
+        "point-no-polynomials",
     ],
 )
 def test_coefficients_and_values_must_be_int_or_fraction(make):
@@ -404,16 +408,6 @@ def test_specialize_on_the_cone_vertex():
     assert _specialize(p, {"y1": 0, "y2": 0, "y3": 0, "y4": 0}).is_zero
 
 
-def test_evaluate_needs_all_variables():
-    ring = ring_xy()
-    p = parse_polynomial("x*y", ring)
-    assert p.evaluate({"x": 2, "y": Fraction(1, 2)}) == 1
-    with pytest.raises(FibrephiError, match=r"evaluation misses variables \['y'\]"):
-        p.evaluate({"x": 2})
-    with pytest.raises(FibrephiError, match="unknown variable 'z'"):
-        p.evaluate({"x": 2, "y": 1, "z": 0})
-
-
 # ---------------------------------------------------------------------------
 # internally built results are canonical
 # ---------------------------------------------------------------------------
@@ -518,17 +512,6 @@ def test_specialize_is_a_homomorphism(p, q):
     assert _specialize(p + q, point) == _specialize(p, point) + _specialize(q, point)
 
 
-@given(
-    _polys,
-    st.fixed_dictionaries(
-        {v: st.fractions(min_value=-4, max_value=4, max_denominator=5) for v in _ring3.variables}
-    ),
-)
-@settings(max_examples=80)
-def test_evaluate_matches_full_specialization(p, point):
-    assert _specialize(p, point) == _ring3.constant(p.evaluate(point))
-
-
 _values = st.one_of(
     st.integers(-6, 6),
     st.booleans(),
@@ -547,9 +530,10 @@ def test_integer_paths_match_the_fraction_reference(p, point, names):
     # Assignments mix ints, bools, integral and non-integral Fractions, zero
     # and negatives.  The kernel computes with integral values as ints; no
     # denominator may get lost on the way.
-    value = p.evaluate(point)
-    assert type(value) is Fraction
-    assert reference_map(p, _ring3, values=point) == _ring3.constant(value)
+    # every variable sent to a value: the image is a constant
+    value = _specialize(p, point)
+    assert value == reference_map(p, _ring3, values=point)
+    assert value.is_constant() and all(type(c) is Fraction for _, c in value.terms())
     part = {name: point[name] for name in names}
     s = _specialize(p, part)
     assert s == reference_map(p, _ring3, values=part)
