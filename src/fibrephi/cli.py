@@ -31,8 +31,7 @@ from .geometry import (
     ProjectionSetup,
     Stratification,
     VerticalResult,
-    fibred_power,
-    has_vertical_component,
+    _power_and_vertical,
     make_setup,
 )
 from .invariant import ExtendedNat, PhiReport, analyze
@@ -324,8 +323,7 @@ def run_stratify(setup_file: SetupFile) -> ReportDocument:
 
 def run_verify_power(setup_file: SetupFile, i: int) -> ReportDocument:
     setup = setup_file.setup
-    power = fibred_power(setup, i)
-    result = has_vertical_component(setup, i)
+    power, result = _power_and_vertical(setup, i)
     document = {
         **_header("verify-power", setup_file),
         "power": i,

@@ -139,11 +139,15 @@ def make_setup(
     assert_target_locally_irreducible: bool = False,
     assert_target_pure_dimensional: bool = False,
 ) -> ProjectionSetup:
-    """Validate the input data, compute N and check n <= N and m >= 0.
+    """Validate the input data, compute N and check n <= N and that X is
+    not empty.
 
     Every generator lives in ``ring``; the ambient target and target
     generators use target variables only.  With no ``target_generators`` the
-    target is the ambient target itself.
+    target is the ambient target itself.  X is empty exactly when the
+    reduced basis of its ideal is [1], under any order; the block order with
+    the source variables dominant is asked, as the stratification reads
+    that basis anyway.  m is left for its first reader.
     """
     if not ring.target_vars:
         raise SetupError("the ring needs at least one target variable")
@@ -191,7 +195,7 @@ def make_setup(
     )
     if setup.N < setup.n:
         raise InternalInconsistencyError("ambient dimension below target dimension")
-    if setup.m < 0:
+    if setup.total_ideal.groebner_basis(Block(ring.split)).elements == (ring.one(),):
         raise EmptySpaceError("the source space X is empty (unit ideal)")
     return setup
 
@@ -214,9 +218,10 @@ def fibre_at_point(
     if len(point) != yring.arity:
         raise OffTargetError(f"expected {yring.arity} coordinates, got {len(point)}")
     values = dict(enumerate(point))
-    for g, image in zip(gens, _ring_map(gens, yring, range(yring.arity), values)):
-        if image:
-            raise OffTargetError(f"point does not satisfy target equation {g}")
+    if gens:  # the fibre's ring map below checks the coordinates either way
+        for g, image in zip(gens, _ring_map(gens, yring, range(yring.arity), values)):
+            if image:
+                raise OffTargetError(f"point does not satisfy target equation {g}")
     # The target equations vanish at the point, so X's ideal specializes to
     # the source generators' values, each source variable keeping its place
     # in the source ring; the Ideal drops the zero ones.
@@ -250,7 +255,7 @@ def relative_terms(J: Ideal) -> list[tuple[Monomial, Polynomial]]:
             groups.setdefault(mono[split:], {})[mono[:split]] = coeff
         x_lead = max(groups, key=GREVLEX.key)
         if any(x_lead):
-            out.append((x_lead, Polynomial(yring, groups[x_lead])))
+            out.append((x_lead, Polynomial._trusted(yring, groups[x_lead])))
     return out
 
 
@@ -676,6 +681,12 @@ def has_vertical_component(setup: ProjectionSetup, i: int) -> VerticalResult:
     generic cell, or when neither count fires, saturations decide
     (``_vertical``).
     """
+    return _power_and_vertical(setup, i)[1]
+
+
+def _power_and_vertical(setup: ProjectionSetup, i: int) -> tuple[Ideal, VerticalResult]:
+    """The ideal of X^(i) and ``has_vertical_component(setup, i)``, the power
+    built once for a caller that reads both."""
     if not setup.assert_target_locally_irreducible:
         raise PreconditionError(
             "vertical-component detection requires the locally-irreducible attestation"
@@ -688,8 +699,8 @@ def has_vertical_component(setup: ProjectionSetup, i: int) -> VerticalResult:
     else:
         certified = _vertical_by_dimension(setup, J, i)
         if certified is not None:
-            return certified
-    return _vertical(J, setup.n)
+            return J, certified
+    return J, _vertical(J, setup.n)
 
 
 def _meet_dimension(cell: Cell, h: Polynomial) -> int:
@@ -807,16 +818,20 @@ def _vertical(J: Ideal, n: int) -> VerticalResult:
 def single_rational_point(I: Ideal) -> tuple[Fraction, ...] | None:
     """The unique point of V(I) when it is one rational point, else None.
 
-    For each variable the univariate elimination ideal must be generated by a
-    power of a linear factor with a rational root; the combined candidate is
-    then verified against every generator.  This certifies the variety over
-    the complex numbers, not just its rational points.
+    For each variable v the univariate elimination ideal must be generated
+    by a power (v - a)^d of a linear factor with a rational root a.  Then
+    V(I) is the one point of these roots, over the complex numbers, not just
+    among the rational points, and no generator needs checking there: I is
+    proper and zero-dimensional, so V(I) has a complex point (the weak
+    Nullstellensatz; Cox, Little and O'Shea, Ch. 4 Sec. 1), and each
+    coordinate of any such point is a root of its variable's (v - a)^d,
+    which lies in I.
     """
     ring = I.ring
     if krull_dimension(I) != 0:
         return None
-    coords: dict[int, Fraction] = {}
-    for i, name in enumerate(ring.variables):
+    coords: list[Fraction] = []
+    for name in ring.variables:
         flat = PolynomialRing((name, *[v for v in ring.variables if v != name]), ())
         lifted = Ideal(flat, [transport(g, flat) for g in I.generators])
         # I is proper of dimension 0, so every I meet Q[v] is nonzero (the
@@ -830,10 +845,8 @@ def single_rational_point(I: Ideal) -> tuple[Fraction, ...] | None:
         root = -coeffs[degree - 1] / degree
         if any(c != comb(degree, j) * (-root) ** (degree - j) for j, c in enumerate(coeffs)):
             return None
-        coords[i] = root
-    if any(_ring_map(I.generators, ring, range(ring.arity), coords)):
-        return None
-    return tuple(coords.values())
+        coords.append(root)
+    return tuple(coords)
 
 
 # ---------------------------------------------------------------------------

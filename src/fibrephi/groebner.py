@@ -366,11 +366,20 @@ def _leading_monomials(ideal: Ideal) -> list[Monomial]:
 
 
 def _inverted(ideal: Ideal, h: Polynomial) -> Ideal:
-    """``ideal + (1 - t*h)`` in the ring extended by a fresh last variable t."""
+    """``ideal + (1 - t*h)`` in the ring extended by a fresh last variable t.
+
+    ``h`` lives in the ideal's ring.  t comes last, so each exponent tuple
+    gains a trailing 0, or a trailing 1 in ``t*h``; ``1 - t*h`` lists its
+    constant term first.
+    """
     ext = ideal.ring.extend([ideal.ring.fresh_name("t")])
-    t = ext.variable(ext.variables[-1])
-    gens = [transport(g, ext) for g in ideal.generators]
-    gens.append(ext.one() - t * transport(h, ext))
+    gens = [
+        Polynomial._trusted(ext, {m + (0,): c for m, c in g._terms.items()})
+        for g in ideal.generators
+    ]
+    inverse = {(0,) * ext.arity: Fraction(1)}
+    inverse.update((m + (1,), -c) for m, c in h._terms.items())
+    gens.append(Polynomial._trusted(ext, inverse))
     return Ideal(ext, gens)
 
 

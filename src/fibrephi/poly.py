@@ -86,6 +86,8 @@ class PolynomialRing:
             raise FibrephiError(f"unknown variable {name!r}") from None
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, PolynomialRing)
             and self.target_vars == other.target_vars
@@ -223,9 +225,11 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
+        # over the monomials only: equal polynomials have equal monomial sets,
+        # and no coefficient is hashed
         h = self._hash
         if h is None:
-            h = hash((self.ring, frozenset(self._terms.items())))
+            h = hash((self.ring, frozenset(self._terms)))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -353,7 +357,7 @@ def transport(p: Polynomial, ring: PolynomialRing) -> Polynomial:
 
 
 def _ring_map(
-    polys: Iterable[Polynomial],
+    polys: Sequence[Polynomial],
     ring: PolynomialRing,
     column: Sequence[int | None],
     values: Mapping[int, Scalar],
@@ -370,9 +374,15 @@ def _ring_map(
     coefficient is a ``Fraction``.  Each value's table of powers serves all
     of ``polys``; with no values there is none.  A point check sends every
     variable to a value; each image is then a constant, zero exactly where
-    its polynomial vanishes.
+    its polynomial vanishes, and each term folds straight into that
+    constant.
     """
+    # the values are checked even when there is nothing to map
     tables = {i: (_integral(v), {}) for i, v in values.items()} if values else {}
+    if not polys:
+        return []
+    if all(i in tables for i in range(polys[0].ring.arity)):
+        return [_folded(p, tables, ring) for p in polys]
     arity = ring.arity
     result = []
     for p in polys:
@@ -412,3 +422,24 @@ def _ring_map(
                     del out[key]
         result.append(Polynomial._trusted(ring, out))
     return result
+
+
+def _folded(p: Polynomial, tables: dict, ring: PolynomialRing) -> Polynomial:
+    """``p`` with every variable sent to its value, as a constant of ``ring``.
+
+    Each term's factor from the values meets its coefficient once and is
+    summed; an integral coefficient enters as an int, so with integral
+    values the whole sum is integer arithmetic and one ``Fraction`` is made.
+    """
+    total = 0
+    for mono, coeff in p._terms.items():
+        factor = 1
+        for i, e in enumerate(mono):
+            if e:
+                v, table = tables[i]
+                ve = table.get(e)
+                if ve is None:
+                    ve = table[e] = v**e
+                factor *= ve
+        total += (coeff.numerator if coeff.denominator == 1 else coeff) * factor
+    return Polynomial._trusted(ring, {(0,) * ring.arity: _exact(total)} if total else {})

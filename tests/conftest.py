@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fibrephi import Polynomial, PolynomialRing, make_setup, parse_polynomial
+from fibrephi import Polynomial, PolynomialRing, groebner, make_setup, parse_polynomial
 from fibrephi.errors import FibrephiError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -16,6 +16,21 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 @pytest.fixture(scope="session")
 def fixture_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def buchberger_runs(monkeypatch) -> list[tuple]:
+    """Every Buchberger run the test makes, in order, as the pair of the
+    monomial order and the list of generator term dicts it was given."""
+    runs = []
+    run = groebner._buchberger
+
+    def recording(seq, key):
+        runs.append((key.__self__, seq))
+        return run(seq, key)
+
+    monkeypatch.setattr(groebner, "_buchberger", recording)
+    return runs
 
 
 def ring_xy() -> PolynomialRing:

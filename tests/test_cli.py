@@ -6,7 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from fibrephi import Ideal, PolynomialRing, analyze, geometry, groebner, parse_polynomial
+from fibrephi import (
+    GREVLEX,
+    Ideal,
+    PolynomialRing,
+    analyze,
+    cli,
+    geometry,
+    groebner,
+    parse_polynomial,
+)
 from fibrephi.cli import (
     EXIT_CORPUS_MISMATCH,
     EXIT_ERROR,
@@ -251,6 +260,32 @@ def test_verify_power_document(fixture_dir):
     assert doc["vertical"]["verdict"] is True
     assert doc["power"] == 3
     assert run_verify_power(loaded, 2).document["vertical"]["verdict"] is False
+
+
+def test_verify_power_builds_its_power_once_and_no_grevlex_basis_of_x(
+    fixture_dir, monkeypatch, buchberger_runs
+):
+    # verify-power reads neither m nor X's grevlex basis, and the document
+    # lists the very power the vertical test ran on
+    loaded = load_setup(fixture_dir / "cyclic_forms_n3_l3.setup")
+    setup = loaded.setup
+    powers = []
+    build = geometry.fibred_power
+
+    def recording(at, i):
+        powers.append(build(at, i))
+        return powers[-1]
+
+    for module in (geometry, cli):  # every namespace that could hold it
+        monkeypatch.setattr(module, "fibred_power", recording, raising=False)
+    doc = run_verify_power(loaded, 3).document
+    assert doc["vertical"]["verdict"] is True
+    assert len(powers) == 1
+    assert doc["generators"] == [str(g) for g in powers[0].generators]
+    assert GREVLEX not in setup.total_ideal._cache
+    arity = setup.ring.arity
+    in_x = [order for order, seq in buchberger_runs if any(len(m) == arity for d in seq for m in d)]
+    assert in_x and GREVLEX not in in_x
 
 
 @pytest.mark.parametrize("i", [2, 3])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fibrephi import (
     GREVLEX,
     Ideal,
-    groebner,
+    Polynomial,
     PolynomialRing,
     elimination_ideal,
     fibre_at_point,
@@ -103,6 +103,18 @@ def test_setup_detects_empty_source():
     ring = PolynomialRing(("y",), ("x",))
     with pytest.raises(EmptySpaceError):
         make_setup(ring, [], [P("x", ring), P("x - 1", ring)])
+
+
+@pytest.mark.parametrize(
+    "ambient, sources",
+    [([], ["3"]), (["y"], ["y*x - 1"])],
+    ids=["constant", "hyperbola-over-its-asymptote"],
+)
+def test_setup_detects_an_empty_source_by_its_block_basis(ambient, sources):
+    # X is empty exactly when its reduced basis is [1], under any order
+    ring = PolynomialRing(("y",), ("x",))
+    with pytest.raises(EmptySpaceError, match=r"X is empty \(unit ideal\)"):
+        make_setup(ring, [P(g, ring) for g in ambient], [P(g, ring) for g in sources])
 
 
 def test_setup_checks_target_inside_ambient():
@@ -664,24 +676,19 @@ def test_stabilize_refuses_a_flagged_coefficient_that_j_holds(monkeypatch):
     [("y*x - 1", ("y",)), ("y", ("y",)), ("x*y1, x^2 - x", ("y1", "y2"))],
     ids=["hyperbola", "not_dense", "two_elements"],
 )
-def test_stratification_builds_no_basis_twice(monkeypatch, text, target_vars):
-    # The root node works on X's ideal itself, and a grown locus stays in its
-    # node, so no basis is built twice and X's block basis stays cached for
-    # the purity check and the dimension counts.
+def test_stratification_builds_no_basis_twice(buchberger_runs, text, target_vars):
+    # The root node works on X's ideal itself, whose block basis the setup's
+    # emptiness check built, and a grown locus stays in its node, so no basis
+    # is built twice and X's block basis stays cached for the purity check
+    # and the dimension counts.
     setup = simple_setup(text, target_vars)
-    runs = []  # the order and generator set of every Buchberger run
-    buchberger = groebner._buchberger
-
-    def recording(seq, key):
-        runs.append((key.__self__, frozenset(frozenset(d.items()) for d in seq)))
-        return buchberger(seq, key)
-
-    monkeypatch.setattr(groebner, "_buchberger", recording)
     setup.stratification
+    # the order and generator set of every Buchberger run
+    runs = [(order, frozenset(frozenset(d.items()) for d in seq)) for order, seq in buchberger_runs]
     assert runs and len(set(runs)) == len(runs)
-    runs.clear()
+    buchberger_runs.clear()
     relative_terms(setup.total_ideal)
-    assert runs == []
+    assert buchberger_runs == []
 
 
 def test_vertical_falls_back_when_the_image_is_not_dense(monkeypatch):
@@ -898,6 +905,43 @@ def test_stratification_replays_the_requeueing_loop(name):
     assert (dropped > 0) is (name == "unions")
 
 
+def transported_inversion(ideal, h):
+    """``ideal + (1 - t*h)`` built by transporting each generator into the
+    extended ring by name and h through polynomial arithmetic."""
+    ext = ideal.ring.extend([ideal.ring.fresh_name("t")])
+    t = ext.variable(ext.variables[-1])
+    gens = [transport(g, ext) for g in ideal.generators]
+    gens.append(ext.one() - t * transport(h, ext))
+    return Ideal(ext, gens)
+
+
+def with_and_without_constant(g):
+    """``g`` less its constant term, and that plus 3."""
+    terms = {m: c for m, c in g.as_dict().items() if any(m)}
+    bare = Polynomial(g.ring, terms) if terms else g.ring.variable(g.ring.variables[-1])
+    return [bare, bare + 3]
+
+
+@pytest.mark.parametrize("name", ["random", "unions"])
+def test_inverted_matches_the_transported_construction(name):
+    # same ring, generators in the same order, and each generator's terms
+    # inserted in the same order; an input ring holding "t" gets "t_"
+    rings = [PolynomialRing(("t",), ("x",))]
+    ideals = [Ideal(rings[0], [P("t*x - 1", rings[0]), P("x^2 + t", rings[0])])]
+    ideals += [setup.total_ideal for setup in replay_setups(name)]
+    for ideal in ideals:
+        for g in ideal.generators:
+            for h in with_and_without_constant(g):
+                built, reference = _inverted(ideal, h), transported_inversion(ideal, h)
+                assert built.ring.variables == reference.ring.variables
+                assert built == reference
+                assert [list(g.as_dict().items()) for g in built.generators] == [
+                    list(g.as_dict().items()) for g in reference.generators
+                ]
+                assert all(type(c) is Fraction for g in built.generators for _, c in g.terms())
+    assert _inverted(ideals[0], ideals[0].generators[0]).ring.variables[-1] == "t_"
+
+
 def probe_polynomials(setup):
     """The relative leading coefficients of X, each target variable,
     1 + 2*y1 + 3*y2 + ... and y1*yn - y1, in the target ring."""
@@ -954,7 +998,7 @@ def test_cell_meet_bases_against_sympy_oracle(name):
         _assert_basis_matches_sympy(ideal, GREVLEX, "grevlex")
 
 
-def test_meet_dimension_with_a_cell_inequation_builds_no_basis(monkeypatch):
+def test_meet_dimension_with_a_cell_inequation_builds_no_basis(buchberger_runs):
     # An inequation h of a cell C does not vanish on C, so C meet V(h) is
     # empty: the answer -1 needs no Groebner basis.
     cells = [
@@ -963,17 +1007,10 @@ def test_meet_dimension_with_a_cell_inequation_builds_no_basis(monkeypatch):
         for stratum in replayed_setup(name).stratification.strata
         for cell in stratum.cells
     ]
-    runs = []
-    buchberger = groebner._buchberger
-
-    def recording(seq, key):
-        runs.append(seq)
-        return buchberger(seq, key)
-
-    monkeypatch.setattr(groebner, "_buchberger", recording)
+    buchberger_runs.clear()
     asked = [geometry._meet_dimension(cell, h) for cell in cells for h in cell.inequations]
     assert asked and set(asked) == {-1}
-    assert runs == []
+    assert buchberger_runs == []
 
 
 def test_stratification_is_kept_and_a_cap_hit_is_not(monkeypatch):
@@ -990,7 +1027,9 @@ def test_stratification_is_kept_and_a_cap_hit_is_not(monkeypatch):
     assert setup.stratification is strat
 
 
-def test_dimension_counts_build_no_basis_in_the_power_ring(monkeypatch, fixture_dir):
+def test_dimension_counts_build_no_basis_in_the_power_ring(
+    monkeypatch, buchberger_runs, fixture_dir
+):
     # Given X's stratification, each power's counts come from dimensions in
     # the target ring and in that ring plus one Rabinowitsch variable; none is
     # in the ring of J_i (7, 11 and 15 variables here).  Where the generators'
@@ -999,22 +1038,19 @@ def test_dimension_counts_build_no_basis_in_the_power_ring(monkeypatch, fixture_
     # basis built, which may be none.
     setup = load_setup(fixture_dir / "cyclic_forms_n3_l3.setup").setup
     setup.stratification  # X's own bases, built before recording
-    asked, built = [], set()
-    dimension, buchberger = geometry.krull_dimension, groebner._buchberger
+    buchberger_runs.clear()
+    asked = []
+    dimension = geometry.krull_dimension
 
     def recording_dimension(ideal):
         asked.append(ideal.ring.arity)
         return dimension(ideal)
 
-    def recording_buchberger(seq, key):
-        built.update(len(m) for p in seq for m in p)
-        return buchberger(seq, key)
-
     monkeypatch.setattr(geometry, "krull_dimension", recording_dimension)
-    monkeypatch.setattr(groebner, "_buchberger", recording_buchberger)
     verdicts = [has_vertical_component(setup, i).verdict for i in (1, 2, 3)]
     assert verdicts == [False, False, True]
     assert asked and max(asked) <= setup.n + 1
+    built = [len(m) for _, seq in buchberger_runs for p in seq for m in p]
     assert max(built, default=0) <= setup.n + 1
 
 
@@ -1423,6 +1459,53 @@ def test_single_point_matches_the_model_check(roots, mix):
         assert point == tuple(rs[0] for rs in roots)
     else:
         assert point is None
+
+
+def _assert_vanishes_at(I, point):
+    values = dict(zip(I.ring.variables, point))
+    assert not any(reference_map(g, I.ring, values=values) for g in I.generators), (I, point)
+
+
+def test_single_point_of_each_special_image_satisfies_every_generator():
+    # the point is certified by the elimination ideals alone; every generator
+    # of the image ideal vanishes there all the same
+    found = 0
+    for name in REPLAYED:
+        for stratum in replayed_setup(name).stratification.strata:
+            point = single_rational_point(stratum.image_ideal)
+            if point is not None:
+                _assert_vanishes_at(stratum.image_ideal, point)
+                found += 1
+    assert found > 0
+
+
+def _one_point_ideal(rng):
+    """A random ideal whose zero set is one rational point a, and a: the
+    generator for y_j is L_j^d plus multiples of the later L_k, L_k the
+    linear form with root a_k, so the zero set is found back to front."""
+    count = rng.randint(1, 3)
+    ring = PolynomialRing(tuple(f"y{j}" for j in range(1, count + 1)), ())
+    point = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(count))
+    linear = [
+        a.denominator * ring.variable(name) - a.numerator for name, a in zip(ring.variables, point)
+    ]
+    gens = []
+    for j, L in enumerate(linear):
+        g = power(L, rng.randint(1, 3))
+        for later in linear[j + 1 :]:
+            mono = tuple(rng.randint(0, 1) for _ in ring.variables)
+            g = g + Polynomial(ring, {mono: rng.randint(-3, 3)}) * later
+        gens.append(g)
+    return Ideal(ring, gens), point
+
+
+def test_single_point_of_a_random_one_point_ideal_satisfies_every_generator():
+    rng = Random(32)
+    for _ in range(40):
+        I, expected = _one_point_ideal(rng)
+        point = single_rational_point(I)
+        assert point == expected, I
+        _assert_vanishes_at(I, point)
 
 
 def test_single_point_refuses_an_irreducible_quadratic():

@@ -643,3 +643,44 @@ def test_ring_map_matches_the_fraction_reference(polys, target):
     assert mapped == expected
     for m in mapped:
         _assert_canonical(m)
+
+
+@given(
+    st.lists(_polys, min_size=1, max_size=3),
+    st.fixed_dictionaries({i: _values for i in range(3)}),
+    st.sampled_from(_map_targets),
+)
+@settings(max_examples=150)
+# y - x1 at y = x1 = 2 cancels to zero; x2 takes a Fraction
+@example(
+    [_p3({(1, 0, 0): 1, (0, 1, 0): -1}), _p3({(0, 0, 2): Fraction(3, 2), (0, 0, 0): 1})],
+    {0: 2, 1: Fraction(2), 2: Fraction(-1, 3)},
+    _map_targets[0],
+)
+def test_full_ring_map_folds_to_the_fraction_reference(polys, values, ring):
+    # every variable has a value, so no column is read and each image is a
+    # constant of ``ring``, zero where its polynomial vanishes
+    named = {_ring3.variables[i]: v for i, v in values.items()}
+    mapped = _ring_map(polys, ring, [None] * 3, values)
+    assert mapped == [reference_map(p, ring, values=named) for p in polys]
+    for m in mapped:
+        assert m.is_constant()
+        _assert_canonical(m)
+
+
+def test_full_ring_map_refuses_a_float_value():
+    p = _p3({(1, 1, 1): 2})
+    with pytest.raises(FibrephiError, match="not an int or Fraction"):
+        _ring_map([p], _ring3, range(3), {0: 1, 1: Fraction(1, 2), 2: 0.5})
+
+
+@given(_polys, st.randoms(use_true_random=False))
+@settings(max_examples=80)
+def test_hash_ignores_term_order_and_sets_keep_coefficients_apart(p, rng):
+    terms = list(p.as_dict().items())
+    rng.shuffle(terms)
+    shuffled = Polynomial(_ring3, dict(terms))
+    assert shuffled == p and hash(shuffled) == hash(p)
+    # the same monomials under other coefficients: an equal hash, a distinct element
+    doubled = p.scale(2)
+    assert len({p, shuffled, doubled}) == (1 if p.is_zero else 2)
