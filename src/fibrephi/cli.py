@@ -31,7 +31,8 @@ from .geometry import (
     ProjectionSetup,
     Stratification,
     VerticalResult,
-    _power_and_vertical,
+    fibred_power,
+    has_vertical_component,
     make_setup,
 )
 from .invariant import ExtendedNat, PhiReport, analyze
@@ -323,7 +324,8 @@ def run_stratify(setup_file: SetupFile) -> ReportDocument:
 
 def run_verify_power(setup_file: SetupFile, i: int) -> ReportDocument:
     setup = setup_file.setup
-    power, result = _power_and_vertical(setup, i)
+    power = fibred_power(setup, i)
+    result = has_vertical_component(setup, i)
     document = {
         **_header("verify-power", setup_file),
         "power": i,

@@ -147,7 +147,8 @@ def make_setup(
     target is the ambient target itself.  X is empty exactly when the
     reduced basis of its ideal is [1], under any order; the block order with
     the source variables dominant is asked, as the stratification reads
-    that basis anyway.  m is left for its first reader.
+    that basis anyway.  m is left for its first reader, unless that basis
+    hits a Groebner cap: then m < 0 decides.
     """
     if not ring.target_vars:
         raise SetupError("the ring needs at least one target variable")
@@ -195,7 +196,13 @@ def make_setup(
     )
     if setup.N < setup.n:
         raise InternalInconsistencyError("ambient dimension below target dimension")
-    if setup.total_ideal.groebner_basis(Block(ring.split)).elements == (ring.one(),):
+    try:
+        empty = setup.total_ideal.groebner_basis(Block(ring.split)).elements == (ring.one(),)
+    except ResourceLimitError:
+        # the stratification meets the same cap and leaves the vertical
+        # test to the saturation path
+        empty = setup.m < 0
+    if empty:
         raise EmptySpaceError("the source space X is empty (unit ideal)")
     return setup
 
@@ -218,10 +225,9 @@ def fibre_at_point(
     if len(point) != yring.arity:
         raise OffTargetError(f"expected {yring.arity} coordinates, got {len(point)}")
     values = dict(enumerate(point))
-    if gens:  # the fibre's ring map below checks the coordinates either way
-        for g, image in zip(gens, _ring_map(gens, yring, range(yring.arity), values)):
-            if image:
-                raise OffTargetError(f"point does not satisfy target equation {g}")
+    for g, image in zip(gens, _ring_map(gens, yring, range(yring.arity), values)):
+        if image:
+            raise OffTargetError(f"point does not satisfy target equation {g}")
     # The target equations vanish at the point, so X's ideal specializes to
     # the source generators' values, each source variable keeping its place
     # in the source ring; the Ideal drops the zero ones.
@@ -681,12 +687,6 @@ def has_vertical_component(setup: ProjectionSetup, i: int) -> VerticalResult:
     generic cell, or when neither count fires, saturations decide
     (``_vertical``).
     """
-    return _power_and_vertical(setup, i)[1]
-
-
-def _power_and_vertical(setup: ProjectionSetup, i: int) -> tuple[Ideal, VerticalResult]:
-    """The ideal of X^(i) and ``has_vertical_component(setup, i)``, the power
-    built once for a caller that reads both."""
     if not setup.assert_target_locally_irreducible:
         raise PreconditionError(
             "vertical-component detection requires the locally-irreducible attestation"
@@ -699,8 +699,8 @@ def _power_and_vertical(setup: ProjectionSetup, i: int) -> tuple[Ideal, Vertical
     else:
         certified = _vertical_by_dimension(setup, J, i)
         if certified is not None:
-            return J, certified
-    return J, _vertical(J, setup.n)
+            return certified
+    return _vertical(J, setup.n)
 
 
 def _meet_dimension(cell: Cell, h: Polynomial) -> int:

@@ -357,7 +357,7 @@ def transport(p: Polynomial, ring: PolynomialRing) -> Polynomial:
 
 
 def _ring_map(
-    polys: Sequence[Polynomial],
+    polys: Iterable[Polynomial],
     ring: PolynomialRing,
     column: Sequence[int | None],
     values: Mapping[int, Scalar],
@@ -372,24 +372,20 @@ def _ring_map(
     integral one is an int, a term's factor from the values is an integer
     product that meets its coefficient once, and every stored
     coefficient is a ``Fraction``.  Each value's table of powers serves all
-    of ``polys``; with no values there is none.  A point check sends every
-    variable to a value; each image is then a constant, zero exactly where
-    its polynomial vanishes, and each term folds straight into that
-    constant.
+    of ``polys``; with no values there is none.  A term that sends no
+    variable to ``ring`` builds no exponent list: it lands on the constant
+    monomial.  A point check sends every variable to a value; each image is
+    then a constant, zero exactly where its polynomial vanishes.
     """
-    # the values are checked even when there is nothing to map
     tables = {i: (_integral(v), {}) for i, v in values.items()} if values else {}
-    if not polys:
-        return []
-    if all(i in tables for i in range(polys[0].ring.arity)):
-        return [_folded(p, tables, ring) for p in polys]
     arity = ring.arity
+    constant = (0,) * arity
     result = []
     for p in polys:
         out: dict[Monomial, Fraction] = {}
         for mono, coeff in p._terms.items():
             factor = 1
-            new = [0] * arity
+            new = None
             for i, e in enumerate(mono):
                 if not e:
                     continue
@@ -406,10 +402,12 @@ def _ring_map(
                     raise FibrephiError(
                         f"variable {p.ring.variables[i]!r} cannot be transported to {ring!r}"
                     )
+                if new is None:
+                    new = [0] * arity
                 new[j] += e
             if not factor:
                 continue
-            key = tuple(new)
+            key = constant if new is None else tuple(new)
             c = coeff if factor == 1 else coeff * factor
             total = out.get(key)
             if total is None:
@@ -422,24 +420,3 @@ def _ring_map(
                     del out[key]
         result.append(Polynomial._trusted(ring, out))
     return result
-
-
-def _folded(p: Polynomial, tables: dict, ring: PolynomialRing) -> Polynomial:
-    """``p`` with every variable sent to its value, as a constant of ``ring``.
-
-    Each term's factor from the values meets its coefficient once and is
-    summed; an integral coefficient enters as an int, so with integral
-    values the whole sum is integer arithmetic and one ``Fraction`` is made.
-    """
-    total = 0
-    for mono, coeff in p._terms.items():
-        factor = 1
-        for i, e in enumerate(mono):
-            if e:
-                v, table = tables[i]
-                ve = table.get(e)
-                if ve is None:
-                    ve = table[e] = v**e
-                factor *= ve
-        total += (coeff.numerator if coeff.denominator == 1 else coeff) * factor
-    return Polynomial._trusted(ring, {(0,) * ring.arity: _exact(total)} if total else {})

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from fibrephi import Polynomial, PolynomialRing, groebner, make_setup, parse_polynomial
-from fibrephi.errors import FibrephiError
+from fibrephi.errors import FibrephiError, ResourceLimitError
+from fibrephi.orders import Block
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -31,6 +32,21 @@ def buchberger_runs(monkeypatch) -> list[tuple]:
 
     monkeypatch.setattr(groebner, "_buchberger", recording)
     return runs
+
+
+def cap_block_bases(monkeypatch, ring: PolynomialRing) -> None:
+    """Make every block-order Buchberger run in ``ring`` hit a Groebner cap,
+    as X's basis for the stratification would on a large input; runs in
+    other rings and under other orders go through."""
+    run = groebner._buchberger
+    block = Block(ring.split)
+
+    def capped(seq, key):
+        if key.__self__ == block and all(len(m) == ring.arity for d in seq for m in d):
+            raise ResourceLimitError("Groebner reduction budget exhausted")
+        return run(seq, key)
+
+    monkeypatch.setattr(groebner, "_buchberger", capped)
 
 
 def ring_xy() -> PolynomialRing:

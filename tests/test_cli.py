@@ -32,6 +32,8 @@ from fibrephi.cli import (
 )
 from fibrephi.errors import FibrephiError, ResourceLimitError, SetupError
 
+from conftest import cap_block_bases
+
 
 def write(tmp_path: Path, text: str, name="case.setup") -> Path:
     path = tmp_path / name
@@ -262,26 +264,13 @@ def test_verify_power_document(fixture_dir):
     assert run_verify_power(loaded, 2).document["vertical"]["verdict"] is False
 
 
-def test_verify_power_builds_its_power_once_and_no_grevlex_basis_of_x(
-    fixture_dir, monkeypatch, buchberger_runs
-):
-    # verify-power reads neither m nor X's grevlex basis, and the document
-    # lists the very power the vertical test ran on
+def test_verify_power_builds_no_grevlex_basis_of_x(fixture_dir, buchberger_runs):
+    # verify-power reads neither m nor X's grevlex basis
     loaded = load_setup(fixture_dir / "cyclic_forms_n3_l3.setup")
     setup = loaded.setup
-    powers = []
-    build = geometry.fibred_power
-
-    def recording(at, i):
-        powers.append(build(at, i))
-        return powers[-1]
-
-    for module in (geometry, cli):  # every namespace that could hold it
-        monkeypatch.setattr(module, "fibred_power", recording, raising=False)
     doc = run_verify_power(loaded, 3).document
     assert doc["vertical"]["verdict"] is True
-    assert len(powers) == 1
-    assert doc["generators"] == [str(g) for g in powers[0].generators]
+    assert doc["generators"] == [str(g) for g in geometry.fibred_power(setup, 3).generators]
     assert GREVLEX not in setup.total_ideal._cache
     arity = setup.ring.arity
     in_x = [order for order, seq in buchberger_runs if any(len(m) == arity for d in seq for m in d)]
@@ -300,6 +289,26 @@ def test_verify_power_without_a_stratification_takes_the_saturation_path(
     counted = run_verify_power(load_setup(path), i).document["vertical"]
     assert "n + i*lambda" in counted["detail"]
     monkeypatch.setattr(geometry, "STRATIFY_MAX_NODES", 0)
+    loaded = load_setup(path)
+    with pytest.raises(ResourceLimitError):
+        loaded.setup.stratification
+    saturated = run_verify_power(loaded, i).document["vertical"]
+    assert "n + i*lambda" not in saturated["detail"]
+    assert saturated["verdict"] is counted["verdict"]
+
+
+@pytest.mark.parametrize("i", [2, 3])
+def test_verify_power_with_a_capped_block_basis_of_x_takes_the_saturation_path(
+    fixture_dir, monkeypatch, i
+):
+    # A cap on X's block basis, which both the emptiness check and the
+    # stratification read: the setup still loads, the stratification meets
+    # the cap, and the saturation path decides with the counts' verdict.
+    path = fixture_dir / "quadric_cone.setup"
+    uncapped = load_setup(path)
+    counted = run_verify_power(uncapped, i).document["vertical"]
+    assert "n + i*lambda" in counted["detail"]
+    cap_block_bases(monkeypatch, uncapped.setup.ring)
     loaded = load_setup(path)
     with pytest.raises(ResourceLimitError):
         loaded.setup.stratification

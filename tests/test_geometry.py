@@ -59,6 +59,7 @@ from fibrephi.groebner import _inverted, independent_set_dimension
 
 from conftest import (
     FIXTURES,
+    cap_block_bases,
     cyclic_family_setup,
     power,
     quadric_cone_setup,
@@ -115,6 +116,19 @@ def test_setup_detects_an_empty_source_by_its_block_basis(ambient, sources):
     ring = PolynomialRing(("y",), ("x",))
     with pytest.raises(EmptySpaceError, match=r"X is empty \(unit ideal\)"):
         make_setup(ring, [P(g, ring) for g in ambient], [P(g, ring) for g in sources])
+
+
+def test_setup_falls_back_on_m_when_the_block_basis_hits_a_cap(monkeypatch):
+    # the cap leaves emptiness to the dimension of X, which builds no block
+    # basis: an empty X is still refused and a nonempty one still set up
+    ring = PolynomialRing(("y",), ("x",))
+    cap_block_bases(monkeypatch, ring)
+    with pytest.raises(EmptySpaceError, match=r"X is empty \(unit ideal\)"):
+        make_setup(ring, [], [P("x", ring), P("x - 1", ring)])
+    setup = make_setup(ring, [], [P("y*x - 1", ring)])
+    assert setup.m == 1
+    with pytest.raises(ResourceLimitError):
+        setup.stratification
 
 
 def test_setup_checks_target_inside_ambient():

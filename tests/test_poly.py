@@ -657,7 +657,7 @@ def test_ring_map_matches_the_fraction_reference(polys, target):
     {0: 2, 1: Fraction(2), 2: Fraction(-1, 3)},
     _map_targets[0],
 )
-def test_full_ring_map_folds_to_the_fraction_reference(polys, values, ring):
+def test_full_ring_map_matches_the_fraction_reference(polys, values, ring):
     # every variable has a value, so no column is read and each image is a
     # constant of ``ring``, zero where its polynomial vanishes
     named = {_ring3.variables[i]: v for i, v in values.items()}
