@@ -19,6 +19,7 @@ the corpus runner compares reports against it and fails on drift.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -472,7 +473,10 @@ def _print_analysis_summary(doc: dict):
         print(f"warning: {w}")
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it;
+    it holds no request data, as each ``parse_args`` returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="fibrephi",
         description="Exact bounds for the fibre-approximation invariant of a polynomial projection.",
@@ -502,6 +506,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    The argument parser is built once per process, on the first call, and
+    every later call reuses it; importing this module builds none.
+    """
     try:
         args = build_arg_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error

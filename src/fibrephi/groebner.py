@@ -38,9 +38,7 @@ from .orders import (
     monomial_lcm,
     monomial_mul,
 )
-from .poly import Polynomial, PolynomialRing, transport
-
-PolyDict = dict[Monomial, Fraction]
+from .poly import PolyDict, Polynomial, PolynomialRing, transport
 
 # Resource caps.  Each aborts with ResourceLimitError instead of truncating a
 # result.  Each is read when it is enforced, never bound as a default

@@ -9,7 +9,9 @@ Grammar (whitespace insensitive)::
     atom    := rational | name | '(' expr ')'
     rational:= integer ('/' positive-integer)?
 
-Printing a polynomial and parsing it back is the identity.
+Printing a polynomial and parsing it back is the identity.  The arithmetic
+runs on term dicts, ``{exponent tuple: Fraction}``, through ``poly``'s sum,
+negation and product loops; each finished polynomial is wrapped once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParseError
-from .poly import Polynomial, PolynomialRing
+from .poly import PolyDict, Polynomial, PolynomialRing, _negated_terms, _product_terms, _sum_terms
 
 # Resource cap, read per polynomial: the term products parsing one polynomial
 # may form, summed over every product, each step of a power included.  A term
@@ -29,10 +31,9 @@ from .poly import Polynomial, PolynomialRing
 PARSE_MAX_TERM_PRODUCTS = 100_000
 
 
-def _weight(p: Polynomial) -> int:
+def _weight(p: PolyDict) -> int:
     return sum(
-        1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64
-        for c in p.as_dict().values()
+        1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64 for c in p.values()
     )
 
 
@@ -90,6 +91,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.ring = ring
+        self.constant = (0,) * ring.arity
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -110,11 +112,11 @@ class _Parser:
             self.error(f"integer literal of {len(tok.text)} digits is too long", tok)
             raise AssertionError("unreachable")
 
-    def product(self, p: Polynomial, q: Polynomial, op: _Token) -> Polynomial:
+    def product(self, p: PolyDict, q: PolyDict, op: _Token) -> PolyDict:
         self.budget -= _weight(p) * _weight(q)
         if self.budget < 0:
             self.error(f"expansion exceeds {PARSE_MAX_TERM_PRODUCTS} weighted term products", op)
-        return p * q
+        return _product_terms(p, q)
 
     def parse(self, many: bool) -> list[Polynomial]:
         """One polynomial, or with ``many`` a comma-separated list, each on its own budget."""
@@ -122,7 +124,7 @@ class _Parser:
         while True:
             self.budget = PARSE_MAX_TERM_PRODUCTS
             try:
-                polys.append(self.expr())
+                polys.append(Polynomial._trusted(self.ring, self.expr()))
             except RecursionError:  # reported at the '(' the stack ran out on
                 self.error("parentheses nested too deeply")
             tok = self.advance()
@@ -131,18 +133,18 @@ class _Parser:
             if not many or tok.text != ",":
                 self.error(f"unexpected trailing {tok.text!r}", tok)
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> PolyDict:
         p = self.term()
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text in "+-":
                 self.advance()
                 q = self.term()
-                p = p + q if tok.text == "+" else p - q
+                p = _sum_terms(p, q if tok.text == "+" else _negated_terms(q))
             else:
                 return p
 
-    def term(self) -> Polynomial:
+    def term(self) -> PolyDict:
         sign = 1
         while self.peek().kind == "op" and self.peek().text in "+-":
             if self.advance().text == "-":
@@ -151,9 +153,9 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text == "*":
             op = self.advance()
             p = self.product(p, self.factor(), op)
-        return p if sign > 0 else -p
+        return p if sign > 0 else _negated_terms(p)
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> PolyDict:
         p = self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             op = self.advance()
@@ -162,7 +164,7 @@ class _Parser:
                 self.error("exponent must be a natural number")
             self.advance()
             # square and multiply, each product charged to the budget
-            n, power = self.integer(tok), self.ring.one()
+            n, power = self.integer(tok), {self.constant: Fraction(1)}
             while n:
                 if n & 1:
                     power = self.product(power, p, op)
@@ -172,7 +174,7 @@ class _Parser:
             p = power
         return p
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> PolyDict:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
@@ -186,13 +188,18 @@ class _Parser:
                 den = self.integer(den_tok)
                 if den == 0:
                     self.error("zero denominator in rational literal", den_tok)
-                return self.ring.constant(Fraction(numerator, den))
-            return self.ring.constant(numerator)
+                value = Fraction(numerator, den)
+            else:
+                value = Fraction(numerator)
+            return {self.constant: value} if value else {}
         if tok.kind == "name":
             self.advance()
-            if tok.text not in self.ring.variables:
+            index = self.ring._index.get(tok.text)
+            if index is None:
                 self.error(f"unknown variable {tok.text!r}", tok)
-            return self.ring.variable(tok.text)
+            exponents = [0] * self.ring.arity
+            exponents[index] = 1
+            return {tuple(exponents): Fraction(1)}
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             p = self.expr()

@@ -20,6 +20,7 @@ from .orders import GREVLEX, Monomial, monomial_mul
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 Scalar = Fraction | int
+PolyDict = dict[Monomial, Fraction]
 
 
 def _exact(c: Scalar) -> Fraction:
@@ -38,6 +39,40 @@ def _integral(c: Scalar) -> Scalar:
     if type(c) is Fraction:
         return c.numerator if c.denominator == 1 else c
     return c if type(c) is int else _integral(_exact(c))
+
+
+def _sum_terms(a: PolyDict, b: PolyDict) -> PolyDict:
+    """The terms of a + b in a new dict, zero sums dropped: the package's one
+    sum loop, run by ``Polynomial.__add__`` and by the parser."""
+    out = dict(a)
+    for mono, coeff in b.items():
+        c = out.get(mono)
+        if c is None:
+            out[mono] = coeff
+        else:
+            c += coeff
+            if c:
+                out[mono] = c
+            else:
+                del out[mono]
+    return out
+
+
+def _product_terms(a: PolyDict, b: PolyDict) -> PolyDict:
+    """The terms of a * b in a new dict, zero sums dropped: the package's one
+    product loop, run by ``Polynomial.__mul__`` and by the parser."""
+    out: PolyDict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = monomial_mul(ma, mb)
+            c = out.get(m)
+            out[m] = ca * cb if c is None else c + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _negated_terms(a: PolyDict) -> PolyDict:
+    """The terms of -a in a new dict, run by ``Polynomial.__neg__`` and by the parser."""
+    return {m: -c for m, c in a.items()}
 
 
 class PolynomialRing:
@@ -170,7 +205,9 @@ class Polynomial:
         """Wrap ``terms`` without checking or copying it.
 
         For terms built from already validated polynomials: Groebner-engine
-        output and the results of arithmetic, substitution and transport.
+        output and the results of arithmetic, substitution and transport,
+        and the parser's results, whose literals and variables it builds to
+        this contract.
         ``terms`` must hold tuple exponents of the ring's arity, none
         negative, nonzero ``Fraction`` coefficients, and must never be mutated
         afterwards, so the element may share it.  Values from outside (a
@@ -243,23 +280,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.ring.constant(other)
         self._check_ring(other)
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            c = out.get(mono)
-            if c is None:
-                out[mono] = coeff
-            else:
-                c += coeff
-                if c:
-                    out[mono] = c
-                else:
-                    del out[mono]
-        return Polynomial._trusted(self.ring, out)
+        return Polynomial._trusted(self.ring, _sum_terms(self._terms, other._terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.ring, {m: -c for m, c in self._terms.items()})
+        return Polynomial._trusted(self.ring, _negated_terms(self._terms))
 
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -273,13 +299,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_ring(other)
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                m = monomial_mul(ma, mb)
-                c = out.get(m)
-                out[m] = ca * cb if c is None else c + ca * cb
-        return Polynomial._trusted(self.ring, {m: c for m, c in out.items() if c})
+        return Polynomial._trusted(self.ring, _product_terms(self._terms, other._terms))
 
     def __rmul__(self, other: Scalar) -> "Polynomial":
         return self.scale(other)

@@ -88,7 +88,7 @@ def reference_map(p, ring, rename=None, values=None):
 
 def power(p, n):
     """``p`` to the ``n``-th power as ``n`` plain products; the reference for
-    the parser's square-and-multiply, with no loop in common with it."""
+    the parser's square-and-multiply, whose power loop it does not share."""
     result = p.ring.one()
     for _ in range(n):
         result = result * p

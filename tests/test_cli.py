@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -633,6 +636,54 @@ def test_usage_errors_exit_1_and_help_exits_0(fixture_dir, capsys):
     assert main(["analyze", setup, "--max-power", "x"]) == EXIT_ERROR
     assert main(["--help"]) == EXIT_OK
     assert "usage:" in capsys.readouterr().out
+
+
+def test_the_argument_parser_is_built_once_and_not_at_import():
+    assert cli.build_arg_parser() is cli.build_arg_parser()
+    # a fresh interpreter: importing the module builds no parser, the first
+    # build does
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import fibrephi.cli\n"
+        "print(len(built))\n"
+        "fibrephi.cli.build_arg_parser()\n"
+        "print(len(built) > 0)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.split() == ["0", "True"]
+
+
+def test_repeated_main_calls_keep_their_arguments_apart(fixture_dir, tmp_path, capsys):
+    setup = str(fixture_dir / "hyperbola.setup")
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["analyze", setup, "--timings", "--json", str(first)]) == EXIT_OK
+    assert main(["analyze", setup, "--json", str(second)]) == EXIT_OK
+    assert "timings" in json.loads(first.read_text(encoding="utf-8"))
+    assert "timings" not in json.loads(second.read_text(encoding="utf-8"))
+
+    setup = str(fixture_dir / "quadric_cone.setup")
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    code = main(["verify-power", setup, "--i", "2", "--json", str(before)])
+    capsys.readouterr()
+    assert main(["verify-power", setup]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("usage: fibrephi verify-power")
+    assert main(["--help"]) == EXIT_OK
+    assert "usage: fibrephi" in capsys.readouterr().out
+    assert main(["verify-power", setup, "--i", "2", "--json", str(after)]) == code
+    assert after.read_bytes() == before.read_bytes()
 
 
 def test_negative_max_power_is_an_error(fixture_dir, capsys):

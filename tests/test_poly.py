@@ -17,6 +17,7 @@ from fibrephi import (
     PolynomialRing,
     parse_polynomial,
     parse_polynomial_list,
+    parser,
     transport,
 )
 from fibrephi.errors import (
@@ -191,6 +192,25 @@ def test_parse_list_budgets_each_polynomial():
     assert [len(p) for p in parse_polynomial_list(f"{text}, {text}", ring)] == [861, 861]
     with pytest.raises(ParseError, match="term products"):
         parse_polynomial_list(f"{text} * {text}", ring)
+
+
+@pytest.mark.parametrize(
+    "text, expanded, charged, column",
+    [
+        # 2*2 for (x+1)*(y+1), then 4*2 at the second '*'
+        ("(x+1)*(y+1)*(x+y)", lambda x, y: (x + 1) * (y + 1) * (x + y), 12, 12),
+        # square and multiply at the '^': 1*3, then 3*3 squaring, then 3*6
+        ("(x+y+1)^3", lambda x, y: power(x + y + 1, 3), 30, 8),
+    ],
+)
+def test_parse_budget_charges_at_each_operator(monkeypatch, text, expanded, charged, column):
+    ring = ring_xy()
+    monkeypatch.setattr(parser, "PARSE_MAX_TERM_PRODUCTS", charged)
+    assert parse_polynomial(text, ring) == expanded(ring.variable("x"), ring.variable("y"))
+    monkeypatch.setattr(parser, "PARSE_MAX_TERM_PRODUCTS", charged - 1)
+    with pytest.raises(ParseError, match=f"exceeds {charged - 1} weighted") as err:
+        parse_polynomial(text, ring)
+    assert (err.value.line, err.value.column) == (1, column)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +501,82 @@ _polys = st.dictionaries(
 @settings(max_examples=80)
 def test_print_parse_fixpoint(p):
     assert parse_polynomial(format_polynomial(p), _ring3) == p
+
+
+# Expression trees over _ring3, each with the grammar level its text parses
+# at: 0 expr, 1 term, 2 factor, 3 atom.  A child wanted at a higher level
+# than its own is put in parentheses.
+_leaves = st.one_of(
+    st.integers(0, 12).map(lambda n: ("num", Fraction(n), str(n))),
+    st.tuples(st.integers(0, 12), st.integers(1, 9)).map(
+        lambda t: ("num", Fraction(*t), f"{t[0]}/{t[1]}")
+    ),
+    st.sampled_from(_ring3.variables).map(lambda name: ("var", name)),
+)
+
+
+def _nodes(children):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*"), children, children),
+        st.tuples(st.just("^"), children, st.integers(0, 3)),
+        st.tuples(st.just("sign"), st.text("+-", min_size=1, max_size=3), children),
+        st.tuples(st.just("()"), children),
+    )
+
+
+_trees = st.recursive(_leaves, _nodes, max_leaves=8)
+
+
+def _render(tree, level: int = 0) -> str:
+    kind = tree[0]
+    if kind == "num":
+        text, own = tree[2], 3
+    elif kind == "var":
+        text, own = tree[1], 3
+    elif kind in "+-":
+        text, own = f"{_render(tree[1], 0)} {kind} {_render(tree[2], 1)}", 0
+    elif kind == "*":
+        text, own = f"{_render(tree[1], 1)}*{_render(tree[2], 2)}", 1
+    elif kind == "^":
+        text, own = f"{_render(tree[1], 3)}^{tree[2]}", 2
+    elif kind == "sign":
+        text, own = tree[1] + _render(tree[2], 2), 1
+    else:
+        text, own = f"({_render(tree[1], 0)})", 3
+    return text if own >= level else f"({text})"
+
+
+def _evaluate(tree) -> Polynomial:
+    kind = tree[0]
+    if kind == "num":
+        return _ring3.constant(tree[1])
+    if kind == "var":
+        return _ring3.variable(tree[1])
+    if kind == "^":
+        return power(_evaluate(tree[1]), tree[2])
+    if kind == "sign":
+        value = _evaluate(tree[2])
+        return -value if tree[1].count("-") % 2 else value
+    if kind == "()":
+        return _evaluate(tree[1])
+    left, right = _evaluate(tree[1]), _evaluate(tree[2])
+    return {"+": left + right, "-": left - right, "*": left * right}[kind]
+
+
+@given(_trees)
+@settings(max_examples=150)
+@example(("^", ("num", Fraction(0), "0/7"), 0))
+@example(("sign", "-+-", ("^", ("+", ("var", "y"), ("num", Fraction(1), "1")), 3)))
+def test_parser_agrees_with_polynomial_arithmetic(tree):
+    # the parser runs its own atoms, signs and powers over term dicts; what
+    # it builds equals the tree's value and meets _trusted's contract
+    parsed = parse_polynomial(_render(tree), _ring3)
+    assert parsed == _evaluate(tree)
+    for mono, coeff in parsed.as_dict().items():
+        assert type(mono) is tuple and len(mono) == _ring3.arity
+        assert all(type(e) is int and e >= 0 for e in mono)
+        assert type(coeff) is Fraction and coeff != 0
+    _assert_canonical(parsed)
 
 
 @given(_polys, _polys, _polys)

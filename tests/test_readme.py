@@ -1,17 +1,26 @@
 """The README's quick library session runs and prints what its comments say,
-its setup-file example loads and meets its own expect block, and its
-resource-cap paragraph names every cap with its value and module."""
+its command lines run and exit 0, its setup-file example loads and meets its
+own expect block, and its resource-cap paragraph names every cap with its
+value and module."""
 
 import contextlib
 import importlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 from fibrephi import analyze, geometry, groebner, parser
-from fibrephi.cli import analysis_document, compare_expectations, load_setup, required_max_power
+from fibrephi.cli import (
+    analysis_document,
+    compare_expectations,
+    load_setup,
+    main,
+    required_max_power,
+)
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_library_session_runs():
@@ -21,6 +30,21 @@ def test_readme_library_session_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], str(README), "exec"), {})
     assert out.getvalue().splitlines() == ["1 smooth-target", "((1, False), (2, True))"]
+
+
+def test_readme_command_lines_run_in_one_process(tmp_path, monkeypatch, capsys):
+    # in order, through one process's shared argument parser, with the
+    # fixture paths made absolute and any output written under tmp_path
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Command line\n\n```sh\n(.*?)```", text, re.S)
+    lines = [shlex.split(line) for line in block.splitlines()]
+    assert {words[0] for words in lines} == {"fibrephi"}
+    assert {words[1] for words in lines} == {"analyze", "stratify", "verify-power", "corpus"}
+    monkeypatch.chdir(tmp_path)
+    for words in lines:
+        argv = [str(ROOT / w) if w.split("/")[0] == "fixtures" else w for w in words[1:]]
+        assert main(argv) == 0, words
+    assert capsys.readouterr().err == ""
 
 
 def test_readme_setup_file_loads_and_meets_its_expectations(tmp_path):
