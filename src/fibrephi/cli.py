@@ -409,7 +409,7 @@ def compare_expectations(document: dict, expect: dict[str, str]) -> list[str]:
 def required_max_power(expect: dict[str, str]) -> int:
     if "fibred_powers" not in expect:
         return 0
-    return max(int(i) for i, _ in _pairs(expect["fibred_powers"]))
+    return max(entry["i"] for entry in _EXPECT["fibred_powers"][0](expect["fibred_powers"]))
 
 
 def run_corpus(directory: str | Path, seed: int = 0) -> tuple[list[ReportDocument], int]:

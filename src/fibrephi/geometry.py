@@ -30,7 +30,7 @@ from .errors import (
     ResourceLimitError,
     SetupError,
 )
-from .orders import GREVLEX, LEX, Block, Monomial, monomial_gcd
+from .orders import GREVLEX, LEX, Block, Monomial, monomial_div, monomial_gcd
 from .poly import Polynomial, PolynomialRing, _ring_map, transport
 from .groebner import (
     Ideal,
@@ -361,7 +361,10 @@ class Stratification:
     def generic_meets(self) -> list[tuple[Polynomial, list[tuple[int, int]]]]:
         """For each inequation h_a of the generic cell, the pairs
         (dim(C meet V(h_a)), C.fibre_dim) over every cell C; computed once per
-        setup, for the vertical test's dimension counts at every fibred power."""
+        setup, for the vertical test's dimension counts at every fibred power.
+        Empty when there is no generic cell, as there are then no h_a."""
+        if self.generic is None:
+            return []
         cells = [cell for stratum in self.strata for cell in stratum.cells]
         return [
             (h, [(_meet_dimension(cell, h), cell.fibre_dim) for cell in cells])
@@ -470,11 +473,8 @@ def _splitter_candidates(J: Ideal) -> list[Polynomial]:
         for m in monos[1:]:
             content = monomial_gcd(content, m)
         if any(content):
-            cofactor = Polynomial(
-                g.ring,
-                {tuple(a - b for a, b in zip(m, content)): c for m, c in g.as_dict().items()},
-            )
-            push(cofactor)
+            cofactor = {monomial_div(m, content): c for m, c in g._terms.items()}
+            push(Polynomial._trusted(g.ring, cofactor))
     for name in sorted(used):
         push(ring.variable(name))
     if ring.target_vars and ring.source_vars:
@@ -896,10 +896,10 @@ def _univariate_coefficients(p: Polynomial, index: int) -> list[Fraction]:
     """Coefficient list (low to high) of a polynomial using one variable only."""
     degree = max((m[index] for m in p.monomials()), default=0)
     coeffs = [Fraction(0)] * (degree + 1)
-    for mono, c in p.as_dict().items():
+    for mono, c in p._terms.items():
         if any(e for i, e in enumerate(mono) if i != index and e):
             raise FibrephiError("polynomial is not univariate in the requested variable")
-        coeffs[mono[index]] += c
+        coeffs[mono[index]] = c
     return coeffs
 
 

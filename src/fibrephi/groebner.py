@@ -39,6 +39,7 @@ from .orders import (
     monomial_mul,
 )
 from .poly import PolyDict, Polynomial, PolynomialRing, transport
+from .poly import _monic_terms, _product_terms, _sum_terms
 
 # Resource caps.  Each aborts with ResourceLimitError instead of truncating a
 # result.  Each is read when it is enforced, never bound as a default
@@ -52,30 +53,15 @@ GROEBNER_MAX_REDUCTIONS = 500_000
 # ---------------------------------------------------------------------------
 
 
-def _monic_dict(f: PolyDict, key) -> tuple[Monomial, PolyDict]:
-    lm = max(f, key=key)
-    lc = f[lm]
-    if lc != 1:
-        f = {m: c / lc for m, c in f.items()}
-    return lm, f
-
-
 def _spoly_dict(lmf: Monomial, f: PolyDict, lmg: Monomial, g: PolyDict) -> PolyDict:
     """S-polynomial of two monic polynomials given with their leading monomials."""
     lcm = monomial_lcm(lmf, lmg)
     qf = monomial_div(lcm, lmf)
     qg = monomial_div(lcm, lmg)
-    out: PolyDict = {}
-    for m, c in f.items():
-        out[monomial_mul(m, qf)] = c
-    for m, c in g.items():
-        mm = monomial_mul(m, qg)
-        nc = out.get(mm, Fraction(0)) - c
-        if nc:
-            out[mm] = nc
-        elif mm in out:
-            del out[mm]
-    return out
+    return _sum_terms(
+        {monomial_mul(m, qf): c for m, c in f.items()},
+        {monomial_mul(m, qg): -c for m, c in g.items()},
+    )
 
 
 class _ReductionBudget:
@@ -157,7 +143,7 @@ def _buchberger(seq: list[PolyDict], key) -> list[tuple[Monomial, PolyDict]]:
     # generator or an S-polynomial, is first reduced by the current basis,
     # which also gave each of its monomials its key.
     def install(p: PolyDict) -> int:
-        lm, p = _monic_dict(p, key_of)
+        lm, p = _monic_terms(p, key_of)
         f.append(p)
         lms.append(lm)
         lm_keys.append(keys[lm])
@@ -434,8 +420,7 @@ def saturation(ideal: Ideal, h: Polynomial) -> Ideal:
         raise ZeroPolynomialError("cannot saturate by the zero polynomial")
     if h.is_constant() or ideal.is_zero_ideal:
         return ideal  # 0 : h^inf = 0, as the ring is a domain
-    ring = ideal.ring
-    sat = elimination_ideal(_inverted(ideal, h), ring.arity)
+    sat = elimination_ideal(_inverted(ideal, h), ideal.ring.arity)
     divisors = ideal.groebner_basis(GREVLEX).divisors
     budget = _ReductionBudget(GROEBNER_MAX_REDUCTIONS)
     keys: dict = {}
@@ -443,7 +428,7 @@ def saturation(ideal: Ideal, h: Polynomial) -> Ideal:
         rem = _normal_form_dict(g.as_dict(), divisors, GREVLEX.key, keys, budget)
         while rem:
             budget.spend()
-            rem = (h * Polynomial._trusted(ring, rem)).as_dict()
+            rem = _product_terms(h._terms, rem)
             rem = _normal_form_dict(rem, divisors, GREVLEX.key, keys, budget)
     return sat
 

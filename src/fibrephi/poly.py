@@ -43,7 +43,7 @@ def _integral(c: Scalar) -> Scalar:
 
 def _sum_terms(a: PolyDict, b: PolyDict) -> PolyDict:
     """The terms of a + b in a new dict, zero sums dropped: the package's one
-    sum loop, run by ``Polynomial.__add__`` and by the parser."""
+    sum loop, run by ``Polynomial.__add__``, the parser and S-polynomials."""
     out = dict(a)
     for mono, coeff in b.items():
         c = out.get(mono)
@@ -60,7 +60,8 @@ def _sum_terms(a: PolyDict, b: PolyDict) -> PolyDict:
 
 def _product_terms(a: PolyDict, b: PolyDict) -> PolyDict:
     """The terms of a * b in a new dict, zero sums dropped: the package's one
-    product loop, run by ``Polynomial.__mul__`` and by the parser."""
+    product loop, run by ``Polynomial.__mul__``, the parser and the
+    saturation certificate."""
     out: PolyDict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
@@ -73,6 +74,18 @@ def _product_terms(a: PolyDict, b: PolyDict) -> PolyDict:
 def _negated_terms(a: PolyDict) -> PolyDict:
     """The terms of -a in a new dict, run by ``Polynomial.__neg__`` and by the parser."""
     return {m: -c for m, c in a.items()}
+
+
+def _monic_terms(terms: PolyDict, key) -> tuple[Monomial, PolyDict]:
+    """The leading monomial of nonzero ``terms`` under ``key``, and the terms
+    scaled so its coefficient is 1 (``terms`` itself when it already is): the
+    package's one normalizing loop, run by ``Polynomial.monic`` and by the
+    Groebner kernel."""
+    lm = max(terms, key=key)
+    lc = terms[lm]
+    if lc != 1:
+        terms = {m: c / lc for m, c in terms.items()}
+    return lm, terms
 
 
 class PolynomialRing:
@@ -314,10 +327,8 @@ class Polynomial:
         """This polynomial scaled so its grevlex-leading coefficient is 1."""
         if not self._terms:
             raise ZeroPolynomialError("cannot normalize the zero polynomial")
-        lc = self._terms[max(self._terms, key=GREVLEX.key)]
-        if lc == 1:
-            return self
-        return self.scale(Fraction(1) / lc)
+        _, terms = _monic_terms(self._terms, GREVLEX.key)
+        return self if terms is self._terms else Polynomial._trusted(self.ring, terms)
 
     # -- printing ---------------------------------------------------------
 

@@ -329,6 +329,18 @@ def test_missing_attestation_yields_inconclusive_exit(tmp_path):
     assert any("skipped" in w for w in report.document["warnings"])
 
 
+def test_verify_power_without_the_attestation_is_an_error(tmp_path, capsys):
+    # analyze skips the vertical test and exits 2; verify-power has nothing
+    # else to report, so it stops with exit 1 and writes no document
+    out = tmp_path / "out.json"
+    args = ["verify-power", str(write(tmp_path, MINIMAL)), "--i", "2", "--json", str(out)]
+    assert main(args) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: vertical-component detection requires the locally-irreducible attestation\n"
+    )
+    assert not out.exists()
+
+
 def test_a_high_power_saturation_analyzes(tmp_path, capsys):
     # The cell closure saturates (y1^65*y2, y1*x^2 + x - 1) by y1: its
     # certificate needs y1^65, past any small exponent, and the reduction
@@ -418,6 +430,7 @@ def test_an_uncertified_piece_leaves_purity_unconfirmed(tmp_path):
 def test_required_max_power():
     assert required_max_power({}) == 0
     assert required_max_power({"fibred_powers": "1:false, 3:true"}) == 3
+    assert required_max_power({"fibred_powers": " 4 : inconclusive , 2 : true "}) == 4
 
 
 @pytest.mark.parametrize(

@@ -714,6 +714,17 @@ def test_vertical_falls_back_when_the_image_is_not_dense(monkeypatch):
     assert (result.verdict, result.detail) == (True, "image closure has dimension 0 < 1")
 
 
+def test_generic_meets_is_empty_without_a_generic_cell(monkeypatch):
+    # the image of X = {0} x C is not dense, so there is no generic cell and
+    # no h_a; the vertical test still decides through the saturation path
+    setup = simple_setup("y")
+    assert setup.stratification.generic is None
+    assert setup.stratification.generic_meets == []
+    reached = record_slow_path(monkeypatch)
+    assert has_vertical_component(setup, 1).verdict is True
+    assert reached == [setup.total_ideal]
+
+
 def two_round_setup():
     """Over the target V(y1^2*y2) the leading coefficients of this source
     vanish on the constraint one after another."""

@@ -29,8 +29,16 @@ from fibrephi.errors import FibrephiError, ResourceLimitError
 from fibrephi import geometry, groebner
 from fibrephi.groebner import independent_set_dimension
 from fibrephi.invariant import analyze
-from fibrephi.orders import Block
-from fibrephi.poly import Polynomial, _ring_map, transport
+from fibrephi.orders import Block, monomial_div, monomial_lcm, monomial_mul
+from fibrephi.poly import (
+    Polynomial,
+    _monic_terms,
+    _negated_terms,
+    _product_terms,
+    _ring_map,
+    _sum_terms,
+    transport,
+)
 
 from conftest import FIXTURES, cyclic_family_setup, power, ring_xy, ring_y_x
 
@@ -61,6 +69,59 @@ def test_spoly_coprime_leading_terms():
     ring = ring_xy()
     x, y = P("x", ring).as_dict(), P("y", ring).as_dict()
     assert groebner._spoly_dict((1, 0), x, (0, 1), y) == {}
+
+
+_ring3 = PolynomialRing((), ("x", "y", "z"))
+_terms3 = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3),
+    st.fractions(-4, 4, max_denominator=3).filter(bool),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(_terms3, _terms3)
+@settings(max_examples=150, deadline=None)
+def test_spoly_matches_polynomial_arithmetic(a, b):
+    # S(f, g) = (lcm/lm f)*f - (lcm/lm g)*g on monic f and g; g a monomial
+    # multiple of f cancels to nothing
+    (lmf, f), (lmg, g) = _monic_terms(a, GREVLEX.key), _monic_terms(b, GREVLEX.key)
+    lcm = monomial_lcm(lmf, lmg)
+    qf = Polynomial(_ring3, {monomial_div(lcm, lmf): 1})
+    qg = Polynomial(_ring3, {monomial_div(lcm, lmg): 1})
+    expected = qf * Polynomial(_ring3, f) - qg * Polynomial(_ring3, g)
+    s = groebner._spoly_dict(lmf, f, lmg, g)
+    assert s == expected._terms and all(type(c) is Fraction and c for c in s.values())
+    shifted = {monomial_mul(m, lmg): c for m, c in f.items()}
+    assert groebner._spoly_dict(lmf, f, monomial_mul(lmf, lmg), shifted) == {}
+
+
+@given(_terms3, _terms3)
+@settings(max_examples=150, deadline=None)
+def test_term_loops_leave_their_inputs_alone(a, b):
+    # a basis element shares its term dict with its divisor entry, so no
+    # loop may write to a dict it is given
+    snapshot = (list(a.items()), list(b.items()))
+    assert _sum_terms(a, b) is not a
+    _product_terms(a, b)
+    _negated_terms(a)
+    lm, monic = _monic_terms(a, GREVLEX.key)
+    assert monic[lm] == 1 and (monic is a) == (a[lm] == 1)
+    (lmf, f), (lmg, g) = _monic_terms(a, LEX.key), _monic_terms(b, LEX.key)
+    groebner._spoly_dict(lmf, f, lmg, g)
+    assert (list(a.items()), list(b.items())) == snapshot
+
+
+def test_monic_terms_returns_a_monic_input_itself():
+    ring = ring_xy()
+    f = P("x^2 - 3*y", ring)
+    lm, terms = _monic_terms(f._terms, GREVLEX.key)
+    assert lm == (2, 0) and terms is f._terms
+    assert f.monic() is f
+    g = P("-2*x^2 + 3*y", ring)
+    lm, terms = _monic_terms(g._terms, GREVLEX.key)
+    assert lm == (2, 0) and terms == {(2, 0): 1, (0, 1): Fraction(-3, 2)}
+    assert g.monic() == Polynomial(ring, terms) == P("x^2 - 3/2*y", ring)
 
 
 # ---------------------------------------------------------------------------
