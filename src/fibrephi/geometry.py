@@ -504,11 +504,31 @@ def split_components(J: Ideal) -> list[Ideal]:
     O'Shea, Ch. 9 §3; see ``_variable_cut_bound``), so only the candidates
     that bound does not settle cost a basis of J + (h).  The pieces are the
     same either way.
+
+    Only varieties are read off the pieces, so the split works on J with
+    each monomial generator replaced by the product of its variables, which
+    cuts out V(J) too (``_monomial_radicals``); the unmixedness certificate
+    is read off J's own generators.
     """
     if J.is_unit():
         raise PreconditionError("split_components needs a proper ideal")
     dim = krull_dimension(J)
-    return _prune(_split(J, SPLIT_DEPTH, dim if _complete_intersection(J, dim) else None))
+    pure_dim = dim if _complete_intersection(J, dim) else None
+    return _prune(_split(_monomial_radicals(J), SPLIT_DEPTH, pure_dim))
+
+
+def _monomial_radicals(J: Ideal) -> Ideal:
+    """J with each monomial generator replaced by the product of its
+    variables, so a high power such as y1^65 is split as y1; J itself when
+    no generator changes."""
+    gens = []
+    for g in J.generators:
+        if len(g) == 1:
+            (m,) = g.monomials()
+            g = Polynomial._trusted(J.ring, {tuple(min(e, 1) for e in m): Fraction(1)})
+        gens.append(g)
+    radical = Ideal(J.ring, gens)
+    return J if radical == J else radical
 
 
 def _complete_intersection(I: Ideal, dim: int) -> bool:

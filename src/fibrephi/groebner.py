@@ -13,6 +13,11 @@ since.  One Buchberger run keeps one dict of order keys, filled as monomials
 first appear, which the generator sort, every reduction, every leading-term
 choice and every pair's lcm read.  A basis keeps its leading monomials, so
 membership tests divide by it directly.
+
+Ideals generated by terms, which the stratification's coordinate loci mostly
+are, skip the completion: their bases, saturations by a term and radical
+tests have closed forms (``_term_basis``), and a variable generator is
+peeled off before a run on what is left (``_reduced_basis``).
 """
 
 from __future__ import annotations
@@ -229,6 +234,54 @@ def _buchberger(seq: list[PolyDict], key) -> list[tuple[Monomial, PolyDict]]:
     return reduced
 
 
+def _term_basis(seq: list[PolyDict], key) -> list[tuple[Monomial, PolyDict]]:
+    """Reduced Groebner basis of the ideal the terms ``seq`` generate, in the
+    form and order ``_buchberger`` gives.
+
+    A monomial ideal is its own leading-term ideal under every order, so its
+    reduced basis is its minimal monomials, made monic (Cox, Little and
+    O'Shea, Ch. 2 §4 and §7; Herzog and Hibi, *Monomial Ideals*, Ch. 1).  A
+    proper divisor has a smaller degree, so each monomial is tested against
+    the minimal ones of lower degree only.
+    """
+    minimal: list[Monomial] = []
+    for m in sorted({m for p in seq for m in p}, key=sum):
+        if not any(monomial_divides(d, m) for d in minimal):
+            minimal.append(m)
+    if len(minimal) > GROEBNER_MAX_BASIS:
+        raise ResourceLimitError("Groebner basis size cap exceeded")
+    minimal.sort(key=key, reverse=True)
+    return [(m, {m: Fraction(1)}) for m in minimal]
+
+
+def _reduced_basis(seq: list[PolyDict], key) -> list[tuple[Monomial, PolyDict]]:
+    """Reduced Groebner basis of the ideal ``seq`` generates, as ``_buchberger``
+    gives it, in closed form where the generators allow.
+
+    Terms alone get ``_term_basis``.  A generator c*v, v a variable, peels v
+    off: (v, g1, ..., gk) = (v, g1|v=0, ..., gk|v=0), and the reduced basis
+    of the rest avoids v, so each of its S-pairs with v has coprime leading
+    monomials (Buchberger's first criterion) and none of its terms is
+    divisible by v.  The basis is v with the rest's, or [1] when the rest's
+    is [1].  Any other ideal gets a Buchberger run.
+    """
+    if all(len(p) == 1 for p in seq):
+        return _term_basis(seq, key)
+    peeled = {m for p in seq if len(p) == 1 for m in p if sum(m) == 1}
+    if not peeled:
+        return _buchberger(seq, key)
+    gone = [v.index(1) for v in peeled]
+    rest = [{m: c for m, c in p.items() if not any(m[i] for i in gone)} for p in seq]
+    basis = _reduced_basis([p for p in rest if p], key)
+    if basis and not any(basis[-1][0]):
+        return basis  # [1]
+    basis += [(v, {v: Fraction(1)}) for v in peeled]
+    if len(basis) > GROEBNER_MAX_BASIS:
+        raise ResourceLimitError("Groebner basis size cap exceeded")
+    basis.sort(key=lambda element: key(element[0]), reverse=True)
+    return basis
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced, monic Groebner basis; unique for its (ideal, order) pair.
@@ -301,7 +354,7 @@ class Ideal:
         cached = self._cache.get(order)
         if cached is not None:
             return cached
-        divisors = tuple(_buchberger([g.as_dict() for g in self.generators], order.key))
+        divisors = tuple(_reduced_basis([g._terms for g in self.generators], order.key))
         elements = tuple(Polynomial._trusted(self.ring, d) for _, d in divisors)
         basis = GroebnerBasis(elements, divisors)
         self._cache[order] = basis
@@ -314,7 +367,7 @@ class Ideal:
             return True
         basis = self.groebner_basis(GREVLEX)
         budget = _ReductionBudget(GROEBNER_MAX_REDUCTIONS)
-        return not _normal_form_dict(f.as_dict(), basis.divisors, GREVLEX.key, {}, budget)
+        return not _normal_form_dict(f._terms, basis.divisors, GREVLEX.key, {}, budget)
 
     def is_unit(self) -> bool:
         if any(g.is_constant() for g in self.generators):
@@ -322,11 +375,23 @@ class Ideal:
         return any(not any(m) for m in _leading_monomials(self))
 
 
+def _by_terms(ideal: Ideal) -> bool:
+    """True when every generator of ``ideal`` is a single term."""
+    return all(len(g) == 1 for g in ideal.generators)
+
+
+def _support(m: Monomial) -> int:
+    """The variables ``m`` uses, as a bitmask: bit i is set when variable i occurs."""
+    return sum(1 << i for i, e in enumerate(m) if e)
+
+
 def _leading_monomials(ideal: Ideal) -> list[Monomial]:
     """Grevlex leading monomials that generate LT(``ideal``).
 
-    They come from the cached grevlex basis when there is one.  Otherwise,
-    when the generators' leading monomials have pairwise disjoint supports,
+    They come from the cached grevlex basis when there is one.  Otherwise an
+    ideal generated by terms is its own leading-term ideal, so its
+    generators' monomials are returned; and when the generators' leading
+    monomials have pairwise disjoint supports,
     the generators already form a Groebner basis and their leading monomials
     are returned with no Buchberger run: the S-polynomial of two polynomials
     with coprime leading monomials reduces to zero (Buchberger's first
@@ -336,10 +401,12 @@ def _leading_monomials(ideal: Ideal) -> list[Monomial]:
     """
     cached = ideal._cache.get(GREVLEX)
     if cached is None:
+        if _by_terms(ideal):
+            return [m for g in ideal.generators for m in g.monomials()]
         lms = [max(g.monomials(), key=GREVLEX.key) for g in ideal.generators]
-        used = 0  # bit i is set when variable i occurs in an earlier lm
+        used = 0  # the variables of the earlier lms
         for m in lms:
-            support = sum(1 << i for i, e in enumerate(m) if e)
+            support = _support(m)
             if support & used:
                 break
             used |= support
@@ -370,13 +437,19 @@ def _inverted(ideal: Ideal, h: Polynomial) -> Ideal:
 def radical_member(f: Polynomial, ideal: Ideal) -> bool:
     """True iff some power of ``f`` lies in ``ideal``.
 
-    Uses the auxiliary-variable trick: f is in the radical iff
-    1 belongs to ideal + (1 - t*f) in the ring extended by t.
+    The radical of an ideal generated by terms is generated by the products
+    of each term's variables (Herzog and Hibi, *Monomial Ideals*, Ch. 1), so
+    f lies in it iff the support of each term of f contains the support of
+    some generator.  Any other ideal takes the auxiliary-variable trick: f is in
+    the radical iff 1 belongs to ideal + (1 - t*f) in the ring extended by t.
     """
     if f.ring != ideal.ring:
         raise RingMismatchError("radical membership operands must share a ring")
     if f.is_zero:
         return True
+    if _by_terms(ideal):
+        supports = [_support(m) for g in ideal.generators for m in g.monomials()]
+        return all(any(s & t == s for s in supports) for t in map(_support, f.monomials()))
     if ideal.contains(f):
         return True
     return _inverted(ideal, f).is_unit()
@@ -409,7 +482,11 @@ def saturation(ideal: Ideal, h: Polynomial) -> Ideal:
 
     The saturation is ``(ideal + (1 - t*h))`` with t eliminated (Cox, Little,
     O'Shea, Ch. 4 §4, Thm 14); it cuts out the closure of ``V(ideal)`` minus
-    ``V(h)``.  Each generator g of the result is certified to have some
+    ``V(h)``.  When ``ideal`` is generated by terms and h is a term, it is
+    generated by the terms with h's variables set to 1 (Herzog and Hibi,
+    *Monomial Ideals*, Ch. 1: (u) : v = (u / gcd(u, v))), and is returned
+    as its reduced grevlex basis, the generators elimination gives.  Each
+    generator g of the result is certified to have some
     ``h^s * g`` in ``ideal``: as NF(h * NF(h^(s-1) * g)) = NF(h^s * g), the
     remainder is multiplied by h and reduced again until it vanishes, each
     round and reduction charged to one ``GROEBNER_MAX_REDUCTIONS`` budget.
@@ -420,12 +497,22 @@ def saturation(ideal: Ideal, h: Polynomial) -> Ideal:
         raise ZeroPolynomialError("cannot saturate by the zero polynomial")
     if h.is_constant() or ideal.is_zero_ideal:
         return ideal  # 0 : h^inf = 0, as the ring is a domain
-    sat = elimination_ideal(_inverted(ideal, h), ideal.ring.arity)
+    if len(h) == 1 and _by_terms(ideal):
+        (gone,) = h.monomials()
+        terms = [
+            {tuple(0 if d else e for e, d in zip(m, gone)): Fraction(1)}
+            for g in ideal.generators
+            for m in g.monomials()
+        ]
+        basis = _term_basis(terms, GREVLEX.key)
+        sat = Ideal(ideal.ring, [Polynomial._trusted(ideal.ring, d) for _, d in basis])
+    else:
+        sat = elimination_ideal(_inverted(ideal, h), ideal.ring.arity)
     divisors = ideal.groebner_basis(GREVLEX).divisors
     budget = _ReductionBudget(GROEBNER_MAX_REDUCTIONS)
     keys: dict = {}
     for g in sat.generators:
-        rem = _normal_form_dict(g.as_dict(), divisors, GREVLEX.key, keys, budget)
+        rem = _normal_form_dict(g._terms, divisors, GREVLEX.key, keys, budget)
         while rem:
             budget.spend()
             rem = _product_terms(h._terms, rem)
@@ -461,8 +548,7 @@ def independent_set_dimension(monomials: Iterable[Monomial], nvars: int) -> int:
     of a smallest unmet support; drop a branch that cannot beat the best so
     far.  The search grows with the codimension, not with the independent sets.
     """
-    # each support is a bitmask: bit i is set when variable i occurs
-    supports = {sum(1 << i for i, e in enumerate(m) if e) for m in monomials}
+    supports = set(map(_support, monomials))
     if 0 in supports:
         return -1
     best = nvars  # all variables meet every support

@@ -21,16 +21,18 @@ def fixture_dir() -> Path:
 
 @pytest.fixture
 def buchberger_runs(monkeypatch) -> list[tuple]:
-    """Every Buchberger run the test makes, in order, as the pair of the
-    monomial order and the list of generator term dicts it was given."""
+    """Every basis the test builds, in order, as the pair of the monomial
+    order and the list of generator term dicts it was built from: each
+    Buchberger run, and each closed-form basis of terms."""
     runs = []
-    run = groebner._buchberger
+    for name in ("_buchberger", "_term_basis"):
+        build = getattr(groebner, name)
 
-    def recording(seq, key):
-        runs.append((key.__self__, seq))
-        return run(seq, key)
+        def recording(seq, key, *rest, build=build):
+            runs.append((key.__self__, seq))
+            return build(seq, key, *rest)
 
-    monkeypatch.setattr(groebner, "_buchberger", recording)
+        monkeypatch.setattr(groebner, name, recording)
     return runs
 
 
@@ -41,10 +43,10 @@ def cap_block_bases(monkeypatch, ring: PolynomialRing) -> None:
     run = groebner._buchberger
     block = Block(ring.split)
 
-    def capped(seq, key):
+    def capped(seq, key, *rest):
         if key.__self__ == block and all(len(m) == ring.arity for d in seq for m in d):
             raise ResourceLimitError("Groebner reduction budget exhausted")
-        return run(seq, key)
+        return run(seq, key, *rest)
 
     monkeypatch.setattr(groebner, "_buchberger", capped)
 

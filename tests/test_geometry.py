@@ -1296,6 +1296,47 @@ def test_unmixed_skips_agree_with_saturation(monkeypatch, fixture_dir):
     assert skipped > 0
 
 
+def _split_as_given(J):
+    """The pieces of V(J), split from J's own generators."""
+    dim = krull_dimension(J)
+    pure_dim = dim if _complete_intersection(J, dim) else None
+    return geometry._prune(geometry._split(J, geometry.SPLIT_DEPTH, pure_dim))
+
+
+def _piece_dims(split, J):
+    try:
+        return sorted((krull_dimension(p) for p in split(J)), reverse=True)
+    except ResourceLimitError:
+        return None
+
+
+def test_monomial_radicals_keep_the_piece_dimensions():
+    # split_components splits J with each monomial generator replaced by the
+    # product of its variables; the piece dimensions, which every document
+    # carries, must be those of the split of J as given.  Each J of the
+    # fixtures and the random families is also tried with a random monomial
+    # generator added whose exponents are 2 or 3.
+    rng = Random(7)
+    union_rng = Random(24)
+    setups = (
+        [load_setup(path).setup for path in sorted(FIXTURES.glob("*.setup"))]
+        + list(_random_projection_setups(2718, 40))
+        + [random_union_setup(union_rng) for _ in range(25)]
+    )
+    replaced = 0
+    for setup in setups:
+        J = setup.total_ideal
+        m = [rng.choice((0, 0, 2, 3)) for _ in range(J.ring.arity)]
+        m[rng.randrange(len(m))] = 2
+        for ideal in (J, J.added([Polynomial(J.ring, {tuple(m): 1})])):
+            if ideal.is_unit():
+                continue
+            replaced += geometry._monomial_radicals(ideal) is not ideal
+            expected = _piece_dims(_split_as_given, ideal)
+            assert _piece_dims(split_components, ideal) == expected, ideal
+    assert replaced > 50
+
+
 def test_certified_candidates_that_are_tried_shrink_the_variety(monkeypatch):
     # Under an unmixedness certificate _split asks no containment test: a
     # candidate h it does not skip has dim V(J + (h)) >= the certified

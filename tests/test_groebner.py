@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.orderings import ProductOrder, grevlex
 
@@ -99,8 +99,9 @@ def test_spoly_matches_polynomial_arithmetic(a, b):
 @given(_terms3, _terms3)
 @settings(max_examples=150, deadline=None)
 def test_term_loops_leave_their_inputs_alone(a, b):
-    # a basis element shares its term dict with its divisor entry, so no
-    # loop may write to a dict it is given
+    # a basis element shares its term dict with its divisor entry, and the
+    # kernel is handed each generator's own term dict, so no loop may write
+    # to a dict it is given
     snapshot = (list(a.items()), list(b.items()))
     assert _sum_terms(a, b) is not a
     _product_terms(a, b)
@@ -109,6 +110,9 @@ def test_term_loops_leave_their_inputs_alone(a, b):
     assert monic[lm] == 1 and (monic is a) == (a[lm] == 1)
     (lmf, f), (lmg, g) = _monic_terms(a, LEX.key), _monic_terms(b, LEX.key)
     groebner._spoly_dict(lmf, f, lmg, g)
+    basis = groebner._buchberger([a, b], GREVLEX.key)
+    assert all(d is not a and d is not b for _, d in basis)
+    groebner._normal_form_dict(a, groebner._buchberger([b], LEX.key), LEX.key, {}, _budget())
     assert (list(a.items()), list(b.items())) == snapshot
 
 
@@ -528,8 +532,8 @@ def test_saturation_contract():
 
 @pytest.mark.parametrize("limit, refused", [(3, True), (4, False)])
 def test_saturation_certificate_is_charged_to_the_reduction_budget(monkeypatch, limit, refused):
-    # (x^3) : x^inf = (1): the block basis of (x^3, 1 - t*x) takes no
-    # reduction; certifying 1 takes three rounds and one reduction of x^3
+    # (x^3) : x^inf = (1), read off the generator with no basis; certifying
+    # 1 takes three rounds and one reduction of x^3
     ring = ring_xy()
     ideal = Ideal(ring, [P("x^3", ring)])
     ideal.groebner_basis(GREVLEX)  # built under the full budget
@@ -796,6 +800,100 @@ def test_dimension_and_unit_test_match_the_basis_path_on_pipeline_inputs(monkeyp
             assert krull_dimension(Ideal(ring, generators)) == expected_dim
         else:
             assert Ideal(ring, generators).is_unit() == expected_unit
+
+
+# ---------------------------------------------------------------------------
+# ideals generated by terms, and variable generators: closed forms
+# ---------------------------------------------------------------------------
+
+
+_terms4 = st.dictionaries(_exponents4, _coefficients, min_size=1, max_size=1)
+_term_generators = st.lists(_terms4.map(lambda terms: Polynomial(_ring4, terms)), max_size=5)
+
+
+@st.composite
+def _peeled_generators(draw):
+    """One or two generators c*v, v a variable, among any others."""
+    variables = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    peeled = [
+        Polynomial(_ring4, {tuple(int(i == v) for i in range(4)): draw(_coefficients)})
+        for v in variables
+    ]
+    return peeled + draw(_any_generators)
+
+
+_ORDERS = {"grevlex": GREVLEX, "lex": LEX, "block 1": Block(1), "block 2": Block(2)}
+
+
+def _generators(*texts):
+    return [P(text, _ring4) for text in texts]
+
+
+@given(st.one_of(_term_generators, _peeled_generators()), st.sampled_from(sorted(_ORDERS)))
+@example(_generators("y1", "y1 + 1"), "grevlex")  # the rest is the unit ideal
+@example(_generators("3*x2", "y1*x2 + x1", "x1^2 - x2"), "block 2")  # peeled twice
+@example(_generators("y1^2*x1", "y1*x1", "x1^2", "2*y2*x1^2"), "lex")  # non-minimal terms
+@settings(max_examples=200, deadline=None)
+def test_closed_form_bases_match_buchberger_and_sympy(generators, order_name):
+    # A term ideal's basis and a variable generator's peeled basis are the
+    # reduced basis Buchberger builds on the same generators, element for
+    # element and in its order, and the one sympy builds
+    order = _ORDERS[order_name]
+    ideal = Ideal(_ring4, generators)
+    seq = [g._terms for g in ideal.generators]
+    basis = ideal.groebner_basis(order)
+    assert list(basis.divisors) == groebner._buchberger(seq, order.key)
+    assert basis.elements == tuple(Polynomial(_ring4, d) for _, d in basis.divisors)
+    if not generators:
+        return
+    if isinstance(order, Block):
+        _assert_block_basis_matches_sympy(ideal, order.split)
+    else:
+        _assert_basis_matches_sympy(ideal, order, order_name)
+
+
+@given(_term_generators, _terms4)
+@example(_generators("y1^3"), {(1, 0, 0, 0): 2})  # the unit ideal
+@example(_generators("y1^2*x1", "y2*x2^2", "y1*y2"), {(2, 1, 0, 0): 1})
+@settings(max_examples=200, deadline=None)
+def test_term_saturation_matches_elimination(generators, h_terms):
+    # I : h^inf of a term ideal by a term: the generators are those
+    # elimination keeps from I + (1 - t*h), in the same order
+    ideal, h = Ideal(_ring4, generators), Polynomial(_ring4, h_terms)
+    sat = saturation(ideal, h)
+    if h.is_constant() or ideal.is_zero_ideal:
+        assert sat is ideal
+    else:
+        assert sat == elimination_ideal(groebner._inverted(ideal, h), _ring4.arity)
+
+
+@given(_term_generators, st.dictionaries(_exponents4, _coefficients, min_size=1, max_size=3))
+@example(_generators("y1^2*x1", "x2^3"), {(1, 0, 1, 0): 1, (0, 1, 0, 2): -1})  # in it
+@example(_generators("y1^2*x1", "x2^3"), {(1, 0, 1, 0): 1, (0, 1, 0, 0): -1})  # not in it
+@settings(max_examples=200, deadline=None)
+def test_term_radical_membership_matches_rabinowitsch(generators, f_terms):
+    # f lies in the radical of a term ideal I iff I + (1 - t*f) is the unit ideal
+    ideal, f = Ideal(_ring4, generators), Polynomial(_ring4, f_terms)
+    expected = ideal.contains(f) or groebner._inverted(ideal, f).is_unit()
+    assert radical_member(f, ideal) is expected
+
+
+def test_term_ideals_skip_buchberger(buchberger_runs):
+    # bases, leading terms, saturations and radical tests of term ideals,
+    # and a peeled variable whose rest is a term ideal, run no completion
+    ring = _ring4
+    ideal = Ideal(ring, _generators("y1^2*x1", "x2^3", "y1*y2"))
+    assert krull_dimension(ideal) == 2 and not ideal.is_unit()
+    assert [str(g) for g in saturation(ideal, P("y1", ring)).generators] == ["x2^3", "y2", "x1"]
+    assert radical_member(P("y1*x1*x2 + y2*x2", ring), ideal)
+    assert not radical_member(P("y1*x2^2 + x1", ring), ideal)
+    peeled = Ideal(ring, _generators("x2", "y1*x2 + x1^2", "y2*x1*x2 - y1"))
+    assert [str(g) for g in peeled.groebner_basis().elements] == ["x1^2", "y1", "x2"]
+    assert [(order, len(seq)) for order, seq in buchberger_runs] == [
+        (GREVLEX, 3),
+        (GREVLEX, 3),
+        (GREVLEX, 2),
+    ]
 
 
 def test_unit_detection_on_specialized_fibre():
